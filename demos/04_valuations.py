@@ -9,8 +9,8 @@ zeta0 = cv.make_growth([0, 2], [[2, -1]], require_nonnegative=True)
 zetan = cv.make_growth([0, 1], [[1]], require_nonnegative=True)
 
 # The level-volume profile V(t) = vol{u <= t} of the l1 norm in R^2 is the
-# polynomial 2 t^2; the library recovers it by exact interpolation of exact
-# sublevel-set volumes.
+# polynomial 2 t^2; the library derives it exactly from one triangulation of
+# the epigraph capped above its highest vertex.
 u = cv.make([((1, 1), 0), ((1, -1), 0), ((-1, 1), 0), ((-1, -1), 0)], n=2)
 prof = cv.level_volume_profile(u)
 print("V(t) on the final ray:", prof.final_poly, " (coefficients, ascending)")

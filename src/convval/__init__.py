@@ -2,6 +2,7 @@
 
 from .errors import (
     BudgetExceeded,
+    CertificateFailed,
     ConvvalError,
     DimensionMismatch,
     DocumentError,

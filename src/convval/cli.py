@@ -66,6 +66,23 @@ def _report(command: str, args, digest: str, results: dict, laws: list, seed, t0
     }
 
 
+def _rational_arg(s: str) -> Fraction:
+    try:
+        return parse_rational(s)
+    except DocumentError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_int(s: str) -> int:
+    try:
+        k = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}") from None
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {k}")
+    return k
+
+
 def cmd_eval(args) -> int:
     u = load_function(args.file)
     point = [parse_rational(x, "point") for x in args.point.split(",")]
@@ -120,7 +137,7 @@ def cmd_growth(args) -> int:
     zeta = load_growth(args.zetafile)
     n = args.n
     psi = psi_from_zeta(zeta, n)
-    tmin, tmax = Fraction(args.tmin), Fraction(args.tmax)
+    tmin, tmax = args.tmin, args.tmax
     grid = sorted({tmin + (tmax - tmin) * Fraction(j, args.steps) for j in range(args.steps + 1)}
                   | {b for b in zeta.breakpoints if tmin <= b <= tmax})
     sign = Fraction((-1) ** n, math.factorial(n))
@@ -304,10 +321,10 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("growth", help="CSV of zeta, psi_n and the derivative relation")
     p.add_argument("zetafile")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--tmin", default="0")
-    p.add_argument("--tmax", default="2")
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--n", type=_positive_int, default=2)
+    p.add_argument("--tmin", type=_rational_arg, default="0")
+    p.add_argument("--tmax", type=_rational_arg, default="2")
+    p.add_argument("--steps", type=_positive_int, default=20)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_growth)
 

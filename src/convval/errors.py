@@ -52,5 +52,9 @@ class BudgetExceeded(ConvvalError):
     pass
 
 
+class CertificateFailed(ConvvalError):
+    """An exact certificate that a computed result must satisfy did not hold."""
+
+
 class DocumentError(ConvvalError):
     """Malformed input document (bad schema, field, or rational literal)."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import DimensionMismatch
+from .errors import CertificateFailed, DimensionMismatch
 from .functions import (PWAConvex, cone_function, indicator_function,
                         inf_if_convex, level_hausdorff_distance, make,
                         pwa_equal, sup, transform)
@@ -125,7 +125,8 @@ def generate_pair_with_convex_min(seed: int, n: int) -> FixturePair:
     u = sup(w, ell)
     v = sup(w, reflected)
     wedge = inf_if_convex(u, v)  # raises NotConvexMin if construction failed
-    assert pwa_equal(wedge, w)
+    if not pwa_equal(wedge, w):
+        raise CertificateFailed(f"pair seed={seed} n={n}: u wedge v differs from the base w")
     return FixturePair(u, v, True, "sup-reflection", seed, wedge=wedge, vee=sup(u, v))
 
 

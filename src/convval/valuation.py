@@ -1,10 +1,15 @@
 """Integral valuations of piecewise-affine convex functions.
 
 The central object is the level-volume profile V(t) = vol_n({u <= t}): a
-piecewise polynomial of degree <= n whose breakpoints are the levels of the
-epigraph vertices of u.  Each interval polynomial is recovered by exact
-Lagrange interpolation of the (exactly computed) sublevel-set volumes at
-n + 1 rational probes and validated at 2 further probes.
+piecewise polynomial of degree <= n whose breakpoints s_0 < ... < s_p are the
+levels of the epigraph vertices of u.  It is the derivative of
+W(t) = vol_{n+1}{(x, y) : u(x) <= y <= t}.  The epigraph, capped at
+T = s_p + 1, is triangulated once; a simplex with volume vol and vertex
+heights h_0..h_{n+1} contributes (-1)^{n+1} vol [h_0, ..., h_{n+1}] (t - .)_+^{n+1}
+to W (a confluent divided difference, polynomial in t between breakpoints;
+Baldoni, Berline, De Loera, Koeppe, Vergne, Math. Comp. 80, 2011).  The
+result is certified by V(s_0) = vol_n(argmin u) and continuity of V at
+every breakpoint.
 
 The integral valuation is then the layer-cake sum
 
@@ -16,16 +21,17 @@ exact over the rationals whenever zeta is polynomial-compact.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import NotCoercive, UnboundedPolyhedron
+from .errors import CertificateFailed, NotCoercive, UnboundedPolyhedron
 from .functions import PWAConvex, cone_function, indicator_function
 from .growth import (GrowthFunction, Poly, padd, pdiff, peval, pint, pmul,
-                     poly_nonneg_on, pscale, ptrim, tail_integral)
-from .polyhedra import Polyhedron, volume
-from .reports import LawReport
+                     poly_nonneg_on, tail_integral)
+from .linalg import determinant, vec_sub
+from .polyhedra import HRep, Polyhedron, intersect, triangulate, volume
 
 
 # ---------------------------------------------------------------------------
@@ -62,17 +68,19 @@ class LevelVolumeProfile:
         return poly_nonneg_on(pdiff(self.final_poly), self.breakpoints[-1], None)
 
 
-def _lagrange(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Poly:
-    acc: Poly = ()
-    for i, yi in enumerate(ys):
-        term: Poly = (Fraction(1),)
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j != i:
-                term = pmul(term, (-xj, Fraction(1)))
-                denom *= xs[i] - xj
-        acc = padd(acc, pscale(yi / denom, term))
-    return acc
+def _local_series(z: Fraction, mult: dict[Fraction, int]) -> list[Fraction]:
+    """Taylor coefficients of prod_{w != z} (x - w)^(-mult[w]) at x = z, up to
+    order mult[z] - 1: the weights of the values f^(m)(z) / m! in the
+    divided difference of f over the nodes ``mult`` (with multiplicities)."""
+    order = mult[z]
+    series = [Fraction(1)] + [Fraction(0)] * (order - 1)
+    for w, mu in mult.items():
+        if w == z:
+            continue
+        r = 1 / (z - w)  # (x - w)^-mu = r^mu (1 + r (x - z))^-mu
+        factor = [r ** mu * math.comb(mu + l - 1, l) * (-r) ** l for l in range(order)]
+        series = [sum(series[i] * factor[l - i] for i in range(l + 1)) for l in range(order)]
+    return series
 
 
 def level_volume_profile(u: PWAConvex) -> LevelVolumeProfile:
@@ -82,39 +90,52 @@ def level_volume_profile(u: PWAConvex) -> LevelVolumeProfile:
     if not u.coercive:
         raise NotCoercive("level-volume profile requires a coercive function")
     n = u.n
+    d = n + 1
     levels = sorted({v[n] for v in u.epigraph.vrep.vertices})
     t_min = levels[0]
     atom = volume(u.sublevel(t_min))
 
-    vol_cache: dict[Fraction, Fraction] = {}
+    # V = W' with W(t) = vol_{n+1}{(x, y) : u(x) <= y <= t}.  Cap the epigraph
+    # at top = s_p + 1 and triangulate it once: a simplex with heights
+    # h_0..h_d adds (-1)^d vol [h_0..h_d] (t - .)_+^d to W.  Expanded at its
+    # distinct heights z (multiplicity mu), that divided difference is
+    # sum_z sum_{m < mu} series_z[mu - 1 - m] f^(m)(z) / m!, and for t in
+    # (s_i, s_{i+1}) the kernel f is (t - x)^d near z <= s_i and 0 near the
+    # higher heights.  So on that interval W is, up to a constant that W'
+    # drops, the sum over levels z <= s_i of sum_j shifted[z][j] (t - z)^j.
+    top = levels[-1] + 1
+    up = tuple(Fraction(0) for _ in range(n)) + (Fraction(1),)
+    capped = intersect(u.epigraph, HRep(d, ((up, top),)))
+    shifted = {z: [Fraction(0)] * (d + 1) for z in levels}
+    if capped.is_full_dimensional:
+        sign = Fraction((-1) ** d, math.factorial(d))
+        for simplex in triangulate(capped):
+            base = simplex[0]
+            weight = sign * abs(determinant([vec_sub(q, base) for q in simplex[1:]]))
+            mult = Counter(q[n] for q in simplex)
+            for z, mu in mult.items():
+                if z == top:
+                    continue
+                series = _local_series(z, mult)
+                for m in range(mu):  # f^(m)(z) / m! = C(d, m) (-1)^m (t - z)^(d - m)
+                    shifted[z][d - m] += weight * series[mu - 1 - m] * math.comb(d, m) * (-1) ** m
+    polys: list[Poly] = []  # V = W' on [s_i, s_{i+1}], and on [s_p, inf) last
+    acc: Poly = ()
+    for z in levels:
+        c = shifted[z]  # d/dt sum_j c_j (t - z)^j, in powers of t
+        acc = padd(acc, tuple(sum(j * c[j] * math.comb(j - 1, i) * (-z) ** (j - 1 - i)
+                                  for j in range(i + 1, d + 1)) for i in range(d)))
+        polys.append(acc)
 
-    def vol(t: Fraction) -> Fraction:
-        if t not in vol_cache:
-            vol_cache[t] = volume(u.sublevel(t))
-        return vol_cache[t]
-
-    vol_cache[t_min] = atom  # V is right-continuous at the minimum level
-    polys = []
-    for i in range(len(levels) - 1):
-        a, b = levels[i], levels[i + 1]
-        step = (b - a) / (n + 2)
-        # endpoints are interpolation nodes (sharing volumes across intervals)
-        xs = [a] + [a + (j + 1) * step for j in range(n - 1)] + [b]
-        p = _lagrange(xs, [vol(x) for x in xs])
-        for j in (n, n + 1):  # validation probes
-            x = a + j * step
-            assert peval(p, x) == vol(x), "volume profile interpolation degree error"
-        assert peval(p, a) == (atom if i == 0 else peval(polys[-1], a)), \
-            "volume profile discontinuous at breakpoint"
-        polys.append(p)
-    a = levels[-1]
-    xs = [a] + [a + j + 1 for j in range(n)]
-    p = _lagrange(xs, [vol(x) for x in xs])
-    for x in (a + n + 1, a + n + 2):
-        assert peval(p, x) == vol(x), "volume profile interpolation degree error"
-    assert peval(p, a) == (atom if len(levels) == 1 else peval(polys[-1], a)), \
-        "volume profile discontinuous at last breakpoint"
-    prof = LevelVolumeProfile(n, t_min, atom, tuple(levels), tuple(polys), p)
+    left = atom  # V is right-continuous at the minimum level
+    for i, p in enumerate(polys):
+        right = peval(p, levels[i])
+        if right != left:
+            raise CertificateFailed(
+                f"volume profile discontinuous at level {levels[i]}: {left} -> {right}")
+        if i + 1 < len(levels):
+            left = peval(p, levels[i + 1])
+    prof = LevelVolumeProfile(n, t_min, atom, tuple(levels), tuple(polys[:-1]), polys[-1])
     u._profile = prof
     return prof
 

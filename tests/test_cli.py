@@ -147,6 +147,24 @@ class TestGrowth:
         assert parse_rational(last["psi_n"]) == 0  # past the support
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--steps", "0"], "argument --steps: must be >= 1"),
+        (["--steps", "x"], "argument --steps: expected an integer"),
+        (["--n", "0"], "argument --n: must be >= 1"),
+        (["--n", "-2"], "argument --n: must be >= 1"),
+        (["--n", "2.5"], "argument --n: expected an integer"),
+        (["--tmin", "abc"], "argument --tmin: value: bad rational 'abc'"),
+        (["--tmax", "1/0"], "argument --tmax: value: bad rational '1/0'"),
+    ])
+    def test_malformed_argv_exits_2(self, zeta_docs, capsys, argv, message):
+        z0, _ = zeta_docs
+        with pytest.raises(SystemExit) as exc:
+            main(["growth", z0] + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
 class TestLaws:
     def test_valuation_suite_passes(self, capsys):
         assert main(["laws", "valuation", "--seed", "0", "--count", "3", "--n", "2"]) == 0

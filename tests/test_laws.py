@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from convval.errors import CertificateFailed
 from convval.functions import (cone_function, inf_if_convex, make, pwa_equal,
                                sup)
 from convval.growth import make_growth
@@ -39,6 +40,12 @@ class TestPairGenerator:
             x = (F(rng.randint(-8, 8), 3), F(rng.randint(-8, 8), 3))
             assert wedge.eval(x) == min(pair.u.eval(x), pair.v.eval(x))
             assert vee.eval(x) == max(pair.u.eval(x), pair.v.eval(x))
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        import convval.laws as laws
+        monkeypatch.setattr(laws, "pwa_equal", lambda a, b: False)
+        with pytest.raises(CertificateFailed):
+            generate_pair_with_convex_min(7, 2)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 3]))

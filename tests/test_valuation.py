@@ -1,16 +1,20 @@
 """Level-volume profiles and the integral valuation (layer-cake) machinery."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convval.errors import NotCoercive
+from convval.errors import CertificateFailed, NotCoercive
 from convval.functions import cone_function, indicator_function, make, sup
 from convval.growth import make_growth, moment, peval, psi_from_zeta
-from convval.laws import generate_pair_with_convex_min, random_body
+from convval.laws import (generate_pair_with_convex_min, random_body,
+                          staircase_fixture, truncation_fixture)
 from convval.polyhedra import Polyhedron, volume
 from convval.valuation import (combined_valuation, extract_growth,
                                integral_valuation, level_volume_profile,
@@ -63,7 +67,7 @@ class TestProfile:
     def test_breakpoint_continuity_and_probes(self):
         u = sup(absn(2), indicator_function(Polyhedron.box([(-3, 3), (-3, 3)])))
         prof = level_volume_profile(u)
-        # interpolated polynomials agree with direct volumes at fresh points
+        # the profile polynomials agree with direct volumes at fresh points
         rng = random.Random(0)
         for _ in range(6):
             t = F(rng.randint(0, 40), 7)
@@ -187,13 +191,78 @@ class TestMonteCarlo:
             mc_oracle(hat_pos(), absn(2), samples=10)
 
 
-@settings(max_examples=10, deadline=None)
-@given(st.integers(0, 10 ** 5))
-def test_profile_matches_fresh_volumes(seed):
-    pair = generate_pair_with_convex_min(seed, 2)
-    u = pair.u
+def assert_profile_matches_fresh_volumes(u):
+    """The profile equals a fresh sublevel volume at every breakpoint, every
+    interval midpoint and three levels above the last breakpoint."""
     prof = level_volume_profile(u)
-    rng = random.Random(seed)
-    for _ in range(3):
-        t = prof.t_min + F(rng.randint(0, 30), 7)
-        assert prof.value(t) == volume(u.sublevel(t))
+    bps = prof.breakpoints
+    levels = list(bps) + [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+    levels += [bps[-1] + F(1, 3), bps[-1] + 1, bps[-1] + F(7, 2)]
+    for t in levels:
+        assert prof.value(t) == volume(u.sublevel(t)), t
+    return prof
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 10 ** 5), st.sampled_from([1, 2, 3]))
+def test_profile_matches_fresh_volumes(seed, n):
+    assert_profile_matches_fresh_volumes(generate_pair_with_convex_min(seed, n).u)
+
+
+class TestProfileFixedCases:
+    def test_box_indicator_has_atom(self):
+        for n in (1, 2, 3):
+            u = indicator_function(Polyhedron.box([(0, 2)] * (n - 1) + [(-1, 2)]), t=F(1, 3))
+            prof = assert_profile_matches_fresh_volumes(u)
+            assert prof.atom == 3 * 2 ** (n - 1)
+
+    def test_cone_functions(self):
+        for seed, n in [(0, 1), (1, 2), (2, 2), (3, 3)]:
+            assert_profile_matches_fresh_volumes(cone_function(random_body(seed, n)))
+
+    def test_segment_indicator_is_zero(self):
+        seg = Polyhedron.from_generators(2, [(0, 0), (1, 2)])
+        prof = assert_profile_matches_fresh_volumes(indicator_function(seg, t=1))
+        assert prof.atom == 0 and prof.final_poly == ()
+
+    def test_truncation_lq_is_zero(self):
+        for n in (2, 3):
+            lqs = truncation_fixture(n, F(1, 2))[3]
+            prof = assert_profile_matches_fresh_volumes(lqs)
+            assert all(p == () for p in prof.interval_polys + (prof.final_poly,))
+
+    def test_staircases(self):
+        h = (F(1, 2), F(2, 3), F(3))
+        for k in (1, 2, 3):
+            for i in range(k + 1):
+                assert_profile_matches_fresh_volumes(staircase_fixture(k, h[:k], i))
+
+
+class TestProfileCertificate:
+    def test_wrong_atom_raises(self, monkeypatch):
+        import convval.valuation as valuation
+        monkeypatch.setattr(valuation, "volume", lambda p: F(12345))
+        with pytest.raises(CertificateFailed):
+            level_volume_profile(absn(2))
+
+    def test_wrong_atom_raises_under_optimize(self):
+        import convval
+        code = (
+            "from fractions import Fraction\n"
+            "import convval.valuation as valuation\n"
+            "from convval.errors import CertificateFailed\n"
+            "from convval.functions import make\n"
+            "assert False, 'asserts are live'\n"
+            "valuation.volume = lambda p: Fraction(12345)\n"
+            "u = make([((1,), 0), ((-1,), 0)], n=1)\n"
+            "try:\n"
+            "    valuation.level_volume_profile(u)\n"
+            "except CertificateFailed:\n"
+            "    print('raised')\n"
+        )
+        src = os.path.dirname(os.path.dirname(convval.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
