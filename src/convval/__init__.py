@@ -32,11 +32,9 @@ from .polyhedra import (
 )
 from .functions import (
     PWAConvex,
-    common_refinement,
     cone_function,
     indicator_function,
     inf_if_convex,
-    level_hausdorff_distance,
     make,
     pwa_equal,
     sup,

@@ -22,10 +22,9 @@ from .documents import (DocumentError, dump, format_float, format_rational,
 from .errors import ConvvalError
 from .growth import peval, psi_from_zeta
 from .laws import (check_invariance, check_level_convergence, check_min_lattice,
-                   check_valuation_identity, generate_pair_with_convex_min,
-                   random_body, smoothing_sequence, staircase_limit_check,
-                   truncation_fixture)
-from .functions import pwa_equal, sup, inf_if_convex
+                   check_valuation_identity, default_zetas,
+                   generate_pair_with_convex_min, smoothing_sequence,
+                   staircase_limit_check)
 from .growth import check_derivative_relation, check_psi_vanishes, make_growth
 from .valuation import combined_valuation, integral_valuation, level_volume_profile
 import math
@@ -168,17 +167,9 @@ def cmd_growth(args) -> int:
 # Law suites
 # ---------------------------------------------------------------------------
 
-def _default_zetas():
-    return [
-        (make_growth([0, 2], [[2, -1]]), make_growth([0, 1], [[1, -1]])),
-        (make_growth([-1, 1], [[1, 0, -1]]), make_growth([0, 3], [[3, -1]])),
-        (make_growth([0, 1], [[0, 1]]), make_growth([0, 2], [[2, 0, 0, -1]])),
-    ]
-
-
 def _suite_valuation(seed, count, n):
     reports = []
-    zetas = _default_zetas()
+    zetas = default_zetas()
     for i in range(count):
         pair = generate_pair_with_convex_min(seed + i, n)
         for z0, zn in zetas:
@@ -189,7 +180,7 @@ def _suite_valuation(seed, count, n):
 
 
 def _suite_invariance(seed, count, n):
-    z0, zn = _default_zetas()[0]
+    z0, zn = default_zetas()[0]
     zfn = lambda u: combined_valuation(z0, zn, u)
     reports = []
     for i in range(count):
@@ -227,11 +218,11 @@ def _suite_convergence(seed, count, n):
 
 
 def _suite_staircase(seed, count, n):
-    zetas = [z for _, z in _default_zetas()]
+    zetas = [z for _, z in default_zetas()]
     hs = [Fraction(1, 2 ** j) for j in range(1, 9)]
     reports = []
     for k in (1, 2):
-        for z in zetas[:max(1, count)]:
+        for z in zetas[:count]:
             for t in (Fraction(1, 4), Fraction(1, 2)):
                 reports.append(staircase_limit_check(z, k, t, hs))
     return reports
@@ -331,15 +322,15 @@ def main(argv=None) -> int:
     p = sub.add_parser("laws", help="run a law suite")
     p.add_argument("suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--count", type=_positive_int, default=10)
+    p.add_argument("--n", type=_positive_int, default=2)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_laws)
 
     p = sub.add_parser("fixtures", help="generate certified fixture documents")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--count", type=_positive_int, default=5)
+    p.add_argument("--n", type=_positive_int, default=2)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_fixtures)
 

@@ -14,10 +14,10 @@ from itertools import combinations
 from math import isqrt
 from typing import Sequence
 
-from .errors import BudgetExceeded, DimensionMismatch, NotCoercive
-from .functions import PWAConvex, _build, _check_coercive, _fracvec, _prune_pieces, from_epigraph
+from .errors import BudgetExceeded, CertificateFailed, DimensionMismatch, NotCoercive
+from .functions import PWAConvex, _build, _build_pruned, _check_coercive, from_epigraph
 from .linalg import dot, rank, solve, vec_sub
-from .polyhedra import HRep, Polyhedron, minkowski_sum
+from .polyhedra import HRep, _fracvec, minkowski_sum
 
 
 def conjugate(u: PWAConvex) -> PWAConvex:
@@ -37,9 +37,7 @@ def conjugate(u: PWAConvex) -> PWAConvex:
         a, s = tuple(l[:n]), l[n]
         rows.append((a, s))
         rows.append((tuple(-x for x in a), -s))
-    dom = HRep(n, tuple(rows))
-    pieces = _prune_pieces(n, pieces, dom)
-    star = _build(n, tuple(pieces), dom, coercive=False)
+    star = _build_pruned(n, pieces, HRep(n, tuple(rows)), coercive=False)
     star.coercive = _check_coercive(star.epigraph, n)
     return star
 
@@ -70,10 +68,10 @@ def epi_scale(u: PWAConvex, t) -> PWAConvex:
 def moreau_eval(u: PWAConvex, t, x: Sequence, *, budget: int = 10 ** 6) -> Fraction:
     """Exact Moreau envelope value e_t u(x) = min_y (u(y) + |x - y|^2 / (2t)).
 
-    Per affine cell of u this is a convex QP; the minimizer is found by
-    exhaustive KKT active-set enumeration over linearly independent subsets of
-    the cell's facet rows (at most n at a time).  ``budget`` caps the total
-    number of subsets examined across all cells.
+    Per affine cell of u (``u.cells``, cached on u) this is a convex QP; the
+    minimizer is found by exhaustive KKT active-set enumeration over linearly
+    independent subsets of the cell's facet rows (at most n at a time).
+    ``budget`` caps the total number of subsets examined across all cells.
     """
     t = Fraction(t)
     if t <= 0:
@@ -84,14 +82,7 @@ def moreau_eval(u: PWAConvex, t, x: Sequence, *, budget: int = 10 ** 6) -> Fract
         raise DimensionMismatch("point dimension mismatch")
     best = None
     used = 0
-    for i, (ai, bi) in enumerate(u.pieces):
-        rows = list(u.domain.halfspaces)
-        for j, (aj, bj) in enumerate(u.pieces):
-            if j != i:
-                rows.append((vec_sub(aj, ai), bi - bj))
-        cell = Polyhedron(hrep=HRep(n, tuple(rows)))
-        if cell.is_empty:
-            continue
+    for (ai, bi), cell in u.cells:
         crows = cell.canonical_hrep.halfspaces
         y0 = vec_sub(x, tuple(t * a for a in ai))
         for k in range(0, min(n, len(crows)) + 1):
@@ -195,7 +186,8 @@ def cone_bound(u: PWAConvex) -> ConeBound:
     verts = u.epigraph.vrep.vertices
     m = max(2 * a * sum(abs(f) for f in v[:n]) - v[n] for v in verts)
     bound = ConeBound(a, -m - 1)
-    assert bound.holds_for(u)
+    if not bound.holds_for(u):
+        raise CertificateFailed(f"cone bound {bound} fails its exact re-check")
     return bound
 
 
@@ -205,5 +197,6 @@ def uniform_cone_bound(us: Sequence[PWAConvex]) -> ConeBound:
         raise ValueError("uniform_cone_bound needs a nonempty list")
     bounds = [cone_bound(u) for u in us]
     combined = ConeBound(min(b.a for b in bounds), min(b.b for b in bounds))
-    assert all(combined.holds_for(u) for u in us)
+    if not all(combined.holds_for(u) for u in us):
+        raise CertificateFailed(f"uniform cone bound {combined} fails its exact re-check")
     return combined

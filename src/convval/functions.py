@@ -8,13 +8,15 @@ finite near the origin but need not be coercive.
 
 The epigraph is cached as an exact :class:`~convval.polyhedra.Polyhedron` in
 R^{n+1}; most operations (sup, sublevel, conjugation, infimal convolution)
-are simple polyhedral manipulations of that object.
+are simple polyhedral manipulations of that object.  The cells of the domain
+on which each piece attains the maximum are computed once, by
+:func:`_active_cells`, and cached as :attr:`PWAConvex.cells`; pruning at
+construction and the Moreau envelope both read them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -27,22 +29,11 @@ from .errors import (
     OriginNotInBody,
     EmptyPolyhedron,
 )
-from .linalg import determinant, dot, invert, vec_add, vec_sub
-from .polyhedra import (
-    HRep,
-    Polyhedron,
-    VRep,
-    hausdorff_distance,
-    intersect,
-    translate,
-)
+from .linalg import determinant, dot, invert, vec_sub
+from .polyhedra import HRep, Polyhedron, _fracvec, is_implicit
 
 Piece = tuple[tuple[Fraction, ...], Fraction]
 INF = math.inf
-
-
-def _fracvec(v):
-    return tuple(Fraction(x) for x in v)
 
 
 class PWAConvex:
@@ -53,14 +44,24 @@ class PWAConvex:
     """
 
     def __init__(self, n: int, pieces: tuple[Piece, ...], domain: HRep,
-                 epigraph: Polyhedron, coercive: bool):
+                 epigraph: Polyhedron, coercive: bool,
+                 cells: tuple[tuple[Piece, Polyhedron], ...] | None = None):
         self.n = n
         self.pieces = pieces
         self.domain = domain
         self.epigraph = epigraph
         self.coercive = coercive
+        self._cells = cells
         self._min = None
         self._profile = None  # filled by the valuation module
+
+    @property
+    def cells(self) -> tuple[tuple[Piece, Polyhedron], ...]:
+        """(piece, cell) per piece, in piece order: the cell is the nonempty
+        part of the domain where that piece attains the maximum."""
+        if self._cells is None:
+            self._cells = _active_cells(self.n, self.pieces, self.domain)
+        return self._cells
 
     # -- basic queries -------------------------------------------------------
 
@@ -118,20 +119,25 @@ def _epigraph_of(n: int, pieces: tuple[Piece, ...], domain: HRep) -> Polyhedron:
     return Polyhedron(hrep=HRep(n + 1, tuple(rows)))
 
 
-def _prune_pieces(n: int, pieces: list[Piece], domain: HRep) -> list[Piece]:
-    """Drop affine pieces that are never active on the domain."""
+def _active_cells(n: int, pieces, domain: HRep) -> tuple[tuple[Piece, Polyhedron], ...]:
+    """(piece, cell) for every distinct piece whose active set is nonempty.
+
+    The cell of piece i is {x in D : piece i >= every other piece}.  It may be
+    lower-dimensional (the 0 piece of max(x, -x, 0) is active at x = 0 only);
+    keeping exactly the pieces returned here never changes the function.  A
+    lone piece is active on all of D, whose emptiness ``_build`` checks.
+    """
     pieces = list(dict.fromkeys(pieces))
-    if len(pieces) <= 1:
-        return pieces
-    kept = []
+    if len(pieces) == 1:
+        return ((pieces[0], Polyhedron(hrep=domain)),)
+    cells = []
     for i, (ai, bi) in enumerate(pieces):
-        rows = list(domain.halfspaces)
-        for j, (aj, bj) in enumerate(pieces):
-            if j != i:
-                rows.append((vec_sub(aj, ai), bi - bj))
-        if not Polyhedron(hrep=HRep(n, tuple(rows))).is_empty:
-            kept.append((ai, bi))
-    return kept
+        rows = domain.halfspaces + tuple((vec_sub(aj, ai), bi - bj)
+                                         for j, (aj, bj) in enumerate(pieces) if j != i)
+        cell = Polyhedron(hrep=HRep(n, rows))
+        if not cell.is_empty:
+            cells.append(((ai, bi), cell))
+    return tuple(cells)
 
 
 def _check_coercive(epi: Polyhedron, n: int) -> bool:
@@ -141,14 +147,20 @@ def _check_coercive(epi: Polyhedron, n: int) -> bool:
     return all(r[n] > 0 for r in v.rays)
 
 
-def _build(n: int, pieces, domain: HRep, coercive: bool) -> PWAConvex:
+def _build(n: int, pieces, domain: HRep, coercive: bool, cells=None) -> PWAConvex:
     pieces = tuple((_fracvec(a), Fraction(b)) for a, b in pieces)
     epi = _epigraph_of(n, pieces, domain)
     if epi.is_empty:
         raise EmptyDomain("empty domain: the function is improper")
     if coercive and not _check_coercive(epi, n):
         raise NotCoercive("some sublevel set is unbounded")
-    return PWAConvex(n, pieces, domain, epi, coercive)
+    return PWAConvex(n, pieces, domain, epi, coercive, cells)
+
+
+def _build_pruned(n: int, pieces, domain: HRep, coercive: bool) -> PWAConvex:
+    """``_build`` on the pieces that are active somewhere, keeping their cells."""
+    cells = _active_cells(n, pieces, domain)
+    return _build(n, tuple(p for p, _ in cells), domain, coercive, cells)
 
 
 def make(pieces: Iterable, domain: HRep | Polyhedron | None = None, *,
@@ -173,8 +185,7 @@ def make(pieces: Iterable, domain: HRep | Polyhedron | None = None, *,
         domain = domain.hrep
     if domain.d != n:
         raise DimensionMismatch("domain dimension mismatch")
-    pieces = _prune_pieces(n, pieces, domain)
-    return _build(n, tuple(pieces), domain, coercive)
+    return _build_pruned(n, pieces, domain, coercive)
 
 
 def from_epigraph(epi: Polyhedron, *, coercive: bool = True) -> PWAConvex:
@@ -198,8 +209,7 @@ def from_epigraph(epi: Polyhedron, *, coercive: bool = True) -> PWAConvex:
             raise ValueError("polyhedron is not an epigraph (violates recession (0,1))")
     if not pieces:
         raise ValueError("polyhedron is unbounded below; not the epigraph of a proper function")
-    pieces = _prune_pieces(n, pieces, HRep(n, tuple(dom_rows)))
-    return _build(n, tuple(pieces), HRep(n, tuple(dom_rows)), coercive)
+    return _build_pruned(n, pieces, HRep(n, tuple(dom_rows)), coercive)
 
 
 def indicator_function(k: Polyhedron, t=0) -> PWAConvex:
@@ -274,14 +284,7 @@ def inf_if_convex(u: PWAConvex, v: PWAConvex) -> PWAConvex:
             q = Polyhedron(hrep=HRep(n + 1, tuple(rows)))
             if q.is_empty:
                 continue
-            qv = q.vrep
-            g_implicit = (all(dot(g, p) == cg for p in qv.vertices)
-                          and all(dot(g, r) == 0 for r in qv.rays)
-                          and all(dot(g, l) == 0 for l in qv.lines))
-            h_implicit = (all(dot(h, p) == ch for p in qv.vertices)
-                          and all(dot(h, r) == 0 for r in qv.rays)
-                          and all(dot(h, l) == 0 for l in qv.lines))
-            if not g_implicit and not h_implicit:
+            if not is_implicit(q, g, cg) and not is_implicit(q, h, ch):
                 witness = q.relint_point()[:n]
                 raise NotConvexMin(witness)
     return from_epigraph(hull, coercive=u.coercive and v.coercive)
@@ -320,62 +323,3 @@ def transform(u: PWAConvex, phi: Sequence[Sequence], tau: Sequence, shift=0) -> 
         nc = push(c)
         dom_rows.append((nc, d + dot(nc, tau)))
     return _build(n, tuple(pieces), HRep(n, tuple(dom_rows)), u.coercive)
-
-
-# ---------------------------------------------------------------------------
-# Cell complexes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Cell:
-    polyhedron: Polyhedron
-    active: tuple[int, ...]  # active piece index per input function
-
-
-@dataclass(frozen=True)
-class CellComplex:
-    n: int
-    cells: tuple[Cell, ...]
-
-
-def common_refinement(u: PWAConvex, v: PWAConvex) -> CellComplex:
-    """Cells of the common domain on which both functions are affine."""
-    if u.n != v.n:
-        raise DimensionMismatch("dimension mismatch in refinement")
-    common = intersect(Polyhedron(hrep=u.domain), Polyhedron(hrep=v.domain))
-    if common.is_empty:
-        raise EmptyDomain("domains do not overlap")
-    target = common.dim
-    cells = []
-    for i, (ai, bi) in enumerate(u.pieces):
-        rows_u = [(vec_sub(aj, ai), bi - bj) for j, (aj, bj) in enumerate(u.pieces) if j != i]
-        for j, (cj, dj) in enumerate(v.pieces):
-            rows_v = [(vec_sub(ck, cj), dj - dk) for k, (ck, dk) in enumerate(v.pieces) if k != j]
-            rows = list(common.hrep.halfspaces) + rows_u + rows_v
-            cell = Polyhedron(hrep=HRep(u.n, tuple(rows)))
-            if not cell.is_empty and cell.dim == target:
-                cells.append(Cell(cell, (i, j)))
-    return CellComplex(u.n, tuple(cells))
-
-
-# ---------------------------------------------------------------------------
-# Level-set surrogate metric
-# ---------------------------------------------------------------------------
-
-def level_hausdorff_distance(u: PWAConvex, v: PWAConvex,
-                             levels: Sequence) -> float:
-    """max over levels of the Hausdorff distance between sublevel sets.
-
-    Levels below both minima contribute 0 (both sets empty); levels where
-    exactly one sublevel set is empty are skipped.  This is the surrogate
-    convergence metric of the harness, not epi-convergence itself.
-    """
-    worst = 0.0
-    for t in levels:
-        su, sv = u.sublevel(t), v.sublevel(t)
-        if su.is_empty and sv.is_empty:
-            continue
-        if su.is_empty or sv.is_empty:
-            continue  # level below one minimum only: skipped
-        worst = max(worst, hausdorff_distance(su, sv))
-    return worst

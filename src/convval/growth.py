@@ -16,7 +16,9 @@ The cone growth function of the induced integral valuation is
     psi_n(t) = n * Integral_t^inf (r - t)^(n-1) zeta(r) dr,
 
 piecewise polynomial for polynomial-compact zeta, computed exactly here, with
-the inverse relation zeta = ((-1)^n / n!) * psi_n^{(n)} checked symbolically.
+the inverse relation zeta = ((-1)^n / n!) * psi_n^{(n)} checked exactly,
+piece by piece.  Nonnegativity certificates use Sturm sequences over the
+rationals; mpmath is imported only to integrate exponential tails.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
-
-import sympy
 
 from .reports import LawReport
 
@@ -104,25 +104,69 @@ def tail_integral(lam, coeffs, a) -> float:
     return float(tail_integral_exact(lam, coeffs, a)) * math.exp(-float(lam) * float(a))
 
 
+def _pdivmod(a: Sequence, b: Sequence) -> tuple[Poly, Poly]:
+    """(quotient, remainder) of a by the nonzero polynomial b."""
+    r = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        f = r[-1] / b[-1]
+        k = len(r) - len(b)
+        q[k] = f
+        for i, y in enumerate(b):
+            r[k + i] -= f * y
+        r = list(ptrim(r[:-1]))
+    return ptrim(q), tuple(r)
+
+
+def _sign_changes(seq: Sequence[Poly], t: Fraction) -> int:
+    signs = [v > 0 for v in (peval(f, t) for f in seq) if v != 0]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
 def poly_nonneg_on(c: Sequence, a, b) -> bool:
-    """Exact certificate that the polynomial is >= 0 on [a, b] (b=None: +inf)."""
-    c = ptrim(c)
+    """Exact certificate that the polynomial is >= 0 on [a, b] (b=None: +inf).
+
+    The Sturm sequence of the squarefree part q = p / gcd(p, p') counts the
+    distinct roots of p in (lo, hi].  Bisection from [a, b] isolates them; p
+    is evaluated at the ends, at every bisection point and at one point of
+    each root-free gap, and p has constant sign between consecutive roots.
+    For b=None a positive leading coefficient is needed and the search stops
+    at the Cauchy bound, beyond which p has no root.
+    """
+    c = ptrim(tuple(Fraction(x) for x in c))
     if not c:
         return True
-    t = sympy.Symbol("t")
-    p = sympy.Poly(sum(sympy.Rational(x) * t ** i for i, x in enumerate(c)), t)
-    lo = sympy.Rational(a)
-    hi = sympy.oo if b is None else sympy.Rational(b)
-    candidates = [lo] if b is None else [lo, hi]
-    for r in sympy.Poly(p.diff(t), t).real_roots():
-        if lo <= r and (b is None or r <= hi):
-            candidates.append(r)
+    a = Fraction(a)
     if b is None:
-        if len(c) == 1:
-            return c[0] >= 0
-        if c[-1] < 0:
+        if len(c) == 1 or c[-1] < 0:
+            return c[-1] >= 0
+        b = max(a, 1 + max(abs(x / c[-1]) for x in c[:-1]))
+    b = Fraction(b)
+    pa, pb = peval(c, a), peval(c, b)
+    if pa < 0 or pb < 0:
+        return False
+    g = c
+    h = pdiff(c)
+    while h:
+        g, h = h, _pdivmod(g, h)[1]
+    q = _pdivmod(c, g)[0]
+    seq = [q, pdiff(q)]
+    while seq[-1]:
+        seq.append(pscale(-1, _pdivmod(seq[-2], seq[-1])[1]))
+    stack = [(a, b, pa, pb)] if a < b else []
+    while stack:
+        lo, hi, plo, phi = stack.pop()
+        # distinct roots strictly inside (lo, hi)
+        inside = _sign_changes(seq, lo) - _sign_changes(seq, hi) - (phi == 0)
+        if inside == 1 and plo and phi:
+            continue  # both sides of the one root take the (positive) end signs
+        mid = (lo + hi) / 2
+        pm = peval(c, mid)
+        if pm < 0:
             return False
-    return all(p.eval(r) >= 0 for r in candidates)
+        if inside:
+            stack += [(lo, mid, plo, pm), (mid, hi, pm, phi)]
+    return True
 
 
 # ---------------------------------------------------------------------------

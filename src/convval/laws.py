@@ -14,10 +14,10 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import CertificateFailed, DimensionMismatch
-from .functions import (PWAConvex, cone_function, indicator_function,
-                        inf_if_convex, level_hausdorff_distance, make,
+from .functions import (PWAConvex, cone_function, inf_if_convex, make,
                         pwa_equal, sup, transform)
 from .conjugacy import inf_convolution
+from .growth import GrowthFunction, make_growth
 from .linalg import vec_scale
 from .polyhedra import HRep, Polyhedron, random_unimodular
 from .reports import LawReport
@@ -39,6 +39,15 @@ class FixturePair:
         wedge = self.wedge if self.wedge is not None else inf_if_convex(self.u, self.v)
         vee = self.vee if self.vee is not None else sup(self.u, self.v)
         return wedge, vee
+
+
+def default_zetas() -> list[tuple[GrowthFunction, GrowthFunction]]:
+    """The three (zeta_0, zeta_n) weight pairs of the law suites and acceptance tests."""
+    return [
+        (make_growth([0, 2], [[2, -1]]), make_growth([0, 1], [[1, -1]])),
+        (make_growth([-1, 1], [[1, 0, -1]]), make_growth([0, 3], [[3, -1]])),
+        (make_growth([0, 1], [[0, 1]]), make_growth([0, 2], [[2, 0, 0, -1]])),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -505,6 +505,14 @@ def random_unimodular(seed: int, n: int, steps: int) -> tuple[Vec, ...]:
     return tuple(tuple(row) for row in m)
 
 
+def is_implicit(p: Polyhedron, a: Sequence, b) -> bool:
+    """True iff the row <a, x> <= b holds with equality on all of p."""
+    v = p.vrep
+    return (all(dot(a, q) == b for q in v.vertices)
+            and all(dot(a, r) == 0 for r in v.rays)
+            and all(dot(a, l) == 0 for l in v.lines))
+
+
 def relative_interior_contains(p: Polyhedron, x: Sequence) -> bool:
     """True iff x lies in the relative interior of p.
 
@@ -516,15 +524,9 @@ def relative_interior_contains(p: Polyhedron, x: Sequence) -> bool:
     x = _fracvec(x)
     if len(x) != p.d:
         raise DimensionMismatch("point dimension mismatch")
-    v = p.vrep
     for a, b in p.canonical_hrep.halfspaces:
-        implicit = (
-            all(dot(a, p_) == b for p_ in v.vertices)
-            and all(dot(a, r) == 0 for r in v.rays)
-            and all(dot(a, l) == 0 for l in v.lines)
-        )
         val = dot(a, x)
-        if implicit:
+        if is_implicit(p, a, b):
             if val != b:
                 return False
         elif val >= b:

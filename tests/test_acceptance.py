@@ -20,18 +20,14 @@ from convval.functions import (cone_function, indicator_function, make,
 from convval.growth import (check_derivative_relation, check_psi_vanishes,
                             make_growth, moment, peval, psi_from_zeta)
 from convval.laws import (check_invariance, check_valuation_identity,
-                          generate_pair_with_convex_min, random_body,
+                          default_zetas, generate_pair_with_convex_min, random_body,
                           smoothing_sequence, staircase_fixture,
                           staircase_limit_check, truncation_fixture)
 from convval.polyhedra import Polyhedron, hausdorff_distance, volume
 from convval.valuation import (combined_valuation, integral_valuation,
                                level_volume_profile, mc_oracle)
 
-ZETAS = [
-    (make_growth([0, 2], [[2, -1]]), make_growth([0, 1], [[1, -1]])),
-    (make_growth([-1, 1], [[1, 0, -1]]), make_growth([0, 3], [[3, -1]])),
-    (make_growth([0, 1], [[0, 1]]), make_growth([0, 2], [[2, 0, 0, -1]])),
-]
+ZETAS = default_zetas()
 
 
 def _line(capsys, ok: bool, msg: str):

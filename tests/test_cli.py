@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import convval
 from convval.cli import main
 from convval.documents import (DocumentError, function_from_doc,
                                function_to_doc, growth_from_doc, growth_to_doc,
@@ -165,7 +169,25 @@ class TestGrowth:
         assert message in err and "Traceback" not in err
 
 
+MALFORMED_COUNTS = [
+    (["--count", "0"], "argument --count: must be >= 1"),
+    (["--count", "-1"], "argument --count: must be >= 1"),
+    (["--count", "x"], "argument --count: expected an integer"),
+    (["--n", "0"], "argument --n: must be >= 1"),
+    (["--n", "2.5"], "argument --n: expected an integer"),
+]
+
+
 class TestLaws:
+    @pytest.mark.parametrize("suite", ["valuation", "growth", "staircase"])
+    @pytest.mark.parametrize("argv, message", MALFORMED_COUNTS)
+    def test_malformed_argv_exits_2(self, capsys, suite, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["laws", suite] + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_valuation_suite_passes(self, capsys):
         assert main(["laws", "valuation", "--seed", "0", "--count", "3", "--n", "2"]) == 0
 
@@ -186,6 +208,15 @@ class TestLaws:
 
 
 class TestFixtures:
+    @pytest.mark.parametrize("argv, message", MALFORMED_COUNTS)
+    def test_malformed_argv_exits_2(self, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["fixtures", "--out", str(tmp_path / "fx")] + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "fx").exists()
+
     def test_writes_loadable_pairs(self, tmp_path, capsys):
         out = str(tmp_path / "fx")
         assert main(["fixtures", "--seed", "5", "--count", "2", "--n", "2",
@@ -202,3 +233,24 @@ class TestFixtures:
         a = open(o1 + "/pair9_u.json").read()
         b = open(o2 + "/pair9_u.json").read()
         assert a == b
+
+
+def test_import_and_growth_leave_sympy_and_mpmath_unloaded(tmp_path):
+    doc = tmp_path / "zeta.json"
+    doc.write_text(json.dumps(growth_to_doc(
+        make_growth([0, 1, 2], [[0, 1], [2, -1]], require_nonnegative=True))))
+    assert json.loads(doc.read_text())["nonnegative"] is True
+    code = (
+        "import sys\n"
+        "loaded = lambda: sorted({'sympy', 'mpmath'} & set(sys.modules))\n"
+        "import convval\n"
+        "print(loaded())\n"
+        "from convval.cli import main\n"
+        f"assert main(['growth', {str(doc)!r}, '--n', '3']) == 0\n"
+        "print(loaded())\n"
+    )
+    src = os.path.dirname(os.path.dirname(convval.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == "[]" and out.stdout.splitlines()[-1] == "[]"

@@ -1,6 +1,9 @@
 """Conjugation, infimal convolution, epi-scaling, Moreau envelopes, cone bounds."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from convval.conjugacy import (ConeBound, biconjugate_check, cone_bound,
                                conjugate, epi_scale, inf_convolution,
                                moreau_eval, uniform_cone_bound)
-from convval.errors import NotCoercive
+from convval.errors import CertificateFailed, NotCoercive
 from convval.functions import (cone_function, indicator_function, make,
                                pwa_equal, sup)
 from convval.laws import generate_pair_with_convex_min, random_body
@@ -222,3 +225,44 @@ class TestConeBounds:
         for u in (pair.u, pair.v):
             b = cone_bound(u)
             assert b.a > 0 and b.holds_for(u)
+
+    def test_failed_certificates_raise(self, monkeypatch):
+        import convval.conjugacy as conjugacy
+        absx = make([((1,), 0), ((-1,), 0)], n=1)
+        monkeypatch.setattr(ConeBound, "holds_for", lambda self, u: False)
+        with pytest.raises(CertificateFailed):
+            cone_bound(absx)
+        monkeypatch.undo()
+        # slope 2 is too steep for |x|, so the combined bound fails its re-check
+        monkeypatch.setattr(conjugacy, "cone_bound", lambda u: ConeBound(F(2), F(-1)))
+        with pytest.raises(CertificateFailed):
+            uniform_cone_bound([absx])
+
+    def test_failed_certificates_raise_under_optimize(self):
+        import convval
+        code = (
+            "from fractions import Fraction\n"
+            "import convval.conjugacy as conjugacy\n"
+            "from convval.errors import CertificateFailed\n"
+            "from convval.functions import make\n"
+            "assert False, 'asserts are live'\n"
+            "absx = make([((1,), 0), ((-1,), 0)], n=1)\n"
+            "holds_for = conjugacy.ConeBound.holds_for\n"
+            "conjugacy.ConeBound.holds_for = lambda self, u: False\n"
+            "try:\n"
+            "    conjugacy.cone_bound(absx)\n"
+            "except CertificateFailed:\n"
+            "    print('cone_bound raised')\n"
+            "conjugacy.ConeBound.holds_for = holds_for\n"
+            "conjugacy.cone_bound = lambda u: conjugacy.ConeBound(Fraction(2), Fraction(-1))\n"
+            "try:\n"
+            "    conjugacy.uniform_cone_bound([absx])\n"
+            "except CertificateFailed:\n"
+            "    print('uniform_cone_bound raised')\n"
+        )
+        src = os.path.dirname(os.path.dirname(convval.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split("\n")[:2] == ["cone_bound raised", "uniform_cone_bound raised"]

@@ -8,10 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from convval.errors import (DimensionMismatch, EmptyDomain, NotCoercive,
                             NotConvexMin, NotUnimodular)
-from convval.functions import (PWAConvex, common_refinement, cone_function,
-                               indicator_function, inf_if_convex,
-                               level_hausdorff_distance, make, pwa_equal, sup,
-                               transform)
+from convval.functions import (PWAConvex, cone_function, indicator_function,
+                               inf_if_convex, make, pwa_equal, sup, transform)
 from convval.linalg import dot
 from convval.polyhedra import HRep, Polyhedron, volume
 
@@ -48,6 +46,13 @@ class TestConstruction:
     def test_inactive_pieces_pruned(self):
         u = make([((1,), 0), ((-1,), 0), ((0,), -5)], n=1)
         assert len(u.pieces) == 2  # the constant -5 never attains the max
+
+    def test_pieces_active_at_a_single_point_kept(self):
+        # the 0 piece of max(x, -x, 0) is active at x = 0 only: the prune
+        # rule is "nonempty active set", not "full-dimensional cell"
+        u = make([((1,), 0), ((-1,), 0), ((0,), 0)], n=1)
+        assert len(u.pieces) == 3
+        assert [cell.dim for _, cell in u.cells] == [1, 1, 0]
 
     def test_min_value_and_argmin(self):
         u = make([((1,), -1), ((-1,), -1)], n=1)  # |x| - 1
@@ -175,29 +180,28 @@ class TestTransform:
 
 
 class TestRefinement:
+    """``u.cells`` subdivides the domain into the cells of the active pieces."""
+
     def test_cell_count_and_cover(self):
-        u = make([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)], n=2)
-        v = make([((1, 2), 0), ((-1, -2), 0)], n=2, coercive=False)
-        cx = common_refinement(u, v)
-        # the line x + 2y = 0 cuts the left and right cones of u in two
-        assert len(cx.cells) == 6
-        # cells agree with the active pieces on a relative interior point
-        for cell in cx.cells:
-            p = cell.polyhedron.relint_point()
-            i, j = cell.active
-            assert u.eval(p) == dot(u.pieces[i][0], p) + u.pieces[i][1]
-            assert v.eval(p) == dot(v.pieces[j][0], p) + v.pieces[j][1]
+        # |x1| + |x2| + |x1 + 2 x2| on [-1, 2] x [-1, 1] as a max over the 8
+        # sign choices: the line x1 + 2 x2 = 0 cuts two quadrants of the l1
+        # norm into 6 full cells, and the two sign choices that contradict
+        # each other, (+, +, -) and (-, -, +), are active at the origin only
+        pieces = [((s1 + s3, s2 + 2 * s3), 0)
+                  for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
+        dom = Polyhedron.box([(-1, 2), (-1, 1)])
+        u = make(pieces, dom, n=2)
+        assert len(u.cells) == len(u.pieces) == 8
+        assert sorted(cell.dim for _, cell in u.cells) == [0, 0, 2, 2, 2, 2, 2, 2]
+        assert [p for p, _ in u.cells] == list(u.pieces)
+        for (a, b), cell in u.cells:
+            x = cell.relint_point()
+            assert u.eval(x) == dot(a, x) + b
+        assert sum(volume(cell) for _, cell in u.cells) == volume(dom) == 6
 
-
-class TestLevelDistance:
-    def test_zero_for_equal_functions(self):
+    def test_cells_are_cached(self):
         u = abs2()
-        assert level_hausdorff_distance(u, u, [F(1, 2), 1, 2]) == 0.0
-
-    def test_shifted_functions(self):
-        u = make([((1,), 0), ((-1,), 0)], n=1)
-        v = make([((1,), -1), ((-1,), 1)], n=1)  # |x - 1|
-        assert level_hausdorff_distance(u, v, [1, 2]) == pytest.approx(1.0)
+        assert u.cells is u.cells
 
 
 @settings(max_examples=30, deadline=None)

@@ -12,7 +12,7 @@ from convval.growth import (GrowthFunction, NumericPsi,
                             check_moment_finiteness_of_derivative,
                             check_psi_vanishes, make_growth, moment, peval,
                             pint, pmul, poly_nonneg_on, psi_from_zeta,
-                            tail_integral, zero_growth)
+                            ptrim, tail_integral, zero_growth)
 
 
 def hat():
@@ -95,6 +95,58 @@ class TestPolyNonneg:
     def test_unbounded_interval(self):
         assert poly_nonneg_on((F(0), F(1)), 0, None)
         assert not poly_nonneg_on((F(1), F(-1)), 0, None)
+
+    def test_repeated_roots_and_roots_at_the_ends(self):
+        # (t - 1)^2 (t - 2)^3 is >= 0 on [2, 5] only; t^3 (t - 1)^2 from 0 on
+        p = pmul(pmul((F(1), F(-2), F(1)), (F(-2), F(1))), (F(4), F(-4), F(1)))
+        assert poly_nonneg_on(p, 2, 5) and poly_nonneg_on(p, 1, 1)
+        assert not poly_nonneg_on(p, 1, 2) and not poly_nonneg_on(p, 0, None)
+        q = pmul((F(0), F(0), F(0), F(1)), (F(1), F(-2), F(1)))
+        assert poly_nonneg_on(q, 0, None) and not poly_nonneg_on(q, -F(1, 1000), 0)
+
+    def test_empty_and_degenerate_intervals(self):
+        assert poly_nonneg_on((F(-1), F(1)), 1, 1)
+        assert not poly_nonneg_on((F(-1), F(1)), F(1, 2), F(1, 2))
+        assert poly_nonneg_on((), 3, None) and poly_nonneg_on((F(0),), 0, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_sympy_route(self, data):
+        sympy = pytest.importorskip("sympy")
+        frac = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        roots = data.draw(st.lists(frac, max_size=3), label="roots")
+        p = (data.draw(frac.filter(lambda x: x != 0), label="scale"),)
+        for r in roots:
+            for _ in range(data.draw(st.integers(1, 3), label="multiplicity")):
+                p = pmul(p, (-r, F(1)))
+        p = pmul(p, data.draw(st.lists(frac, min_size=1, max_size=3), label="cofactor"))
+        ends = st.sampled_from(roots) | frac if roots else frac
+        a = data.draw(ends, label="a")
+        b = data.draw(st.none() | st.just(a) | ends, label="b")
+        if b is not None and b < a:
+            a, b = b, a
+        assert poly_nonneg_on(p, a, b) == sympy_nonneg_on(sympy, p, a, b)
+
+
+def sympy_nonneg_on(sympy, c, a, b) -> bool:
+    """The certificate by sympy's real roots of p' (the route Sturm replaced)."""
+    c = ptrim(c)
+    if not c:
+        return True
+    t = sympy.Symbol("t")
+    p = sympy.Poly(sum(sympy.Rational(x) * t ** i for i, x in enumerate(c)), t)
+    lo = sympy.Rational(a)
+    hi = sympy.oo if b is None else sympy.Rational(b)
+    candidates = [lo] if b is None else [lo, hi]
+    for r in sympy.Poly(p.diff(t), t).real_roots():
+        if lo <= r and (b is None or r <= hi):
+            candidates.append(r)
+    if b is None:
+        if len(c) == 1:
+            return c[0] >= 0
+        if c[-1] < 0:
+            return False
+    return all(p.eval(r) >= 0 for r in candidates)
 
 
 class TestMoments:

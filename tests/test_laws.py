@@ -1,5 +1,6 @@
 """Fixture generators and executable identity checks."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -160,6 +161,30 @@ class TestSmoothing:
         other = make([((1, 0), -5), ((-1, 0), -5), ((0, 1), -5), ((0, -1), -5)], n=2)
         rep = check_level_convergence([other], u, [F(1)])
         assert not rep.passed and rep.witness is not None
+
+
+class TestLevelDistance:
+    """Per-level Hausdorff distances reported by check_level_convergence."""
+
+    def test_zero_for_equal_functions(self):
+        u = make([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)], n=2)
+        rep = check_level_convergence([u], u, [F(1, 2), 1, 2])
+        assert rep.passed
+        assert rep.details["distances"] == {F(1, 2): [0.0], F(1): [0.0], F(2): [0.0]}
+
+    def test_shifted_functions(self):
+        u = make([((1,), 0), ((-1,), 0)], n=1)
+        v = make([((1,), -1), ((-1,), 1)], n=1)  # |x - 1|
+        rep = check_level_convergence([v], u, [1, 2])
+        assert not rep.passed
+        for t in (F(1), F(2)):
+            assert rep.details["distances"][t] == [pytest.approx(1.0)]
+
+    def test_level_below_one_minimum_is_infinite(self):
+        u = make([((1,), 0), ((-1,), 0)], n=1)
+        v = u.translate_graph(1)  # empty sublevel set at level 1/2
+        rep = check_level_convergence([v], u, [F(1, 2)])
+        assert rep.details["distances"][F(1, 2)] == [math.inf]
 
 
 class TestRandomBody:

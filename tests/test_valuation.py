@@ -105,7 +105,7 @@ class TestIntegralValuation:
             assert integral_valuation(z, shifted) == want
 
     def test_symbolic_oracle(self):
-        import sympy
+        sympy = pytest.importorskip("sympy")
         # u(x) = |x| on [-1, 1] complement-free: integral of zeta(|x|) dx
         u = make([((1,), 0), ((-1,), 0)], n=1)
         z = hat_pos()
