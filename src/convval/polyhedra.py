@@ -6,9 +6,14 @@ Polyhedra live in R^d with two dual descriptions:
 * a V-representation (vertices, recession rays, lineality directions).
 
 Conversion between the two is done by the double description method on the
-homogenization cone, entirely in rational arithmetic.  Volumes are exact
-rationals (simplicial decomposition); only Euclidean distances (Hausdorff)
-leave the rational world, via a single square root at the end.
+homogenization cone.  Its rows and rays are primitive integer vectors, its
+eliminations run on ``linalg.echelon`` (fraction-free), and the incidence
+set of each ray -- the rows it is tight on -- is an int bitmask, so the
+adjacency test is ``&``, ``bit_count`` and one comparison (Fukuda and
+Prodon, "Double description method revisited", 1996).  Volumes are exact
+rationals from a simplicial decomposition that likewise works on bitmasks of
+tight vertices.  Only Euclidean distances (Hausdorff) leave the rational
+world, via a single square root at the end.
 
 Scales targeted: ambient dimension <= 6, a few dozen constraints.  All values
 are immutable after construction and all operations are pure.
@@ -21,9 +26,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
+    CertificateFailed,
     DimensionMismatch,
     EmptyPolyhedron,
     SingularMatrix,
@@ -34,6 +41,7 @@ from .linalg import (
     affine_rank,
     determinant,
     dot,
+    echelon,
     invert,
     null_space,
     rank,
@@ -125,39 +133,40 @@ def _pointed_cone_rays(rows: list[tuple[int, ...]], d: int) -> list[tuple[int, .
     """Extreme rays of the pointed cone {y : r.y <= 0 for r in rows}.
 
     Requires rank(rows) == d.  Incremental double description with the
-    combinatorial adjacency test.
+    combinatorial adjacency test; the incidence set of a ray (the rows it
+    is tight on) is an int bitmask with bit i for ``rows[i]``.
     """
     if d == 0:
         return []
-    base_idx: list[int] = []
-    base_rows: list[tuple[int, ...]] = []
-    for i, r in enumerate(rows):
-        if rank(base_rows + [r]) > len(base_rows):
-            base_rows.append(r)
-            base_idx.append(i)
-            if len(base_rows) == d:
-                break
-    if len(base_rows) < d:
+    # The first rows that raise the rank are the pivot columns of the transpose.
+    _, base_idx, _ = echelon(list(zip(*rows)))
+    if len(base_idx) < d:
         raise ValueError("cone rows are rank deficient; caller must project out lineality")
-    binv = invert(base_rows)
-    assert binv is not None
-    rays = [scale_to_int(tuple(-binv[j][i] for j in range(d))) for i in range(d)]
+    # [B | I] reduces to [D I | D B^-1]; the rays are the columns of -B^-1.
+    aug = [list(rows[i]) + [int(i == j) for j in base_idx] for i in base_idx]
+    red, pivots, det = echelon(aug)
+    if pivots != list(range(d)):
+        raise CertificateFailed("double description basis is singular")
+    s = -1 if det > 0 else 1
+    rays = [scale_to_int(tuple(s * red[j][d + i] for j in range(d))) for i in range(d)]
 
-    processed = list(base_idx)
-    pset = set(processed)
-    raylist: list[tuple[tuple[int, ...], frozenset[int]]] = [
-        (r, frozenset(i for i in processed if dot(rows[i], r) == 0)) for r in rays
+    processed = sum(1 << i for i in base_idx)
+    raylist: list[tuple[tuple[int, ...], int]] = [
+        (r, _incidence(rows, processed, r)) for r in rays
     ]
-    for idx in (i for i in range(len(rows)) if i not in pset):
+    for idx in range(len(rows)):
+        bit = 1 << idx
+        if processed & bit:
+            continue
         c = rows[idx]
-        vals = [dot(c, r) for r, _ in raylist]
+        vals = [sum(map(mul, c, r)) for r, _ in raylist]
         pos = [i for i, v in enumerate(vals) if v > 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
-        processed.append(idx)
+        processed |= bit
         if not pos:
             raylist = [
-                ((r, a | {idx}) if vals[i] == 0 else (r, a))
+                ((r, a | bit) if vals[i] == 0 else (r, a))
                 for i, (r, a) in enumerate(raylist)
             ]
             continue
@@ -167,44 +176,53 @@ def _pointed_cone_rays(rows: list[tuple[int, ...]], d: int) -> list[tuple[int, .
             for ineg in neg:
                 rn, an = raylist[ineg]
                 common = ap & an
-                if len(common) < d - 2:
+                if common.bit_count() < d - 2:
                     continue
                 adjacent = True
                 for k, (_, ak) in enumerate(raylist):
-                    if k != ip and k != ineg and common <= ak:
+                    if k != ip and k != ineg and common & ak == common:
                         adjacent = False
                         break
                 if not adjacent:
                     continue
                 combo = tuple(vals[ip] * x - vals[ineg] * y for x, y in zip(rn, rp))
                 new_rays.append(scale_to_int(combo))
-        kept: dict[tuple[int, ...], frozenset[int]] = {}
+        kept: dict[tuple[int, ...], int] = {}
         for i in neg + zero:
             r, a = raylist[i]
-            kept[r] = a | {idx} if vals[i] == 0 else a
+            kept[r] = a | bit if vals[i] == 0 else a
         for nr in new_rays:
             if nr not in kept:
-                kept[nr] = frozenset(i for i in processed if dot(rows[i], nr) == 0)
+                kept[nr] = _incidence(rows, processed, nr)
         raylist = list(kept.items())
     return [r for r, _ in raylist]
+
+
+def _incidence(rows: list[tuple[int, ...]], mask: int, ray: tuple[int, ...]) -> int:
+    """Bitmask of the rows in ``mask`` that are tight on ``ray``."""
+    return sum(1 << i for i, row in enumerate(rows)
+               if mask >> i & 1 and sum(map(mul, row, ray)) == 0)
 
 
 def cone_generators(rows: Sequence[Sequence], dim: int) -> tuple[list[Point], list[Point]]:
     """Rays and lineality basis of the cone {y in R^dim : r.y <= 0 for r in rows}."""
     int_rows = [scale_to_int(r) for r in rows]
     int_rows = [r for r in int_rows if any(x != 0 for x in r)]
-    lines = [_fracvec(scale_to_int(l)) for l in null_space(int_rows, dim)]
+    lines = [_fracvec(l) for l in null_space(int_rows, dim)]
     if not int_rows:
         return [], lines
     if not lines:  # pointed cone: no projection needed
         return [_fracvec(r) for r in _pointed_cone_rays(int_rows, dim)], []
-    w_basis = row_space_basis(int_rows)
+    # Project onto the row space, spanned by the reduced rows.  Their common
+    # scale D drops out: negating the basis negates both the projected rows
+    # and the rays of their cone, so each lifted ray y is unchanged.
+    w_basis = echelon(int_rows)[0]
     r = len(w_basis)
     proj = [tuple(dot(row, w) for w in w_basis) for row in int_rows]
     z_rays = _pointed_cone_rays([scale_to_int(p) for p in proj], r)
     rays = []
     for z in z_rays:
-        y = tuple(sum(Fraction(z[j]) * w_basis[j][i] for j in range(r)) for i in range(dim))
+        y = tuple(sum(z[j] * w_basis[j][i] for j in range(r)) for i in range(dim))
         rays.append(_fracvec(scale_to_int(y)))
     return rays, lines
 
@@ -219,8 +237,8 @@ def hrep_to_vrep(h: HRep) -> VRep:
     rows = [tuple(a) + (-b,) for a, b in h.halfspaces]
     rows.append(tuple(Fraction(0) for _ in range(d)) + (Fraction(-1),))
     rays, lines = cone_generators(rows, d + 1)
-    for l in lines:
-        assert l[d] == 0, "homogenization cone cannot contain a line with x0 != 0"
+    if any(l[d] != 0 for l in lines):
+        raise CertificateFailed("homogenization cone contains a line with x0 != 0")
     vertices = []
     rec_rays = []
     for r in rays:
@@ -538,20 +556,6 @@ def relative_interior_contains(p: Polyhedron, x: Sequence) -> bool:
 # Volume
 # ---------------------------------------------------------------------------
 
-def _facet_vertex_sets(poly: Polyhedron) -> list[tuple[Point, ...]]:
-    """Vertex sets of the facets, from the canonical (irredundant) H-rep."""
-    verts = poly.vrep.vertices
-    seen: set[frozenset[Point]] = set()
-    out = []
-    for a, b in poly.canonical_hrep.halfspaces:
-        tight = tuple(v for v in verts if dot(a, v) == b)
-        key = frozenset(tight)
-        if len(tight) >= 1 and key not in seen:
-            seen.add(key)
-            out.append(tight)
-    return out
-
-
 def _angular_order(points: Sequence[Point], plane_basis: tuple[Point, Point], origin: Point) -> list[Point]:
     """Order coplanar points angularly around their centroid, exactly."""
     u1, u2 = plane_basis
@@ -586,41 +590,45 @@ def _polygon_fan(points: Sequence[Point]) -> list[tuple[Point, Point, Point]]:
     p0 = points[0]
     diffs = [vec_sub(p, p0) for p in points[1:]]
     basis_rows = row_space_basis(diffs)
-    assert len(basis_rows) == 2
+    if len(basis_rows) != 2:
+        raise CertificateFailed(f"polygon face spans {len(basis_rows)} dimensions, not 2")
     ordered = _angular_order(points, (basis_rows[0], basis_rows[1]), p0)
     return [(ordered[0], ordered[i], ordered[i + 1]) for i in range(1, len(ordered) - 1)]
 
 
-def _face_simplices(points: tuple[Point, ...], fdim: int,
-                    halfspaces: Sequence) -> list[tuple[Point, ...]]:
-    """Triangulate a face of affine dimension fdim given by its vertex set.
+def _face_simplices(face: int, fdim: int, tight_masks: Sequence[int],
+                    verts: Sequence[Point]) -> list[tuple[Point, ...]]:
+    """Triangulate a face of affine dimension fdim given by its vertex mask.
 
-    Faces are explored purely combinatorially: the facets of a face are its
-    intersections with the defining halfspaces that are tight on an
-    (fdim-1)-dimensional subset, so no further vertex enumeration is needed.
+    A face is an int bitmask over ``verts`` (bit i for ``verts[i]``), and
+    ``tight_masks`` holds, per defining halfspace, the mask of the vertices
+    it is tight on.  Faces are explored purely combinatorially: the facets
+    of a face are its intersections ``face & mask`` with the tight masks
+    that are (fdim-1)-dimensional, so no further vertex enumeration and no
+    further inner product is needed.  The points of a face are listed in
+    the order of ``verts``, and the face is coned from its first point.
     """
+    points = tuple(v for i, v in enumerate(verts) if face >> i & 1)
     if fdim == 0:
         return [points[:1]]
     if fdim == 1:
-        assert len(points) == 2  # all listed points are extreme
+        if len(points) != 2:  # all listed points are extreme
+            raise CertificateFailed(f"edge face has {len(points)} vertices, not 2")
         return [points]
     if fdim == 2:
         return [tuple(t) for t in _polygon_fan(points)]
-    v0 = points[0]
-    seen: set[frozenset[Point]] = set()
+    v0 = face & -face  # the lowest set bit: the first point
+    seen: set[int] = set()
     simplices = []
-    for a, b in halfspaces:
-        tight = tuple(v for v in points if dot(a, v) == b)
-        if not tight or v0 in tight:
+    for mask in tight_masks:
+        tight = face & mask
+        if not tight or tight & v0 or tight in seen:
             continue
-        key = frozenset(tight)
-        if key in seen:
+        seen.add(tight)
+        if affine_rank([v for i, v in enumerate(verts) if tight >> i & 1]) != fdim - 1:
             continue
-        seen.add(key)
-        if affine_rank(tight) != fdim - 1:
-            continue
-        for s in _face_simplices(tight, fdim - 1, halfspaces):
-            simplices.append((v0,) + s)
+        for s in _face_simplices(tight, fdim - 1, tight_masks, verts):
+            simplices.append((points[0],) + s)
     return simplices
 
 
@@ -632,7 +640,9 @@ def triangulate(p: Polyhedron) -> list[tuple[Point, ...]]:
         return [verts]
     # Any defining H-rep works: redundant rows produce duplicate or
     # lower-dimensional tight sets, which are filtered out.
-    return _face_simplices(verts, d, p.hrep.halfspaces)
+    tight_masks = [sum(1 << i for i, v in enumerate(verts) if dot(a, v) == b)
+                   for a, b in p.hrep.halfspaces]
+    return _face_simplices((1 << len(verts)) - 1, d, tight_masks, verts)
 
 
 def volume(p: Polyhedron) -> Fraction:
@@ -684,7 +694,8 @@ def _dist2_point_polytope(x: Point, poly: Polyhedron) -> Fraction:
                 dist2 = dot(vec_sub(proj, x), vec_sub(proj, x))
                 if best is None or dist2 < best:
                     best = dist2
-    assert best is not None, "projection must land on some face"
+    if best is None:
+        raise CertificateFailed("no face projection of the point lies in the polytope")
     return best
 
 

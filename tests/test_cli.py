@@ -194,6 +194,23 @@ class TestLaws:
     def test_growth_suite_passes(self, capsys):
         assert main(["laws", "growth", "--seed", "1", "--count", "4", "--n", "2"]) == 0
 
+    @pytest.mark.parametrize("suite, argv, cap, checks", [
+        ("convergence", ["--n", "1"], 5, 5),
+        ("staircase", [], 3, 12),
+    ])
+    def test_capped_count_is_reported(self, tmp_path, capsys, suite, argv, cap, checks):
+        out = tmp_path / "capped.json"
+        assert main(["laws", suite, "--count", "10", "--out", str(out)] + argv) == 0
+        err = capsys.readouterr().err
+        assert f"{checks}/{checks} checks passed (ran {cap} of the 10 requested)" in err
+        capped = json.loads(out.read_text())
+        assert main(["laws", suite, "--count", str(cap), "--out", str(out)] + argv) == 0
+        assert "requested" not in capsys.readouterr().err
+        exact = json.loads(out.read_text())
+        for rep in (capped, exact):
+            del rep["elapsed_seconds"]
+        assert capped == exact
+
     def test_unknown_suite(self, capsys):
         assert main(["laws", "nonsense"]) == 2
 

@@ -1,18 +1,22 @@
 """Polyhedral kernel: representation conversions, volume, distances."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convval.errors import EmptyPolyhedron, UnboundedPolyhedron
+from convval import polyhedra
+from convval.errors import CertificateFailed, EmptyPolyhedron, UnboundedPolyhedron
 from convval.linalg import determinant, dot, vec_sub
 from convval.polyhedra import (HRep, Polyhedron, VRep, apply_linear,
                                hausdorff_distance, intersect, minkowski_sum,
-                               random_unimodular, translate, volume)
+                               random_unimodular, translate, triangulate, volume)
 
 
 def box(*bounds):
@@ -182,3 +186,55 @@ class TestRandomUnimodular:
             a = random_unimodular(seed, 3, 8)
             b = random_unimodular(seed, 3, 8)
             assert a == b and determinant(a) == 1
+
+
+class TestCertificates:
+    """Broken invariants raise CertificateFailed, also under ``python -O``."""
+
+    def test_dd_basis(self, monkeypatch):
+        real = polyhedra.echelon
+
+        def reversed_pivots(rows):
+            red, pivots, d = real(rows)
+            return red, pivots[::-1], d
+
+        monkeypatch.setattr(polyhedra, "echelon", reversed_pivots)
+        with pytest.raises(CertificateFailed):
+            polyhedra.hrep_to_vrep(HRep.make(2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)]))
+
+    def test_homogenizing_line(self, monkeypatch):
+        monkeypatch.setattr(polyhedra, "cone_generators", lambda rows, dim: ([], [(F(0), F(1))]))
+        with pytest.raises(CertificateFailed):
+            polyhedra.hrep_to_vrep(HRep.make(1, [((1,), 1)]))
+
+    def test_polygon_plane(self, monkeypatch):
+        monkeypatch.setattr(polyhedra, "row_space_basis", lambda rows: [])
+        with pytest.raises(CertificateFailed):
+            volume(box((0, 1), (0, 1), (0, 1)))
+
+    def test_edge_vertex_count(self):
+        with pytest.raises(CertificateFailed):
+            triangulate(Polyhedron.from_generators(1, [(0,)]))
+
+    def test_projection(self, monkeypatch):
+        monkeypatch.setattr(polyhedra, "solve", lambda a, b: None)
+        with pytest.raises(CertificateFailed):
+            hausdorff_distance(box((0, 1), (0, 1)), box((3, 4), (0, 1)))
+
+    def test_polygon_plane_under_optimize(self):
+        code = (
+            "import convval.polyhedra as polyhedra\n"
+            "from convval.errors import CertificateFailed\n"
+            "assert False, 'asserts are live'\n"
+            "polyhedra.row_space_basis = lambda rows: []\n"
+            "try:\n"
+            "    polyhedra.volume(polyhedra.Polyhedron.box([(0, 1)] * 3))\n"
+            "except CertificateFailed:\n"
+            "    print('raised')\n"
+        )
+        src = os.path.dirname(os.path.dirname(polyhedra.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
