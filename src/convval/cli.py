@@ -2,7 +2,8 @@
 
 Subcommands: eval, conjugate, infconv, valuation, growth, laws, fixtures.
 Documents are JSON (schema "convval/1"), plot data is CSV.  Exit status is 0
-iff every requested check passed; document/usage errors exit with status 2.
+iff every requested check passed; document/usage errors and outputs that
+cannot be written exit with status 2.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import __version__
@@ -65,6 +67,25 @@ def _report(command: str, args, digest: str, results: dict, laws: list, seed, t0
     }
 
 
+class OutputError(Exception):
+    """An output path could not be written."""
+
+
+@contextmanager
+def _writing(path):
+    """Turn an OSError while writing ``path`` into an :class:`OutputError`."""
+    try:
+        yield
+    except OSError as exc:
+        where = "standard output" if path is None else path
+        raise OutputError(f"cannot write {where}: {exc.strerror or exc}") from exc
+
+
+def _dump(doc: dict, path: str | None):
+    with _writing(path):
+        dump(doc, path)
+
+
 def _rational_arg(s: str) -> Fraction:
     try:
         return parse_rational(s)
@@ -92,14 +113,14 @@ def cmd_eval(args) -> int:
 
 def cmd_conjugate(args) -> int:
     u = load_function(args.file)
-    dump(function_to_doc(conjugate(u), provenance=f"conjugate of {args.file}"), args.out)
+    _dump(function_to_doc(conjugate(u), provenance=f"conjugate of {args.file}"), args.out)
     return 0
 
 
 def cmd_infconv(args) -> int:
     u, v = load_function(args.file), load_function(args.file2)
-    dump(function_to_doc(inf_convolution(u, v),
-                         provenance=f"infconv of {args.file}, {args.file2}"), args.out)
+    _dump(function_to_doc(inf_convolution(u, v),
+                          provenance=f"infconv of {args.file}, {args.file2}"), args.out)
     return 0
 
 
@@ -116,7 +137,7 @@ def cmd_valuation(args) -> int:
         "atom": format_rational(prof.atom),
     }
     if args.profile_csv:
-        with open(args.profile_csv, "w", newline="") as fh:
+        with _writing(args.profile_csv), open(args.profile_csv, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "V"])
             pts = list(prof.breakpoints)
@@ -128,7 +149,7 @@ def cmd_valuation(args) -> int:
                 w.writerow([_fmt(t), _fmt(prof.value(t))])
     report = _report("valuation", args, _digest([args.file, args.zeta0, args.zetan]),
                      results, [], None, t0)
-    dump(report, args.out)
+    _dump(report, args.out)
     return 0
 
 
@@ -152,14 +173,12 @@ def cmd_growth(args) -> int:
             pt = peval(psi.region_at(t)[1], t)
             dt = sign * peval(dn.region_at(t)[1], t)
         rows.append([_fmt(t), _fmt(zt), _fmt(pt), _fmt(dt)])
-    out = sys.stdout if args.out is None else open(args.out, "w", newline="")
-    try:
-        w = csv.writer(out)
-        w.writerow(["t", "zeta", "psi_n", "signed_nth_derivative"])
-        w.writerows(rows)
-    finally:
-        if args.out is not None:
-            out.close()
+    header = ["t", "zeta", "psi_n", "signed_nth_derivative"]
+    if args.out is None:
+        csv.writer(sys.stdout).writerows([header] + rows)
+        return 0
+    with _writing(args.out), open(args.out, "w", newline="") as fh:
+        csv.writer(fh).writerows([header] + rows)
     return 0
 
 
@@ -274,20 +293,21 @@ def cmd_laws(args) -> int:
     passed = sum(1 for r in reports if r.passed)
     results = {"suite": args.suite, "checks": len(reports), "passed": passed}
     report = _report(f"laws {args.suite}", args, "-", results, reports, args.seed, t0)
-    dump(report, args.out)
+    _dump(report, args.out)
     print(f"{args.suite}: {passed}/{len(reports)} checks passed{note}", file=sys.stderr)
     return 0 if passed == len(reports) else 1
 
 
 def cmd_fixtures(args) -> int:
     import os
-    os.makedirs(args.out, exist_ok=True)
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
     written = []
     for i in range(args.count):
         pair = generate_pair_with_convex_min(args.seed + i, args.n)
         for tag, u in (("u", pair.u), ("v", pair.v)):
             path = os.path.join(args.out, f"pair{args.seed + i}_{tag}.json")
-            dump(function_to_doc(u, provenance=f"{pair.provenance} seed={pair.seed}"), path)
+            _dump(function_to_doc(u, provenance=f"{pair.provenance} seed={pair.seed}"), path)
             written.append(path)
     print("\n".join(written))
     return 0
@@ -353,7 +373,7 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         print(f"document error: {exc}", file=sys.stderr)
         return 2
-    except ConvvalError as exc:
+    except (ConvvalError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,16 +8,19 @@ finite near the origin but need not be coercive.
 
 The epigraph is cached as an exact :class:`~convval.polyhedra.Polyhedron` in
 R^{n+1}; most operations (sup, sublevel, conjugation, infimal convolution)
-are simple polyhedral manipulations of that object.  The cells of the domain
-on which each piece attains the maximum are computed once, by
-:func:`_active_cells`, and cached as :attr:`PWAConvex.cells`; pruning at
-construction and the Moreau envelope both read them.
+are simple polyhedral manipulations of that object.  Construction keeps the
+distinct pieces that are active somewhere, read off the vertices of the
+epigraph of all the pieces (one double description); when none is dropped,
+that epigraph is the function's.  The cells of the domain on which each
+piece attains the maximum are computed by :func:`_active_cells` on first use
+and cached as :attr:`PWAConvex.cells`; only the Moreau envelope reads them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -30,7 +33,7 @@ from .errors import (
     EmptyPolyhedron,
 )
 from .linalg import determinant, dot, invert, vec_sub
-from .polyhedra import HRep, Polyhedron, _fracvec, is_implicit
+from .polyhedra import HRep, Polyhedron, _fracvec, cut_by, is_implicit
 
 Piece = tuple[tuple[Fraction, ...], Fraction]
 INF = math.inf
@@ -44,14 +47,13 @@ class PWAConvex:
     """
 
     def __init__(self, n: int, pieces: tuple[Piece, ...], domain: HRep,
-                 epigraph: Polyhedron, coercive: bool,
-                 cells: tuple[tuple[Piece, Polyhedron], ...] | None = None):
+                 epigraph: Polyhedron, coercive: bool):
         self.n = n
         self.pieces = pieces
         self.domain = domain
         self.epigraph = epigraph
         self.coercive = coercive
-        self._cells = cells
+        self._cells = None
         self._min = None
         self._profile = None  # filled by the valuation module
 
@@ -147,20 +149,37 @@ def _check_coercive(epi: Polyhedron, n: int) -> bool:
     return all(r[n] > 0 for r in v.rays)
 
 
-def _build(n: int, pieces, domain: HRep, coercive: bool, cells=None) -> PWAConvex:
+def _build(n: int, pieces, domain: HRep, coercive: bool) -> PWAConvex:
     pieces = tuple((_fracvec(a), Fraction(b)) for a, b in pieces)
-    epi = _epigraph_of(n, pieces, domain)
+    return _checked(n, pieces, domain, _epigraph_of(n, pieces, domain), coercive)
+
+
+def _checked(n: int, pieces: tuple[Piece, ...], domain: HRep, epi: Polyhedron,
+             coercive: bool) -> PWAConvex:
     if epi.is_empty:
         raise EmptyDomain("empty domain: the function is improper")
     if coercive and not _check_coercive(epi, n):
         raise NotCoercive("some sublevel set is unbounded")
-    return PWAConvex(n, pieces, domain, epi, coercive, cells)
+    return PWAConvex(n, pieces, domain, epi, coercive)
 
 
 def _build_pruned(n: int, pieces, domain: HRep, coercive: bool) -> PWAConvex:
-    """``_build`` on the pieces that are active somewhere, keeping their cells."""
-    cells = _active_cells(n, pieces, domain)
-    return _build(n, tuple(p for p, _ in cells), domain, coercive, cells)
+    """``_build`` on the distinct pieces that are active somewhere.
+
+    The active set of piece i is the face of the epigraph where its row is
+    tight.  A nonempty face contains a minimal face, and a valid row is
+    constant along the lines, so piece i is active somewhere iff it is
+    tight at some vertex of the epigraph: one double description decides
+    every piece.  When none is pruned, that epigraph is the function's.
+    """
+    pieces = tuple(dict.fromkeys((_fracvec(a), Fraction(b)) for a, b in pieces))
+    epi = _epigraph_of(n, pieces, domain)
+    verts = epi.vrep.vertices
+    active = tuple((a, b) for a, b in pieces
+                   if any(dot(a, v[:n]) + b == v[n] for v in verts))
+    if 0 < len(active) < len(pieces):
+        return _build(n, active, domain, coercive)
+    return _checked(n, pieces, domain, epi, coercive)  # no vertex: EmptyDomain
 
 
 def make(pieces: Iterable, domain: HRep | Polyhedron | None = None, *,
@@ -262,7 +281,9 @@ def inf_if_convex(u: PWAConvex, v: PWAConvex) -> PWAConvex:
     The minimum is convex exactly when conv(epi u  U  epi v) equals the union
     of the epigraphs.  The check is exact: for every facet pair (g of epi u,
     h of epi v), the hull restricted to the outside of both facets must be
-    empty up to faces.  On failure raises :class:`NotConvexMin` with a witness
+    empty up to faces.  These restrictions come from ``cut_by``, which
+    continues the hull's double description by two steps per pair when the
+    hull is pointed.  On failure raises :class:`NotConvexMin` with a witness
     point x where min(u, v)(x) exceeds the hull function.
     """
     if u.n != v.n:
@@ -276,17 +297,15 @@ def inf_if_convex(u: PWAConvex, v: PWAConvex) -> PWAConvex:
         tuple(gu.rays) + tuple(gv.rays),
         tuple(gu.lines) + tuple(gv.lines),
     )
-    for g, cg in eu.canonical_hrep.halfspaces:
-        for h, ch in ev.canonical_hrep.halfspaces:
-            rows = list(hull.hrep.halfspaces)
-            rows.append((tuple(-x for x in g), -cg))
-            rows.append((tuple(-x for x in h), -ch))
-            q = Polyhedron(hrep=HRep(n + 1, tuple(rows)))
-            if q.is_empty:
-                continue
-            if not is_implicit(q, g, cg) and not is_implicit(q, h, ch):
-                witness = q.relint_point()[:n]
-                raise NotConvexMin(witness)
+    pairs = list(product(eu.canonical_hrep.halfspaces, ev.canonical_hrep.halfspaces))
+    outside = (((tuple(-x for x in g), -cg), (tuple(-x for x in h), -ch))
+               for (g, cg), (h, ch) in pairs)
+    for ((g, cg), (h, ch)), q in zip(pairs, cut_by(hull, outside)):
+        if q.is_empty:
+            continue
+        if not is_implicit(q, g, cg) and not is_implicit(q, h, ch):
+            witness = q.relint_point()[:n]
+            raise NotConvexMin(witness)
     return from_epigraph(hull, coercive=u.coercive and v.coercive)
 
 

@@ -126,11 +126,6 @@ def null_space(rows: Sequence[Sequence], ncols: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def row_space_basis(rows: Sequence[Sequence]) -> list[Vec]:
-    red, _ = rref(rows)
-    return red
-
-
 def solve(a_rows: Sequence[Sequence], b: Sequence) -> Vec | None:
     """Unique solution of A x = b, or None if inconsistent/underdetermined."""
     n = len(a_rows[0]) if a_rows else 0
@@ -167,13 +162,3 @@ def determinant(mat: Sequence[Sequence]) -> Fraction:
         k = next(j for j, x in enumerate(irow) if x)
         det *= Fraction(row[k]) / irow[k]
     return det
-
-
-def affine_rank(points: Sequence[Sequence]) -> int:
-    """Dimension of the affine hull of a point set (-1 for empty)."""
-    pts = list(points)
-    if not pts:
-        return -1
-    p0 = pts[0]
-    diffs = [vec_sub(p, p0) for p in pts[1:]]
-    return rank(diffs)

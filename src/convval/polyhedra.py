@@ -10,8 +10,12 @@ homogenization cone.  Its rows and rays are primitive integer vectors, its
 eliminations run on ``linalg.echelon`` (fraction-free), and the incidence
 set of each ray -- the rows it is tight on -- is an int bitmask, so the
 adjacency test is ``&``, ``bit_count`` and one comparison (Fukuda and
-Prodon, "Double description method revisited", 1996).  Volumes are exact
-rationals from a simplicial decomposition that likewise works on bitmasks of
+Prodon, "Double description method revisited", 1996).  ``_dd_step`` adds
+one row to a cone and is the only DD loop: ``_pointed_cone_rays`` runs it
+from an initial basis, and ``cut_by`` runs it from the known generators of
+a pointed polyhedron to intersect it with a few extra rows.  Volumes are
+exact rationals from a simplicial decomposition that works on integer
+points (the vertices times the lcm of their denominators) and bitmasks of
 tight vertices.  Only Euclidean distances (Hausdorff) leave the rational
 world, via a single square root at the end.
 
@@ -26,8 +30,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CertificateFailed,
@@ -38,14 +43,12 @@ from .errors import (
 )
 from .linalg import (
     Vec,
-    affine_rank,
     determinant,
     dot,
     echelon,
     invert,
     null_space,
     rank,
-    row_space_basis,
     scale_to_int,
     solve,
     vec_add,
@@ -155,47 +158,55 @@ def _pointed_cone_rays(rows: list[tuple[int, ...]], d: int) -> list[tuple[int, .
         (r, _incidence(rows, processed, r)) for r in rays
     ]
     for idx in range(len(rows)):
-        bit = 1 << idx
-        if processed & bit:
-            continue
-        c = rows[idx]
-        vals = [sum(map(mul, c, r)) for r, _ in raylist]
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        neg = [i for i, v in enumerate(vals) if v < 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        processed |= bit
-        if not pos:
-            raylist = [
-                ((r, a | bit) if vals[i] == 0 else (r, a))
-                for i, (r, a) in enumerate(raylist)
-            ]
-            continue
-        new_rays: list[tuple[int, ...]] = []
-        for ip in pos:
-            rp, ap = raylist[ip]
-            for ineg in neg:
-                rn, an = raylist[ineg]
-                common = ap & an
-                if common.bit_count() < d - 2:
-                    continue
-                adjacent = True
-                for k, (_, ak) in enumerate(raylist):
-                    if k != ip and k != ineg and common & ak == common:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                combo = tuple(vals[ip] * x - vals[ineg] * y for x, y in zip(rn, rp))
-                new_rays.append(scale_to_int(combo))
-        kept: dict[tuple[int, ...], int] = {}
-        for i in neg + zero:
-            r, a = raylist[i]
-            kept[r] = a | bit if vals[i] == 0 else a
-        for nr in new_rays:
-            if nr not in kept:
-                kept[nr] = _incidence(rows, processed, nr)
-        raylist = list(kept.items())
+        if not processed >> idx & 1:
+            raylist = _dd_step(rows, idx, raylist, processed, d)
+            processed |= 1 << idx
     return [r for r, _ in raylist]
+
+
+def _dd_step(rows: list[tuple[int, ...]], idx: int,
+             raylist: list[tuple[tuple[int, ...], int]], processed: int,
+             d: int) -> list[tuple[tuple[int, ...], int]]:
+    """One double description step: cut a pointed cone in R^d by ``rows[idx]``.
+
+    ``raylist`` holds the extreme rays of the cone cut out by the rows in the
+    bitmask ``processed``, each with its incidence mask over those rows.
+    Returns the same for the cone also cut by ``rows[idx]``, with masks over
+    ``processed`` and that row.
+    """
+    bit = 1 << idx
+    c = rows[idx]
+    vals = [sum(map(mul, c, r)) for r, _ in raylist]
+    pos = [i for i, v in enumerate(vals) if v > 0]
+    if not pos:
+        return [((r, a | bit) if v == 0 else (r, a)) for (r, a), v in zip(raylist, vals)]
+    neg = [i for i, v in enumerate(vals) if v < 0]
+    zero = [i for i, v in enumerate(vals) if v == 0]
+    new_rays: list[tuple[int, ...]] = []
+    for ip in pos:
+        rp, ap = raylist[ip]
+        for ineg in neg:
+            rn, an = raylist[ineg]
+            common = ap & an
+            if common.bit_count() < d - 2:
+                continue
+            adjacent = True
+            for k, (_, ak) in enumerate(raylist):
+                if k != ip and k != ineg and common & ak == common:
+                    adjacent = False
+                    break
+            if not adjacent:
+                continue
+            combo = tuple(vals[ip] * x - vals[ineg] * y for x, y in zip(rn, rp))
+            new_rays.append(scale_to_int(combo))
+    kept: dict[tuple[int, ...], int] = {}
+    for i in neg + zero:
+        r, a = raylist[i]
+        kept[r] = a | bit if vals[i] == 0 else a
+    for nr in new_rays:
+        if nr not in kept:
+            kept[nr] = _incidence(rows, processed | bit, nr)
+    return list(kept.items())
 
 
 def _incidence(rows: list[tuple[int, ...]], mask: int, ray: tuple[int, ...]) -> int:
@@ -239,6 +250,11 @@ def hrep_to_vrep(h: HRep) -> VRep:
     rays, lines = cone_generators(rows, d + 1)
     if any(l[d] != 0 for l in lines):
         raise CertificateFailed("homogenization cone contains a line with x0 != 0")
+    return _dehomogenize(rays, lines, d)
+
+
+def _dehomogenize(rays: Sequence[Point], lines: Sequence[Point], d: int) -> VRep:
+    """V-rep from the generators of a homogenization cone in R^(d+1)."""
     vertices = []
     rec_rays = []
     for r in rays:
@@ -438,6 +454,42 @@ def intersect(a: HRep | Polyhedron, b: HRep | Polyhedron) -> Polyhedron:
     return Polyhedron(hrep=HRep(ha.d, ha.halfspaces + hb.halfspaces))
 
 
+def cut_by(p: Polyhedron, row_sets: Iterable[Sequence[tuple[Sequence, object]]]
+           ) -> Iterator[Polyhedron]:
+    """``p`` intersected with each set of extra halfspaces, lazily and in order.
+
+    A nonempty pointed ``p`` continues its own double description: the
+    homogenized generators of ``p`` and their incidence masks over its rows
+    are computed once, and each intersection then costs one ``_dd_step`` per
+    extra row.  This needs the generators of ``p`` to be its extreme ones,
+    as every V-rep from ``hrep_to_vrep`` is.  With lines the homogenization
+    cone is not pointed, so each intersection is a fresh ``hrep_to_vrep``.
+    """
+    d = p.d
+    base = p.hrep.halfspaces
+    v = p.vrep
+    pointed = not (v.is_empty or v.lines)
+    if pointed:
+        rows = [scale_to_int(tuple(a) + (-b,)) for a, b in base]
+        rows.append((0,) * d + (-1,))
+        gens = [scale_to_int(tuple(x) + (1,)) for x in v.vertices]
+        gens += [scale_to_int(tuple(r) + (0,)) for r in v.rays]
+        processed = (1 << len(rows)) - 1
+        start = [(g, _incidence(rows, processed, g)) for g in gens]
+    for extra in row_sets:
+        extra = tuple((_fracvec(a), Fraction(b)) for a, b in extra)
+        h = HRep(d, base + extra)
+        if not pointed:
+            yield Polyhedron(hrep=h)
+            continue
+        cut_rows = rows + [scale_to_int(a + (-b,)) for a, b in extra]
+        raylist, mask = start, processed
+        for idx in range(len(rows), len(cut_rows)):
+            raylist = _dd_step(cut_rows, idx, raylist, mask, d + 1)
+            mask |= 1 << idx
+        yield Polyhedron(hrep=h, vrep=_dehomogenize([_fracvec(r) for r, _ in raylist], (), d))
+
+
 def minkowski_sum(a: VRep | Polyhedron, b: VRep | Polyhedron) -> Polyhedron:
     """Minkowski sum: hull of pairwise vertex sums, union of rays and lines."""
     va = a.vrep if isinstance(a, Polyhedron) else a
@@ -556,67 +608,75 @@ def relative_interior_contains(p: Polyhedron, x: Sequence) -> bool:
 # Volume
 # ---------------------------------------------------------------------------
 
-def _angular_order(points: Sequence[Point], plane_basis: tuple[Point, Point], origin: Point) -> list[Point]:
-    """Order coplanar points angularly around their centroid, exactly."""
-    u1, u2 = plane_basis
-    coords = []
+def _angular_order(points: Sequence[tuple[int, ...]], u1: Sequence[int],
+                   u2: Sequence[int]) -> list[int]:
+    """Indices of coplanar integer points in angular order around their centroid.
+
+    ``u1`` and ``u2`` span the plane.  A point p is placed by ``n p - sum p``,
+    its offset from the centroid times the point count n, so the order is
+    exact in integers.
+    """
     n = len(points)
-    cen = tuple(sum(p[i] for p in points) / n for i in range(len(origin)))
+    total = [sum(c) for c in zip(*points)]
+    coords = []
     for p in points:
-        rel = vec_sub(p, cen)
-        coords.append((dot(rel, u1), dot(rel, u2), p))
+        rel = [n * x - s for x, s in zip(p, total)]
+        coords.append((sum(map(mul, rel, u1)), sum(map(mul, rel, u2))))
 
     def half(c):  # 0 for upper half-plane (y>0 or y==0,x>0), 1 for lower
-        x, y, _ = c
+        x, y = c
         return 0 if (y > 0 or (y == 0 and x > 0)) else 1
 
-    def cross(c1, c2):
-        return c1[0] * c2[1] - c1[1] * c2[0]
-
-    import functools
-
-    def cmp(c1, c2):
-        h1, h2 = half(c1), half(c2)
-        if h1 != h2:
-            return -1 if h1 < h2 else 1
-        cr = cross(c1, c2)
+    def cmp(i, j):
+        ci, cj = coords[i], coords[j]
+        hi, hj = half(ci), half(cj)
+        if hi != hj:
+            return -1 if hi < hj else 1
+        cr = ci[0] * cj[1] - ci[1] * cj[0]
         return 0 if cr == 0 else (-1 if cr > 0 else 1)
 
-    return [c[2] for c in sorted(coords, key=functools.cmp_to_key(cmp))]
+    return sorted(range(n), key=cmp_to_key(cmp))
 
 
-def _polygon_fan(points: Sequence[Point]) -> list[tuple[Point, Point, Point]]:
-    """Fan triangulation of a planar polygon given as an unordered vertex set."""
+def _polygon_fan(points: Sequence[tuple[int, ...]]) -> list[tuple[int, int, int]]:
+    """Fan triangulation of a planar polygon given as an unordered set of
+    integer points, as index triples into ``points``.
+
+    The plane is spanned by the ``echelon`` rows of the differences, times
+    the sign of its pivot ``D``: a positive multiple of the RREF basis.
+    """
     p0 = points[0]
-    diffs = [vec_sub(p, p0) for p in points[1:]]
-    basis_rows = row_space_basis(diffs)
-    if len(basis_rows) != 2:
-        raise CertificateFailed(f"polygon face spans {len(basis_rows)} dimensions, not 2")
-    ordered = _angular_order(points, (basis_rows[0], basis_rows[1]), p0)
-    return [(ordered[0], ordered[i], ordered[i + 1]) for i in range(1, len(ordered) - 1)]
+    red, pivots, det = echelon([vec_sub(p, p0) for p in points[1:]])
+    if len(pivots) != 2:
+        raise CertificateFailed(f"polygon face spans {len(pivots)} dimensions, not 2")
+    s = 1 if det > 0 else -1
+    u1, u2 = ([s * x for x in row] for row in red)
+    order = _angular_order(points, u1, u2)
+    return [(order[0], order[i], order[i + 1]) for i in range(1, len(order) - 1)]
 
 
 def _face_simplices(face: int, fdim: int, tight_masks: Sequence[int],
-                    verts: Sequence[Point]) -> list[tuple[Point, ...]]:
+                    pts: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Triangulate a face of affine dimension fdim given by its vertex mask.
 
-    A face is an int bitmask over ``verts`` (bit i for ``verts[i]``), and
-    ``tight_masks`` holds, per defining halfspace, the mask of the vertices
-    it is tight on.  Faces are explored purely combinatorially: the facets
-    of a face are its intersections ``face & mask`` with the tight masks
-    that are (fdim-1)-dimensional, so no further vertex enumeration and no
-    further inner product is needed.  The points of a face are listed in
-    the order of ``verts``, and the face is coned from its first point.
+    A face is an int bitmask over the integer points ``pts`` (bit i for
+    ``pts[i]``), and ``tight_masks`` holds, per defining halfspace, the mask
+    of the points it is tight on.  Faces are explored combinatorially: the
+    facets of a face are its intersections ``face & mask`` with the tight
+    masks that are (fdim-1)-dimensional, so no further vertex enumeration
+    and no further inner product is needed.  Simplices are tuples of indices
+    into ``pts``, in the order of ``pts``, and the face is coned from its
+    first point.
     """
-    points = tuple(v for i, v in enumerate(verts) if face >> i & 1)
+    idx = [i for i in range(len(pts)) if face >> i & 1]
     if fdim == 0:
-        return [points[:1]]
+        return [(idx[0],)]
     if fdim == 1:
-        if len(points) != 2:  # all listed points are extreme
-            raise CertificateFailed(f"edge face has {len(points)} vertices, not 2")
-        return [points]
+        if len(idx) != 2:  # all listed points are extreme
+            raise CertificateFailed(f"edge face has {len(idx)} vertices, not 2")
+        return [tuple(idx)]
     if fdim == 2:
-        return [tuple(t) for t in _polygon_fan(points)]
+        return [tuple(idx[k] for k in t) for t in _polygon_fan([pts[i] for i in idx])]
     v0 = face & -face  # the lowest set bit: the first point
     seen: set[int] = set()
     simplices = []
@@ -625,24 +685,34 @@ def _face_simplices(face: int, fdim: int, tight_masks: Sequence[int],
         if not tight or tight & v0 or tight in seen:
             continue
         seen.add(tight)
-        if affine_rank([v for i, v in enumerate(verts) if tight >> i & 1]) != fdim - 1:
+        sub = [p for i, p in enumerate(pts) if tight >> i & 1]
+        if len(echelon([vec_sub(p, sub[0]) for p in sub[1:]])[1]) != fdim - 1:
             continue
-        for s in _face_simplices(tight, fdim - 1, tight_masks, verts):
-            simplices.append((points[0],) + s)
+        for s in _face_simplices(tight, fdim - 1, tight_masks, pts):
+            simplices.append((idx[0],) + s)
     return simplices
 
 
 def triangulate(p: Polyhedron) -> list[tuple[Point, ...]]:
-    """Decompose a bounded full-dimensional polytope into d-simplices."""
+    """Decompose a bounded full-dimensional polytope into d-simplices.
+
+    The vertices are scaled once by the lcm of their denominators, and the
+    recursion runs on those integer points and primitive integer rows.
+    """
     d = p.d
     verts = p.vrep.vertices
     if len(verts) == d + 1:
         return [verts]
+    scale = math.lcm(*(x.denominator for v in verts for x in v))
+    pts = [tuple(x.numerator * (scale // x.denominator) for x in v) for v in verts]
     # Any defining H-rep works: redundant rows produce duplicate or
     # lower-dimensional tight sets, which are filtered out.
-    tight_masks = [sum(1 << i for i, v in enumerate(verts) if dot(a, v) == b)
-                   for a, b in p.hrep.halfspaces]
-    return _face_simplices((1 << len(verts)) - 1, d, tight_masks, verts)
+    rows = [scale_to_int(tuple(a) + (b,)) for a, b in p.hrep.halfspaces]
+    tight_masks = [sum(1 << i for i, q in enumerate(pts)
+                       if sum(map(mul, row[:d], q)) == row[d] * scale)
+                   for row in rows]
+    return [tuple(verts[i] for i in s)
+            for s in _face_simplices((1 << len(verts)) - 1, d, tight_masks, pts)]
 
 
 def volume(p: Polyhedron) -> Fraction:

@@ -252,6 +252,27 @@ class TestFixtures:
         assert a == b
 
 
+@pytest.mark.parametrize("argv", [
+    ["conjugate", "{u}", "--out", "{bad}"],
+    ["infconv", "{u}", "{u}", "--out", "{bad}"],
+    ["valuation", "{u}", "{z0}", "{zn}", "--out", "{bad}"],
+    ["valuation", "{u}", "{z0}", "{zn}", "--profile-csv", "{bad}"],
+    ["growth", "{z0}", "--out", "{bad}"],
+    ["laws", "growth", "--count", "1", "--out", "{bad}"],
+    ["fixtures", "--count", "1", "--out", "{file}"],
+], ids=["conjugate", "infconv", "valuation", "valuation-csv", "growth", "laws", "fixtures"])
+def test_unwritable_output_exits_2(abs_doc, zeta_docs, tmp_path, capsys, argv):
+    z0, zn = zeta_docs
+    bad = str(tmp_path / "missing" / "out.json")  # the directory does not exist
+    existing = tmp_path / "a-file"
+    existing.write_text("")
+    paths = {"u": abs_doc, "z0": z0, "zn": zn, "bad": bad, "file": str(existing)}
+    assert main([a.format(**paths) for a in argv]) == 2
+    target = paths["file"] if argv[0] == "fixtures" else bad
+    err = capsys.readouterr().err
+    assert f"error: cannot write {target}: " in err and "Traceback" not in err
+
+
 def test_import_and_growth_leave_sympy_and_mpmath_unloaded(tmp_path):
     doc = tmp_path / "zeta.json"
     doc.write_text(json.dumps(growth_to_doc(

@@ -1,20 +1,22 @@
 """The fraction-free integer kernel against the Fraction route it replaced.
 
 The oracles below are the Fraction-based elimination, double description and
-mask-free face triangulation that ``linalg`` and ``polyhedra`` used before
-they moved to ``linalg.echelon`` and int-bitmask incidence sets.  Every
+mask-free face triangulation (with its Fraction polygon fan and affine rank)
+that ``linalg`` and ``polyhedra`` used before they moved to
+``linalg.echelon``, int-bitmask incidence sets and integer points.  Every
 comparison is an exact ``==`` on the returned values and their order.
 """
 
+import functools
 from fractions import Fraction as F
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
 from convval import linalg
-from convval.linalg import affine_rank, dot, vec_sub
+from convval.linalg import dot, vec_sub
 from convval.polyhedra import (HRep, Polyhedron, VRep, hrep_to_vrep,
-                               triangulate, vrep_to_hrep, _polygon_fan)
+                               triangulate, vrep_to_hrep)
 
 # ---------------------------------------------------------------------------
 # Oracles: the Fraction route
@@ -238,6 +240,44 @@ def oracle_vrep_to_hrep(v):
     return HRep(d, tuple(halfspaces))
 
 
+def affine_rank(points):
+    pts = list(points)
+    if not pts:
+        return -1
+    return oracle_rank([vec_sub(p, pts[0]) for p in pts[1:]])
+
+
+def oracle_angular_order(points, plane_basis):
+    u1, u2 = plane_basis
+    n = len(points)
+    cen = tuple(sum(p[i] for p in points) / n for i in range(len(points[0])))
+    coords = []
+    for p in points:
+        rel = vec_sub(p, cen)
+        coords.append((dot(rel, u1), dot(rel, u2), p))
+
+    def half(c):
+        x, y, _ = c
+        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
+
+    def cmp(c1, c2):
+        h1, h2 = half(c1), half(c2)
+        if h1 != h2:
+            return -1 if h1 < h2 else 1
+        cr = c1[0] * c2[1] - c1[1] * c2[0]
+        return 0 if cr == 0 else (-1 if cr > 0 else 1)
+
+    return [c[2] for c in sorted(coords, key=functools.cmp_to_key(cmp))]
+
+
+def oracle_polygon_fan(points):
+    p0 = points[0]
+    basis_rows = oracle_rref([vec_sub(p, p0) for p in points[1:]])[0]
+    assert len(basis_rows) == 2
+    ordered = oracle_angular_order(points, (basis_rows[0], basis_rows[1]))
+    return [(ordered[0], ordered[i], ordered[i + 1]) for i in range(1, len(ordered) - 1)]
+
+
 def oracle_face_simplices(points, fdim, halfspaces):
     if fdim == 0:
         return [points[:1]]
@@ -245,7 +285,7 @@ def oracle_face_simplices(points, fdim, halfspaces):
         assert len(points) == 2
         return [points]
     if fdim == 2:
-        return [tuple(t) for t in _polygon_fan(points)]
+        return [tuple(t) for t in oracle_polygon_fan(points)]
     v0 = points[0]
     seen = set()
     simplices = []
@@ -408,6 +448,16 @@ class TestTriangulateAgainstFractionRoute:
     def test_simplex_lists(self, d, data):
         pts = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
                                  min_size=d + 1, max_size=d + 5))
+        p = Polyhedron.from_generators(d, pts)
+        if p.dim < d:
+            return
+        assert triangulate(p) == oracle_triangulate(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3), st.data())
+    def test_rational_vertices(self, d, data):
+        pts = data.draw(st.lists(st.lists(small_rationals, min_size=d, max_size=d),
+                                 min_size=d + 2, max_size=d + 5))
         p = Polyhedron.from_generators(d, pts)
         if p.dim < d:
             return

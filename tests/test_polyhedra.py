@@ -208,9 +208,14 @@ class TestCertificates:
             polyhedra.hrep_to_vrep(HRep.make(1, [((1,), 1)]))
 
     def test_polygon_plane(self, monkeypatch):
-        monkeypatch.setattr(polyhedra, "row_space_basis", lambda rows: [])
-        with pytest.raises(CertificateFailed):
-            volume(box((0, 1), (0, 1), (0, 1)))
+        # A square is triangulated by the polygon fan alone; its rank check
+        # reads the pivots of ``echelon``, here cut down to a line.
+        square = box((0, 1), (0, 1))
+        square.vrep
+        real = polyhedra.echelon
+        monkeypatch.setattr(polyhedra, "echelon", lambda rows: real(rows[:1]))
+        with pytest.raises(CertificateFailed, match="polygon face spans 1 dimensions"):
+            volume(square)
 
     def test_edge_vertex_count(self):
         with pytest.raises(CertificateFailed):
@@ -226,9 +231,12 @@ class TestCertificates:
             "import convval.polyhedra as polyhedra\n"
             "from convval.errors import CertificateFailed\n"
             "assert False, 'asserts are live'\n"
-            "polyhedra.row_space_basis = lambda rows: []\n"
+            "square = polyhedra.Polyhedron.box([(0, 1)] * 2)\n"
+            "square.vrep\n"
+            "real = polyhedra.echelon\n"
+            "polyhedra.echelon = lambda rows: real(rows[:1])\n"
             "try:\n"
-            "    polyhedra.volume(polyhedra.Polyhedron.box([(0, 1)] * 3))\n"
+            "    polyhedra.volume(square)\n"
             "except CertificateFailed:\n"
             "    print('raised')\n"
         )
