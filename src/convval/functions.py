@@ -33,7 +33,7 @@ from .errors import (
     EmptyPolyhedron,
 )
 from .linalg import determinant, dot, invert, vec_sub
-from .polyhedra import HRep, Polyhedron, _fracvec, cut_by, is_implicit
+from .polyhedra import HRep, Polyhedron, _fracvec, cut_by
 
 Piece = tuple[tuple[Fraction, ...], Fraction]
 INF = math.inf
@@ -281,10 +281,12 @@ def inf_if_convex(u: PWAConvex, v: PWAConvex) -> PWAConvex:
     The minimum is convex exactly when conv(epi u  U  epi v) equals the union
     of the epigraphs.  The check is exact: for every facet pair (g of epi u,
     h of epi v), the hull restricted to the outside of both facets must be
-    empty up to faces.  These restrictions come from ``cut_by``, which
-    continues the hull's double description by two steps per pair when the
-    hull is pointed.  On failure raises :class:`NotConvexMin` with a witness
-    point x where min(u, v)(x) exceeds the hull function.
+    empty up to faces: empty, or tight on g or on h throughout.  These
+    restrictions come from ``cut_by``, which continues the hull's double
+    description by two steps per pair when the hull is pointed and flags
+    the rows that are tight throughout from the incidence masks of those
+    steps.  On failure raises :class:`NotConvexMin` with a witness point x
+    where min(u, v)(x) exceeds the hull function.
     """
     if u.n != v.n:
         raise DimensionMismatch("dimension mismatch in inf")
@@ -297,15 +299,12 @@ def inf_if_convex(u: PWAConvex, v: PWAConvex) -> PWAConvex:
         tuple(gu.rays) + tuple(gv.rays),
         tuple(gu.lines) + tuple(gv.lines),
     )
-    pairs = list(product(eu.canonical_hrep.halfspaces, ev.canonical_hrep.halfspaces))
+    pairs = product(eu.canonical_hrep.halfspaces, ev.canonical_hrep.halfspaces)
     outside = (((tuple(-x for x in g), -cg), (tuple(-x for x in h), -ch))
                for (g, cg), (h, ch) in pairs)
-    for ((g, cg), (h, ch)), q in zip(pairs, cut_by(hull, outside)):
-        if q.is_empty:
-            continue
-        if not is_implicit(q, g, cg) and not is_implicit(q, h, ch):
-            witness = q.relint_point()[:n]
-            raise NotConvexMin(witness)
+    for q, (tight_g, tight_h) in cut_by(hull, outside):
+        if not (tight_g or tight_h):  # an empty q is tight on both rows
+            raise NotConvexMin(q.relint_point()[:n])
     return from_epigraph(hull, coercive=u.coercive and v.coercive)
 
 

@@ -13,11 +13,13 @@ adjacency test is ``&``, ``bit_count`` and one comparison (Fukuda and
 Prodon, "Double description method revisited", 1996).  ``_dd_step`` adds
 one row to a cone and is the only DD loop: ``_pointed_cone_rays`` runs it
 from an initial basis, and ``cut_by`` runs it from the known generators of
-a pointed polyhedron to intersect it with a few extra rows.  Volumes are
-exact rationals from a simplicial decomposition that works on integer
-points (the vertices times the lcm of their denominators) and bitmasks of
-tight vertices.  Only Euclidean distances (Hausdorff) leave the rational
-world, via a single square root at the end.
+a pointed polyhedron to intersect it with a few extra rows, reading which
+of them are implicit off the incidence masks.  Volumes are exact rationals
+from a simplicial decomposition that works on integer points (the vertices
+times the lcm L of their denominators) and bitmasks of tight vertices: the
+integer |det| of the simplices are summed and divided by L^d d! once.
+Only Euclidean distances (Hausdorff) leave the rational world, via a single
+square root at the end.
 
 Scales targeted: ambient dimension <= 6, a few dozen constraints.  All values
 are immutable after construction and all operations are pure.
@@ -43,7 +45,6 @@ from .errors import (
 )
 from .linalg import (
     Vec,
-    determinant,
     dot,
     echelon,
     invert,
@@ -455,15 +456,19 @@ def intersect(a: HRep | Polyhedron, b: HRep | Polyhedron) -> Polyhedron:
 
 
 def cut_by(p: Polyhedron, row_sets: Iterable[Sequence[tuple[Sequence, object]]]
-           ) -> Iterator[Polyhedron]:
+           ) -> Iterator[tuple[Polyhedron, tuple[bool, ...]]]:
     """``p`` intersected with each set of extra halfspaces, lazily and in order.
+
+    Yields ``(q, flags)``, one flag per extra row: ``is_implicit`` of the row
+    in ``q`` (True for an empty ``q``).
 
     A nonempty pointed ``p`` continues its own double description: the
     homogenized generators of ``p`` and their incidence masks over its rows
     are computed once, and each intersection then costs one ``_dd_step`` per
-    extra row.  This needs the generators of ``p`` to be its extreme ones,
-    as every V-rep from ``hrep_to_vrep`` is.  With lines the homogenization
-    cone is not pointed, so each intersection is a fresh ``hrep_to_vrep``.
+    extra row; the flags are the AND of the resulting masks.  This needs the
+    generators of ``p`` to be its extreme ones, as every V-rep from
+    ``hrep_to_vrep`` is.  With lines the homogenization cone is not pointed,
+    so each intersection is a fresh ``hrep_to_vrep``.
     """
     d = p.d
     base = p.hrep.halfspaces
@@ -480,14 +485,20 @@ def cut_by(p: Polyhedron, row_sets: Iterable[Sequence[tuple[Sequence, object]]]
         extra = tuple((_fracvec(a), Fraction(b)) for a, b in extra)
         h = HRep(d, base + extra)
         if not pointed:
-            yield Polyhedron(hrep=h)
+            q = Polyhedron(hrep=h)
+            yield q, tuple(is_implicit(q, a, b) for a, b in extra)
             continue
         cut_rows = rows + [scale_to_int(a + (-b,)) for a, b in extra]
         raylist, mask = start, processed
         for idx in range(len(rows), len(cut_rows)):
             raylist = _dd_step(cut_rows, idx, raylist, mask, d + 1)
             mask |= 1 << idx
-        yield Polyhedron(hrep=h, vrep=_dehomogenize([_fracvec(r) for r, _ in raylist], (), d))
+        q = Polyhedron(hrep=h, vrep=_dehomogenize([_fracvec(r) for r, _ in raylist], (), d))
+        common = mask
+        if not q.is_empty:  # an empty q is tight on every row
+            for _, a in raylist:
+                common &= a
+        yield q, tuple(bool(common >> idx & 1) for idx in range(len(rows), len(cut_rows)))
 
 
 def minkowski_sum(a: VRep | Polyhedron, b: VRep | Polyhedron) -> Polyhedron:
@@ -693,26 +704,51 @@ def _face_simplices(face: int, fdim: int, tight_masks: Sequence[int],
     return simplices
 
 
-def triangulate(p: Polyhedron) -> list[tuple[Point, ...]]:
-    """Decompose a bounded full-dimensional polytope into d-simplices.
+def _integer_simplices(p: Polyhedron) -> tuple[list[tuple[int, ...]], int,
+                                                list[tuple[int, ...]]]:
+    """``(pts, scale, simplices)`` for a bounded full-dimensional polytope.
 
-    The vertices are scaled once by the lcm of their denominators, and the
-    recursion runs on those integer points and primitive integer rows.
+    ``pts`` are the vertices times ``scale``, the lcm of their denominators;
+    the recursion runs on those integer points and primitive integer rows,
+    and each simplex is a tuple of indices into ``pts``.
     """
     d = p.d
     verts = p.vrep.vertices
-    if len(verts) == d + 1:
-        return [verts]
     scale = math.lcm(*(x.denominator for v in verts for x in v))
     pts = [tuple(x.numerator * (scale // x.denominator) for x in v) for v in verts]
+    if len(verts) == d + 1:
+        return pts, scale, [tuple(range(d + 1))]
     # Any defining H-rep works: redundant rows produce duplicate or
     # lower-dimensional tight sets, which are filtered out.
     rows = [scale_to_int(tuple(a) + (b,)) for a, b in p.hrep.halfspaces]
     tight_masks = [sum(1 << i for i, q in enumerate(pts)
                        if sum(map(mul, row[:d], q)) == row[d] * scale)
                    for row in rows]
-    return [tuple(verts[i] for i in s)
-            for s in _face_simplices((1 << len(verts)) - 1, d, tight_masks, pts)]
+    return pts, scale, _face_simplices((1 << len(verts)) - 1, d, tight_masks, pts)
+
+
+def _lattice_det(pts: Sequence[tuple[int, ...]], simplex: Sequence[int]) -> int:
+    """|det| of the edges from the first point of an integer simplex.
+
+    Each edge is divided by its gcd before ``echelon`` and the gcds are
+    multiplied back in, which keeps the Bareiss minors small when the
+    points share a large scale.
+    """
+    base = pts[simplex[0]]
+    rows, factor = [], 1
+    for i in simplex[1:]:
+        edge = [x - y for x, y in zip(pts[i], base)]
+        g = math.gcd(*edge) or 1
+        rows.append([x // g for x in edge])
+        factor *= g
+    _, pivots, det = echelon(rows)
+    return abs(det) * factor if len(pivots) == len(rows) else 0
+
+
+def triangulate(p: Polyhedron) -> list[tuple[Point, ...]]:
+    """Decompose a bounded full-dimensional polytope into d-simplices."""
+    verts = p.vrep.vertices
+    return [tuple(verts[i] for i in s) for s in _integer_simplices(p)[2]]
 
 
 def volume(p: Polyhedron) -> Fraction:
@@ -727,13 +763,9 @@ def volume(p: Polyhedron) -> Fraction:
     if d == 1:
         xs = [v[0] for v in p.vrep.vertices]
         return max(xs) - min(xs)
-    total = Fraction(0)
-    fact = math.factorial(d)
-    for simplex in triangulate(p):
-        base = simplex[0]
-        mat = [vec_sub(q, base) for q in simplex[1:]]
-        total += abs(determinant(mat))
-    return total / fact
+    pts, scale, simplices = _integer_simplices(p)
+    total = sum(_lattice_det(pts, s) for s in simplices)
+    return Fraction(total, scale ** d * math.factorial(d))
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,19 @@
 The central object is the level-volume profile V(t) = vol_n({u <= t}): a
 piecewise polynomial of degree <= n whose breakpoints s_0 < ... < s_p are the
 levels of the epigraph vertices of u.  It is the derivative of
-W(t) = vol_{n+1}{(x, y) : u(x) <= y <= t}.  The epigraph, capped at
-T = s_p + 1, is triangulated once; a simplex with volume vol and vertex
-heights h_0..h_{n+1} contributes (-1)^{n+1} vol [h_0, ..., h_{n+1}] (t - .)_+^{n+1}
+W(t) = vol_{n+1}{(x, y) : u(x) <= y <= t}.  The epigraph is capped at
+T = s_p + 1 by one step of its own double description (``cut_by``) and
+triangulated once; a simplex with volume vol and vertex heights
+h_0..h_{n+1} contributes (-1)^{n+1} vol [h_0, ..., h_{n+1}] (t - .)_+^{n+1}
 to W (a confluent divided difference, polynomial in t between breakpoints;
 Baldoni, Berline, De Loera, Koeppe, Vergne, Math. Comp. 80, 2011).  The
-result is certified by V(s_0) = vol_n(argmin u) and continuity of V at
-every breakpoint.
+sum runs on integers: the simplex weights are integer determinants of the
+triangulation's integer points, summed per sorted height tuple, and each
+tuple is expanded once with integer Taylor weights (``_taylor_weights``)
+over heights scaled to integers, so a Fraction is built only for each
+coefficient a tuple adds.  The result is certified by V(s_0) =
+vol_n(argmin u), computed separately from the sublevel set, and continuity
+of V at every breakpoint.
 
 The integral valuation is then the layer-cake sum
 
@@ -30,8 +36,8 @@ from .errors import CertificateFailed, NotCoercive, UnboundedPolyhedron
 from .functions import PWAConvex, cone_function, indicator_function
 from .growth import (GrowthFunction, Poly, padd, pdiff, peval, pint, pmul,
                      poly_nonneg_on, tail_integral)
-from .linalg import determinant, vec_sub
-from .polyhedra import HRep, Polyhedron, intersect, triangulate, volume
+from .polyhedra import (Polyhedron, _integer_simplices, _lattice_det, cut_by,
+                        volume)
 
 
 # ---------------------------------------------------------------------------
@@ -68,19 +74,26 @@ class LevelVolumeProfile:
         return poly_nonneg_on(pdiff(self.final_poly), self.breakpoints[-1], None)
 
 
-def _local_series(z: Fraction, mult: dict[Fraction, int]) -> list[Fraction]:
+def _taylor_weights(z: int, mult: dict[int, int]) -> tuple[list[int], int, int]:
     """Taylor coefficients of prod_{w != z} (x - w)^(-mult[w]) at x = z, up to
-    order mult[z] - 1: the weights of the values f^(m)(z) / m! in the
-    divided difference of f over the nodes ``mult`` (with multiplicities)."""
+    order mult[z] - 1, over integer heights: the weights of the values
+    f^(m)(z) / m! in the divided difference of f over the nodes ``mult``.
+
+    Returns ``(a, q, p)``: the coefficient of (x - z)^l is a[l] / (q p^l).
+    With delta_w = z - w, p = prod delta_w and q = prod delta_w^mult[w],
+    substituting x - z = p s turns each factor (1 + (x - z) / delta_w)^(-mult[w])
+    into an integer series in s, so the product is one integer convolution.
+    """
     order = mult[z]
-    series = [Fraction(1)] + [Fraction(0)] * (order - 1)
-    for w, mu in mult.items():
-        if w == z:
-            continue
-        r = 1 / (z - w)  # (x - w)^-mu = r^mu (1 + r (x - z))^-mu
-        factor = [r ** mu * math.comb(mu + l - 1, l) * (-r) ** l for l in range(order)]
+    deltas = [(z - w, mu) for w, mu in mult.items() if w != z]
+    p = math.prod(dw for dw, _ in deltas)
+    q = math.prod(dw ** mu for dw, mu in deltas)
+    series = [1] + [0] * (order - 1)
+    for dw, mu in deltas:
+        c = -(p // dw)
+        factor = [math.comb(mu + l - 1, l) * c ** l for l in range(order)]
         series = [sum(series[i] * factor[l - i] for i in range(l + 1)) for l in range(order)]
-    return series
+    return series, q, p
 
 
 def level_volume_profile(u: PWAConvex) -> LevelVolumeProfile:
@@ -96,33 +109,49 @@ def level_volume_profile(u: PWAConvex) -> LevelVolumeProfile:
     atom = volume(u.sublevel(t_min))
 
     # V = W' with W(t) = vol_{n+1}{(x, y) : u(x) <= y <= t}.  Cap the epigraph
-    # at top = s_p + 1 and triangulate it once: a simplex with heights
-    # h_0..h_d adds (-1)^d vol [h_0..h_d] (t - .)_+^d to W.  Expanded at its
-    # distinct heights z (multiplicity mu), that divided difference is
-    # sum_z sum_{m < mu} series_z[mu - 1 - m] f^(m)(z) / m!, and for t in
+    # at top = s_p + 1 by one DD step and triangulate it once: a simplex with
+    # heights h_0..h_d adds (-1)^d vol [h_0..h_d] (t - .)_+^d to W.  That
+    # divided difference depends only on the sorted heights, so the integer
+    # |det| of each simplex (its volume times d! L^d, L the scale of the
+    # integer points) is summed per height tuple first, and each tuple is
+    # expanded once, at its distinct heights z (multiplicity mu) below the
+    # cap: sum_z sum_{m < mu} series_z[mu - 1 - m] f^(m)(z) / m!.  For t in
     # (s_i, s_{i+1}) the kernel f is (t - x)^d near z <= s_i and 0 near the
     # higher heights.  So on that interval W is, up to a constant that W'
     # drops, the sum over levels z <= s_i of sum_j shifted[z][j] (t - z)^j.
+    # Heights are taken as integers times 1/H, H the lcm of the level
+    # denominators (``shifted`` is keyed by them), so series_z[l] is
+    # H^(d + 1 - mu + l) a[l] / (q p^l) with (a, q, p) from _taylor_weights.
     top = levels[-1] + 1
+    scale_h = math.lcm(*(z.denominator for z in levels))
+    hlevels = [z.numerator * (scale_h // z.denominator) for z in levels]
     up = tuple(Fraction(0) for _ in range(n)) + (Fraction(1),)
-    capped = intersect(u.epigraph, HRep(d, ((up, top),)))
-    shifted = {z: [Fraction(0)] * (d + 1) for z in levels}
+    capped, _ = next(cut_by(u.epigraph, [[(up, top)]]))
+    shifted = {z: [Fraction(0)] * (d + 1) for z in hlevels}
     if capped.is_full_dimensional:
-        sign = Fraction((-1) ** d, math.factorial(d))
-        for simplex in triangulate(capped):
-            base = simplex[0]
-            weight = sign * abs(determinant([vec_sub(q, base) for q in simplex[1:]]))
-            mult = Counter(q[n] for q in simplex)
+        pts, scale, simplices = _integer_simplices(capped)
+        heights = [pt[n] * scale_h // scale for pt in pts]
+        weights: Counter[tuple[int, ...]] = Counter()
+        for simplex in simplices:
+            weights[tuple(sorted(heights[i] for i in simplex))] += _lattice_det(pts, simplex)
+        cap = hlevels[-1] + scale_h
+        for key, weight in weights.items():
+            mult = Counter(key)
             for z, mu in mult.items():
-                if z == top:
+                if z == cap:
                     continue
-                series = _local_series(z, mult)
+                series, q, p = _taylor_weights(z, mult)
                 for m in range(mu):  # f^(m)(z) / m! = C(d, m) (-1)^m (t - z)^(d - m)
-                    shifted[z][d - m] += weight * series[mu - 1 - m] * math.comb(d, m) * (-1) ** m
+                    l = mu - 1 - m
+                    shifted[z][d - m] += Fraction(
+                        (-1) ** m * math.comb(d, m) * weight * series[l]
+                        * scale_h ** (d + 1 - mu + l), q * p ** l)
+        sign = Fraction((-1) ** d, math.factorial(d) * scale ** d)
+        shifted = {z: [sign * c for c in cs] for z, cs in shifted.items()}
     polys: list[Poly] = []  # V = W' on [s_i, s_{i+1}], and on [s_p, inf) last
     acc: Poly = ()
-    for z in levels:
-        c = shifted[z]  # d/dt sum_j c_j (t - z)^j, in powers of t
+    for z, hz in zip(levels, hlevels):
+        c = shifted[hz]  # d/dt sum_j c_j (t - z)^j, in powers of t
         acc = padd(acc, tuple(sum(j * c[j] * math.comb(j - 1, i) * (-z) ** (j - 1 - i)
                                   for j in range(i + 1, d + 1)) for i in range(d)))
         polys.append(acc)
@@ -208,7 +237,8 @@ def tail_mass(zeta: GrowthFunction, u: PWAConvex, t):
 
 
 def truncation_level(zeta: GrowthFunction, u: PWAConvex, eps: float):
-    """Smallest probed t0 (integer steps above t_min) with tail_mass < eps."""
+    """First probed t0 with |tail_mass| < eps, probing the last breakpoint
+    s_p and then s_p + 1, s_p + 2, ... (at most 10^4 probes)."""
     prof = level_volume_profile(u)
     t = prof.breakpoints[-1]
     for _ in range(10 ** 4):

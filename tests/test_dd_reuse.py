@@ -200,8 +200,9 @@ class TestCutByAgainstFreshDD:
     @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
         rows_in(d, 6), st.lists(rows_in(d, 2), min_size=1, max_size=3), st.booleans())))
     def test_same_generators(self, case):
-        """Same vertex and ray sets as a fresh DD; pointed, unbounded, empty
-        and lineality cases (the last two take the fresh route)."""
+        """Same vertex and ray sets as a fresh DD, and one flag per extra row
+        equal to ``is_implicit``; pointed, unbounded, empty and lineality
+        cases (the last two take the fresh route)."""
         base, extras, boxed = case
         d = len(base[0][0])
         if boxed:
@@ -209,11 +210,23 @@ class TestCutByAgainstFreshDD:
         p = Polyhedron.from_halfspaces(d, base)
         cuts = list(polyhedra.cut_by(p, extras))
         assert len(cuts) == len(extras)
-        for q, extra in zip(cuts, extras):
+        for (q, flags), extra in zip(cuts, extras):
             assert q.hrep == HRep.make(d, list(p.hrep.halfspaces) + extra)
             fresh = polyhedra.hrep_to_vrep(q.hrep)
             assert set(q.vrep.vertices) == set(fresh.vertices)
             assert set(q.vrep.rays) == set(fresh.rays) and q.vrep.lines == fresh.lines
+            assert flags == tuple(is_implicit(q, a, b) for a, b in extra)
+
+    @pytest.mark.parametrize("lines", [False, True], ids=["pointed", "lineality"])
+    def test_flags_on_a_face(self, lines):
+        """x >= 1 cuts the face x = 1 off 0 <= x <= 1 (tight throughout),
+        x <= 1/2 a part of it (not tight) and x >= 2 nothing (empty)."""
+        box = [((1, 0), 1), ((-1, 0), 0)] + ([] if lines else [((0, 1), 1), ((0, -1), 0)])
+        p = Polyhedron.from_halfspaces(2, box)
+        assert bool(p.vrep.lines) == lines
+        extras = [[((-1, 0), -1), ((0, 0), 1)], [((1, 0), F(1, 2))], [((-1, 0), -2)]]
+        flags = [f for _, f in polyhedra.cut_by(p, extras)]
+        assert flags == [(True, False), (False,), (True,)]
 
 
 @st.composite
