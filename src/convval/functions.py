@@ -10,10 +10,12 @@ The epigraph is cached as an exact :class:`~convval.polyhedra.Polyhedron` in
 R^{n+1}; most operations (sup, sublevel, conjugation, infimal convolution)
 are simple polyhedral manipulations of that object.  Construction keeps the
 distinct pieces that are active somewhere, read off the vertices of the
-epigraph of all the pieces (one double description); when none is dropped,
-that epigraph is the function's.  The cells of the domain on which each
-piece attains the maximum are computed by :func:`_active_cells` on first use
-and cached as :attr:`PWAConvex.cells`; only the Moreau envelope reads them.
+epigraph of all the pieces (one double description, whose vertex incidence
+masks say which rows are tight where, so no dot product is taken); when
+none is dropped, that epigraph is the function's.  The cells of the domain
+on which each piece attains the maximum are computed by
+:func:`_active_cells` on first use and cached as :attr:`PWAConvex.cells`;
+only the Moreau envelope reads them.
 """
 
 from __future__ import annotations
@@ -170,13 +172,17 @@ def _build_pruned(n: int, pieces, domain: HRep, coercive: bool) -> PWAConvex:
     tight.  A nonempty face contains a minimal face, and a valid row is
     constant along the lines, so piece i is active somewhere iff it is
     tight at some vertex of the epigraph: one double description decides
-    every piece.  When none is pruned, that epigraph is the function's.
+    every piece, by the incidence masks of its vertices (row i of the
+    epigraph is piece i).  When none is pruned, that epigraph is the
+    function's.
     """
     pieces = tuple(dict.fromkeys((_fracvec(a), Fraction(b)) for a, b in pieces))
     epi = _epigraph_of(n, pieces, domain)
-    verts = epi.vrep.vertices
-    active = tuple((a, b) for a, b in pieces
-                   if any(dot(a, v[:n]) + b == v[n] for v in verts))
+    cone = epi._integer()
+    tight = 0
+    for mask in cone.masks[:cone.nverts]:
+        tight |= mask
+    active = tuple(piece for i, piece in enumerate(pieces) if tight >> i & 1)
     if 0 < len(active) < len(pieces):
         return _build(n, active, domain, coercive)
     return _checked(n, pieces, domain, epi, coercive)  # no vertex: EmptyDomain

@@ -10,14 +10,22 @@ homogenization cone.  Its rows and rays are primitive integer vectors, its
 eliminations run on ``linalg.echelon`` (fraction-free), and the incidence
 set of each ray -- the rows it is tight on -- is an int bitmask, so the
 adjacency test is ``&``, ``bit_count`` and one comparison (Fukuda and
-Prodon, "Double description method revisited", 1996).  ``_dd_step`` adds
-one row to a cone and is the only DD loop: ``_pointed_cone_rays`` runs it
-from an initial basis, and ``cut_by`` runs it from the known generators of
-a pointed polyhedron to intersect it with a few extra rows, reading which
-of them are implicit off the incidence masks.  Volumes are exact rationals
-from a simplicial decomposition that works on integer points (the vertices
-times the lcm L of their denominators) and bitmasks of tight vertices: the
-integer |det| of the simplices are summed and divided by L^d d! once.
+Prodon, "Double description method revisited", 1996).  A new ray is a
+positive combination of two adjacent rays, so its mask is theirs AND-ed
+plus the new row; only the initial basis takes dot products.  ``_dd_step``
+adds one row to a cone and is the only DD loop: ``_pointed_cone_rays`` runs
+it from an initial basis, and ``cut_by`` runs it from the known generators
+of a pointed polyhedron to intersect it with a few extra rows, reading
+which of them are implicit off the incidence masks.
+
+A ``Polyhedron`` keeps the integer data of the DD that built its V-rep (a
+``_Cone``: rows, generators, masks, lines), and containment, emptiness,
+dimension, ``cut_by`` and triangulation read it; ``cut_by`` yields
+polyhedra that hold only that data and build their ``Fraction`` V-rep when
+it is read.  Volumes are exact rationals from a simplicial decomposition
+that works on integer points (the vertices times the lcm L of their
+denominators) and bitmasks of tight vertices: the integer |det| of the
+simplices are summed and divided by L^d d! once.
 Only Euclidean distances (Hausdorff) leave the rational world, via a single
 square root at the end.
 
@@ -34,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CertificateFailed,
@@ -133,12 +141,12 @@ class VRep:
 # Double description on cones
 # ---------------------------------------------------------------------------
 
-def _pointed_cone_rays(rows: list[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
-    """Extreme rays of the pointed cone {y : r.y <= 0 for r in rows}.
+def _pointed_cone_rays(rows: list[tuple[int, ...]], d: int) -> list[tuple[tuple[int, ...], int]]:
+    """Extreme rays of the pointed cone {y : r.y <= 0 for r in rows}, each
+    with its incidence mask: bit i is set iff the ray is tight on ``rows[i]``.
 
     Requires rank(rows) == d.  Incremental double description with the
-    combinatorial adjacency test; the incidence set of a ray (the rows it
-    is tight on) is an int bitmask with bit i for ``rows[i]``.
+    combinatorial adjacency test.
     """
     if d == 0:
         return []
@@ -162,7 +170,7 @@ def _pointed_cone_rays(rows: list[tuple[int, ...]], d: int) -> list[tuple[int, .
         if not processed >> idx & 1:
             raylist = _dd_step(rows, idx, raylist, processed, d)
             processed |= 1 << idx
-    return [r for r, _ in raylist]
+    return raylist
 
 
 def _dd_step(rows: list[tuple[int, ...]], idx: int,
@@ -173,7 +181,9 @@ def _dd_step(rows: list[tuple[int, ...]], idx: int,
     ``raylist`` holds the extreme rays of the cone cut out by the rows in the
     bitmask ``processed``, each with its incidence mask over those rows.
     Returns the same for the cone also cut by ``rows[idx]``, with masks over
-    ``processed`` and that row.
+    ``processed`` and that row.  A new ray is a positive combination of two
+    rays that satisfy every processed row with <= 0, so it is tight on a
+    processed row iff both are: its mask is theirs AND-ed, plus the new row.
     """
     bit = 1 << idx
     c = rows[idx]
@@ -183,7 +193,7 @@ def _dd_step(rows: list[tuple[int, ...]], idx: int,
         return [((r, a | bit) if v == 0 else (r, a)) for (r, a), v in zip(raylist, vals)]
     neg = [i for i, v in enumerate(vals) if v < 0]
     zero = [i for i, v in enumerate(vals) if v == 0]
-    new_rays: list[tuple[int, ...]] = []
+    new_rays: list[tuple[tuple[int, ...], int]] = []
     for ip in pos:
         rp, ap = raylist[ip]
         for ineg in neg:
@@ -199,14 +209,13 @@ def _dd_step(rows: list[tuple[int, ...]], idx: int,
             if not adjacent:
                 continue
             combo = tuple(vals[ip] * x - vals[ineg] * y for x, y in zip(rn, rp))
-            new_rays.append(scale_to_int(combo))
+            new_rays.append((scale_to_int(combo), common | bit))
     kept: dict[tuple[int, ...], int] = {}
     for i in neg + zero:
         r, a = raylist[i]
         kept[r] = a | bit if vals[i] == 0 else a
-    for nr in new_rays:
-        if nr not in kept:
-            kept[nr] = _incidence(rows, processed | bit, nr)
+    for nr, a in new_rays:
+        kept.setdefault(nr, a)
     return list(kept.items())
 
 
@@ -216,26 +225,26 @@ def _incidence(rows: list[tuple[int, ...]], mask: int, ray: tuple[int, ...]) -> 
                if mask >> i & 1 and sum(map(mul, row, ray)) == 0)
 
 
-def cone_generators(rows: Sequence[Sequence], dim: int) -> tuple[list[Point], list[Point]]:
-    """Rays and lineality basis of the cone {y in R^dim : r.y <= 0 for r in rows}."""
+def cone_generators(rows: Sequence[Sequence], dim: int
+                    ) -> tuple[list[tuple[tuple[int, ...], int]], list[tuple[int, ...]]]:
+    """Rays and lineality basis of the cone {y in R^dim : r.y <= 0 for r in rows},
+    as primitive integer vectors; each ray comes with its incidence mask over
+    ``rows`` (bit i for ``rows[i]``)."""
     int_rows = [scale_to_int(r) for r in rows]
-    int_rows = [r for r in int_rows if any(x != 0 for x in r)]
-    lines = [_fracvec(l) for l in null_space(int_rows, dim)]
-    if not int_rows:
-        return [], lines
+    lines = null_space(int_rows, dim)
     if not lines:  # pointed cone: no projection needed
-        return [_fracvec(r) for r in _pointed_cone_rays(int_rows, dim)], []
+        return _pointed_cone_rays(int_rows, dim), []
     # Project onto the row space, spanned by the reduced rows.  Their common
     # scale D drops out: negating the basis negates both the projected rows
-    # and the rays of their cone, so each lifted ray y is unchanged.
+    # and the rays of their cone, so each lifted ray y is unchanged.  A row
+    # is tight on y iff its projection is tight on z, so the masks carry over.
     w_basis = echelon(int_rows)[0]
     r = len(w_basis)
     proj = [tuple(dot(row, w) for w in w_basis) for row in int_rows]
-    z_rays = _pointed_cone_rays([scale_to_int(p) for p in proj], r)
     rays = []
-    for z in z_rays:
+    for z, mask in _pointed_cone_rays([scale_to_int(p) for p in proj], r):
         y = tuple(sum(z[j] * w_basis[j][i] for j in range(r)) for i in range(dim))
-        rays.append(_fracvec(scale_to_int(y)))
+        rays.append((scale_to_int(y), mask))
     return rays, lines
 
 
@@ -243,29 +252,66 @@ def cone_generators(rows: Sequence[Sequence], dim: int) -> tuple[list[Point], li
 # H <-> V conversion via homogenization
 # ---------------------------------------------------------------------------
 
+class _Cone(NamedTuple):
+    """The integer double description of a polyhedron P in R^d.
+
+    ``rows`` are primitive integer rows (a, -b) of an H-rep of P, in its order,
+    and the homogenizing row (0, ..., 0, -1) after them; ``cut_by`` appends
+    its extra rows after that.  ``gens`` are the extreme rays (x, x0) of the
+    homogenization cone modulo its lineality space, primitive: the first
+    ``nverts`` are the vertices x / x0 (x0 > 0), the rest the rays (x0 = 0),
+    each group in the order the double description produced it.  ``masks[j]``
+    has bit i set iff ``gens[j]`` is tight on ``rows[i]``.  ``lines`` span the
+    lineality space.
+    """
+
+    rows: list[tuple[int, ...]]
+    gens: list[tuple[int, ...]]
+    masks: list[int]
+    lines: list[tuple[int, ...]]
+    nverts: int
+
+
+def _cone(rows: list[tuple[int, ...]], raylist: list[tuple[tuple[int, ...], int]],
+          lines: list[tuple[int, ...]], d: int) -> _Cone:
+    """``_Cone`` from a double description's rays, vertex generators first."""
+    verts = [rm for rm in raylist if rm[0][d] > 0]
+    ordered = verts + [rm for rm in raylist if rm[0][d] <= 0]
+    return _Cone(rows, [r for r, _ in ordered], [m for _, m in ordered], lines, len(verts))
+
+
+def _int_rows(halfspaces: Iterable[tuple[Sequence, object]]) -> list[tuple[int, ...]]:
+    """Primitive integer rows (a, -b) of halfspaces a.x <= b: y = (x, 1)
+    satisfies a.x <= b iff row.y <= 0."""
+    return [scale_to_int(tuple(a) + (-b,)) for a, b in halfspaces]
+
+
 def hrep_to_vrep(h: HRep) -> VRep:
-    """Vertex/ray/line description of an H-polyhedron (double description)."""
+    """Vertex/ray/line description of an H-polyhedron (double description).
+
+    The integer double description rides along on the result as the
+    attribute ``_cone`` (not a field: ``VRep``'s fields, equality and repr
+    are unchanged), which ``Polyhedron.vrep`` keeps.
+    """
     d = h.d
-    rows = [tuple(a) + (-b,) for a, b in h.halfspaces]
-    rows.append(tuple(Fraction(0) for _ in range(d)) + (Fraction(-1),))
-    rays, lines = cone_generators(rows, d + 1)
+    rows = _int_rows(h.halfspaces) + [(0,) * d + (-1,)]
+    raylist, lines = cone_generators(rows, d + 1)
     if any(l[d] != 0 for l in lines):
         raise CertificateFailed("homogenization cone contains a line with x0 != 0")
-    return _dehomogenize(rays, lines, d)
+    cone = _cone(rows, raylist, lines, d)
+    v = _dehomogenize(cone, d)
+    object.__setattr__(v, "_cone", cone)
+    return v
 
 
-def _dehomogenize(rays: Sequence[Point], lines: Sequence[Point], d: int) -> VRep:
-    """V-rep from the generators of a homogenization cone in R^(d+1)."""
-    vertices = []
-    rec_rays = []
-    for r in rays:
-        if r[d] > 0:
-            vertices.append(tuple(x / r[d] for x in r[:d]))
-        else:
-            rec_rays.append(r[:d])
-    if not vertices:
+def _dehomogenize(cone: _Cone, d: int) -> VRep:
+    """V-rep of the polyhedron whose integer double description is ``cone``."""
+    if not cone.nverts:
         return VRep.empty(d)
-    return VRep(d, tuple(vertices), tuple(rec_rays), tuple(l[:d] for l in lines))
+    return VRep(d,
+                tuple(tuple(Fraction(x, g[d]) for x in g[:d]) for g in cone.gens[:cone.nverts]),
+                tuple(_fracvec(g[:d]) for g in cone.gens[cone.nverts:]),
+                tuple(_fracvec(l[:d]) for l in cone.lines))
 
 
 def vrep_to_hrep(v: VRep) -> HRep:
@@ -278,7 +324,9 @@ def vrep_to_hrep(v: VRep) -> HRep:
     for l in v.lines:
         gens.append(tuple(l) + (Fraction(0),))
         gens.append(tuple(-x for x in l) + (Fraction(0),))
-    prays, plines = cone_generators(gens, d + 1)
+    raylist, plines = cone_generators(gens, d + 1)
+    prays = [_fracvec(w) for w, _ in raylist]
+    plines = [_fracvec(w) for w in plines]
     halfspaces: list[tuple[Point, Fraction]] = []
     # directions of the affine hull: orthogonal to every equality normal
     eq_normals = [w[:d] for w in plines if any(x != 0 for x in w[:d])]
@@ -304,7 +352,12 @@ def vrep_to_hrep(v: VRep) -> HRep:
 # ---------------------------------------------------------------------------
 
 class Polyhedron:
-    """Convex polyhedron with lazily synchronized dual representations."""
+    """Convex polyhedron with lazily synchronized dual representations.
+
+    When the V-rep comes from a double description, its integer data (a
+    ``_Cone``) is kept too, and the predicates below read it; ``cut_by``
+    yields polyhedra that hold only that, and build their V-rep when read.
+    """
 
     def __init__(self, hrep: HRep | None = None, vrep: VRep | None = None):
         if hrep is None and vrep is None:
@@ -314,6 +367,7 @@ class Polyhedron:
         self._hrep = hrep
         self._vrep = vrep
         self._canonical_hrep: HRep | None = None
+        self._cone: _Cone | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -327,8 +381,7 @@ class Polyhedron:
         raw = VRep.make(d, vertices, rays, lines)
         if raw.is_empty:
             return Polyhedron(hrep=HRep.infeasible(d), vrep=raw)
-        h = vrep_to_hrep(raw)
-        return Polyhedron(hrep=h, vrep=hrep_to_vrep(h))
+        return Polyhedron(hrep=vrep_to_hrep(raw))
 
     @staticmethod
     def empty(d: int) -> "Polyhedron":
@@ -361,8 +414,29 @@ class Polyhedron:
     @property
     def vrep(self) -> VRep:
         if self._vrep is None:
-            self._vrep = hrep_to_vrep(self._hrep)
+            if self._cone is not None:
+                self._vrep = _dehomogenize(self._cone, self.d)
+            else:
+                self._vrep = hrep_to_vrep(self._hrep)
+                self._cone = getattr(self._vrep, "_cone", None)
         return self._vrep
+
+    def _integer(self) -> _Cone:
+        """The integer double description: the one that built the V-rep, or,
+        for a V-rep given at construction, one built once from both
+        representations (its masks describe faces only if the given
+        generators are extreme, as ``cut_by`` and triangulation need)."""
+        if self._cone is None:
+            v = self.vrep
+            if self._cone is None:
+                rows = _int_rows(self.hrep.halfspaces) + [(0,) * self.d + (-1,)]
+                gens = [scale_to_int(tuple(x) + (1,)) for x in v.vertices]
+                gens += [scale_to_int(tuple(r) + (0,)) for r in v.rays]
+                every = (1 << len(rows)) - 1
+                self._cone = _Cone(rows, gens, [_incidence(rows, every, g) for g in gens],
+                                   [scale_to_int(tuple(l) + (0,)) for l in v.lines],
+                                   len(v.vertices))
+        return self._cone
 
     @property
     def canonical_hrep(self) -> HRep:
@@ -375,6 +449,8 @@ class Polyhedron:
 
     @property
     def is_empty(self) -> bool:
+        if self._cone is not None:
+            return not self._cone.nverts
         return self.vrep.is_empty
 
     @property
@@ -384,13 +460,12 @@ class Polyhedron:
 
     @property
     def dim(self) -> int:
-        """Dimension of the affine hull (-1 for empty)."""
-        v = self.vrep
-        if v.is_empty:
+        """Dimension of the affine hull (-1 for empty): one less than the rank
+        of the homogenized generators."""
+        c = self._integer()
+        if not c.nverts:
             return -1
-        vecs = [vec_sub(p, v.vertices[0]) for p in v.vertices[1:]]
-        vecs += list(v.rays) + list(v.lines)
-        return rank(vecs) if vecs else 0
+        return rank(c.gens + c.lines) - 1
 
     @property
     def is_full_dimensional(self) -> bool:
@@ -404,13 +479,13 @@ class Polyhedron:
             return True
         if self.is_empty:
             return False
-        ov = other.vrep
-        for a, b in self.hrep.halfspaces:
-            if any(dot(a, p) > b for p in ov.vertices):
+        # A row (a, -b) and a generator (x, x0) of the other: a.x <= b x0, and
+        # a.l == 0 on its lines.
+        oc = other._integer()
+        for row in self._integer().rows:
+            if any(sum(map(mul, row, g)) > 0 for g in oc.gens):
                 return False
-            if any(dot(a, r) > 0 for r in ov.rays):
-                return False
-            if any(dot(a, l) != 0 for l in ov.lines):
+            if any(sum(map(mul, row, l)) != 0 for l in oc.lines):
                 return False
         return True
 
@@ -462,43 +537,38 @@ def cut_by(p: Polyhedron, row_sets: Iterable[Sequence[tuple[Sequence, object]]]
     Yields ``(q, flags)``, one flag per extra row: ``is_implicit`` of the row
     in ``q`` (True for an empty ``q``).
 
-    A nonempty pointed ``p`` continues its own double description: the
-    homogenized generators of ``p`` and their incidence masks over its rows
-    are computed once, and each intersection then costs one ``_dd_step`` per
-    extra row; the flags are the AND of the resulting masks.  This needs the
-    generators of ``p`` to be its extreme ones, as every V-rep from
-    ``hrep_to_vrep`` is.  With lines the homogenization cone is not pointed,
-    so each intersection is a fresh ``hrep_to_vrep``.
+    A nonempty pointed ``p`` continues its own double description: from the
+    integer generators of ``p`` and their incidence masks (``p._integer()``),
+    each intersection costs one ``_dd_step`` per extra row; the flags are the
+    AND of the resulting masks, and ``q`` holds only that integer data until
+    its V-rep is read.  This needs the generators of ``p`` to be its extreme
+    ones, as every V-rep from ``hrep_to_vrep`` is.  With lines the
+    homogenization cone is not pointed, so each intersection is a fresh
+    ``hrep_to_vrep``.
     """
     d = p.d
     base = p.hrep.halfspaces
-    v = p.vrep
-    pointed = not (v.is_empty or v.lines)
-    if pointed:
-        rows = [scale_to_int(tuple(a) + (-b,)) for a, b in base]
-        rows.append((0,) * d + (-1,))
-        gens = [scale_to_int(tuple(x) + (1,)) for x in v.vertices]
-        gens += [scale_to_int(tuple(r) + (0,)) for r in v.rays]
-        processed = (1 << len(rows)) - 1
-        start = [(g, _incidence(rows, processed, g)) for g in gens]
+    cone = p._integer()
+    pointed = cone.nverts and not cone.lines
+    start = list(zip(cone.gens, cone.masks))
+    every = (1 << len(cone.rows)) - 1
     for extra in row_sets:
         extra = tuple((_fracvec(a), Fraction(b)) for a, b in extra)
-        h = HRep(d, base + extra)
+        q = Polyhedron(hrep=HRep(d, base + extra))
         if not pointed:
-            q = Polyhedron(hrep=h)
             yield q, tuple(is_implicit(q, a, b) for a, b in extra)
             continue
-        cut_rows = rows + [scale_to_int(a + (-b,)) for a, b in extra]
-        raylist, mask = start, processed
-        for idx in range(len(rows), len(cut_rows)):
-            raylist = _dd_step(cut_rows, idx, raylist, mask, d + 1)
+        rows = cone.rows + _int_rows(extra)
+        raylist, mask = start, every
+        for idx in range(len(cone.rows), len(rows)):
+            raylist = _dd_step(rows, idx, raylist, mask, d + 1)
             mask |= 1 << idx
-        q = Polyhedron(hrep=h, vrep=_dehomogenize([_fracvec(r) for r, _ in raylist], (), d))
+        q._cone = _cone(rows, raylist, [], d)
         common = mask
-        if not q.is_empty:  # an empty q is tight on every row
+        if q._cone.nverts:  # an empty q is tight on every row
             for _, a in raylist:
                 common &= a
-        yield q, tuple(bool(common >> idx & 1) for idx in range(len(rows), len(cut_rows)))
+        yield q, tuple(bool(common >> idx & 1) for idx in range(len(cone.rows), len(rows)))
 
 
 def minkowski_sum(a: VRep | Polyhedron, b: VRep | Polyhedron) -> Polyhedron:
@@ -709,22 +779,24 @@ def _integer_simplices(p: Polyhedron) -> tuple[list[tuple[int, ...]], int,
     """``(pts, scale, simplices)`` for a bounded full-dimensional polytope.
 
     ``pts`` are the vertices times ``scale``, the lcm of their denominators;
-    the recursion runs on those integer points and primitive integer rows,
-    and each simplex is a tuple of indices into ``pts``.
+    the recursion runs on those integer points, and each simplex is a tuple
+    of indices into ``pts``.  Both come from ``p._integer()``: a vertex
+    generator (x, x0) is primitive, so x0 is the lcm of the denominators of
+    x / x0, and the points tight on a row are read off the vertex masks.
     """
     d = p.d
-    verts = p.vrep.vertices
-    scale = math.lcm(*(x.denominator for v in verts for x in v))
-    pts = [tuple(x.numerator * (scale // x.denominator) for x in v) for v in verts]
-    if len(verts) == d + 1:
+    cone = p._integer()
+    gens, masks = cone.gens[:cone.nverts], cone.masks[:cone.nverts]
+    scale = math.lcm(*(g[d] for g in gens))
+    pts = [tuple(x * (scale // g[d]) for x in g[:d]) for g in gens]
+    if len(pts) == d + 1:
         return pts, scale, [tuple(range(d + 1))]
-    # Any defining H-rep works: redundant rows produce duplicate or
-    # lower-dimensional tight sets, which are filtered out.
-    rows = [scale_to_int(tuple(a) + (b,)) for a, b in p.hrep.halfspaces]
-    tight_masks = [sum(1 << i for i, q in enumerate(pts)
-                       if sum(map(mul, row[:d], q)) == row[d] * scale)
-                   for row in rows]
-    return pts, scale, _face_simplices((1 << len(verts)) - 1, d, tight_masks, pts)
+    # Any defining H-rep works: redundant rows (and the homogenizing row,
+    # tight on no vertex) produce empty, duplicate or lower-dimensional tight
+    # sets, which are filtered out.
+    tight_masks = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1)
+                   for i in range(len(cone.rows))]
+    return pts, scale, _face_simplices((1 << len(pts)) - 1, d, tight_masks, pts)
 
 
 def _lattice_det(pts: Sequence[tuple[int, ...]], simplex: Sequence[int]) -> int:

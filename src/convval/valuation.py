@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -66,12 +67,18 @@ class LevelVolumeProfile:
             return Fraction(0)
         return peval(self.poly_at(t), t)
 
+    @cached_property
+    def _derivatives(self) -> tuple[Poly, ...]:
+        """V' on each interval, and on [s_p, inf) last."""
+        return tuple(pdiff(p) for p in self.interval_polys + (self.final_poly,))
+
     def verify_monotone(self) -> bool:
         """Exact certificate that V is nondecreasing on every interval."""
-        for i, p in enumerate(self.interval_polys):
-            if not poly_nonneg_on(pdiff(p), self.breakpoints[i], self.breakpoints[i + 1]):
+        *inner, last = self._derivatives
+        for i, dp in enumerate(inner):
+            if not poly_nonneg_on(dp, self.breakpoints[i], self.breakpoints[i + 1]):
                 return False
-        return poly_nonneg_on(pdiff(self.final_poly), self.breakpoints[-1], None)
+        return poly_nonneg_on(last, self.breakpoints[-1], None)
 
 
 def _taylor_weights(z: int, mult: dict[int, int]) -> tuple[list[int], int, int]:
@@ -178,12 +185,16 @@ def _layer_cake(zeta: GrowthFunction, prof: LevelVolumeProfile, start: Fraction)
     tail contributes."""
     cuts = sorted({c for c in prof.breakpoints + zeta.breakpoints if c > start})
     cuts = [start] + cuts
+    derivs, bps = prof._derivatives, prof.breakpoints
     exact = Fraction(0)
     fl = 0.0
     has_float = False
+    i = 0  # V' on (a, b) is derivs[i], i the first interval with s_{i+1} >= b
     for a, b in zip(cuts, cuts[1:]):
+        while i + 1 < len(bps) and bps[i + 1] < b:
+            i += 1
+        vp = derivs[i]
         mid = (a + b) / 2
-        vp = pdiff(prof.poly_at(mid))
         kind, payload = zeta.region_at(mid)
         if kind in ("left", "piece") and payload and vp:
             exact += pint(pmul(payload, vp), a, b)
@@ -195,7 +206,7 @@ def _layer_cake(zeta: GrowthFunction, prof: LevelVolumeProfile, start: Fraction)
     # Final ray [cuts[-1], inf): past every breakpoint of both functions, so
     # V' is the final profile polynomial and zeta is its tail (or zero).
     a = cuts[-1]
-    vp = pdiff(prof.final_poly)
+    vp = derivs[-1]
     if zeta.tail is not None and vp:
         lam, coeffs = zeta.tail
         fl += tail_integral(lam, pmul(coeffs, vp), a)
