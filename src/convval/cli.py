@@ -11,26 +11,20 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
+import math
 import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 
 from . import __version__
-from .conjugacy import biconjugate_check, conjugate, cone_bound, inf_convolution, uniform_cone_bound
+from .conjugacy import conjugate, inf_convolution
 from .documents import (DocumentError, dump, format_float, format_rational,
                         function_to_doc, load_function, load_growth, parse_rational)
 from .errors import ConvvalError
 from .growth import peval, psi_from_zeta
-from .laws import (check_invariance, check_level_convergence, check_min_lattice,
-                   check_valuation_identity, default_zetas,
-                   generate_pair_with_convex_min, smoothing_sequence,
-                   staircase_limit_check)
-from .growth import check_derivative_relation, check_psi_vanishes, make_growth
-from .valuation import combined_valuation, integral_valuation, level_volume_profile
-import math
-import random
+from .laws import SUITES, generate_pair_with_convex_min
+from .valuation import combined_valuation, level_volume_profile
 
 
 def _fmt(x) -> str:
@@ -49,7 +43,7 @@ def _digest(paths) -> str:
     return h.hexdigest()[:16]
 
 
-def _report(command: str, args, digest: str, results: dict, laws: list, seed, t0) -> dict:
+def _report(command: str, digest: str, results: dict, laws: list, seed, t0) -> dict:
     return {
         "command": command,
         "version": __version__,
@@ -147,7 +141,7 @@ def cmd_valuation(args) -> int:
             pts += [prof.breakpoints[-1] + j for j in (1, 2, 3)]
             for t in sorted(set(pts)):
                 w.writerow([_fmt(t), _fmt(prof.value(t))])
-    report = _report("valuation", args, _digest([args.file, args.zeta0, args.zetan]),
+    report = _report("valuation", _digest([args.file, args.zeta0, args.zetan]),
                      results, [], None, t0)
     _dump(report, args.out)
     return 0
@@ -182,117 +176,19 @@ def cmd_growth(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Law suites
-# ---------------------------------------------------------------------------
-
-def _suite_valuation(seed, count, n):
-    reports = []
-    zetas = default_zetas()
-    for i in range(count):
-        pair = generate_pair_with_convex_min(seed + i, n)
-        for z0, zn in zetas:
-            reports.append(check_valuation_identity(
-                lambda u: combined_valuation(z0, zn, u), pair))
-        reports.append(check_min_lattice(pair))
-    return reports
-
-
-def _suite_invariance(seed, count, n):
-    z0, zn = default_zetas()[0]
-    zfn = lambda u: combined_valuation(z0, zn, u)
-    reports = []
-    for i in range(count):
-        u = generate_pair_with_convex_min(seed + i, n).u
-        reports.append(check_invariance(zfn, u, trials=3, seed=seed + i, translations=2))
-    return reports
-
-
-def _suite_growth(seed, count, n):
-    rng = random.Random(f"growth-suite-{seed}")
-    reports = []
-    for _ in range(count):
-        b = sorted(rng.sample(range(-4, 9), 3))
-        p1 = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
-        val = peval(p1, b[1])
-        slope = Fraction(rng.randint(-4, 4), 2)
-        p2 = [val - slope * b[1], slope]
-        zeta = make_growth(b, [p1, p2])
-        reports.append(check_derivative_relation(zeta, n))
-        reports.append(check_psi_vanishes(zeta, n))
-    return reports
-
-
-def _suite_convergence(seed, count, n):
-    from .polyhedra import Polyhedron
-    reports = []
-    ball = Polyhedron.box([(-1, 1)] * n)
-    for i in range(count):
-        u = generate_pair_with_convex_min(seed + i, n).u
-        seq = [smoothing_sequence(u, ball, 2 ** j) for j in range(0, 11, 2)]
-        tmin = u.min_value()[0]
-        levels = [tmin + j for j in (1, 2)]
-        reports.append(check_level_convergence(seq, u, levels))
-    return reports
-
-
-def _suite_staircase(seed, count, n):
-    zetas = [z for _, z in default_zetas()]
-    hs = [Fraction(1, 2 ** j) for j in range(1, 9)]
-    reports = []
-    for k in (1, 2):
-        for z in zetas[:count]:
-            for t in (Fraction(1, 4), Fraction(1, 2)):
-                reports.append(staircase_limit_check(z, k, t, hs))
-    return reports
-
-
-def _suite_conjugacy(seed, count, n):
-    reports = []
-    from .reports import LawReport
-    for i in range(count):
-        pair = generate_pair_with_convex_min(seed + i, n)
-        for u in (pair.u, pair.v):
-            ok = biconjugate_check(u)
-            reports.append(LawReport("biconjugation", f"seed={seed + i}", ok))
-        bound = cone_bound(pair.u)
-        reports.append(LawReport("cone_bound_certificate", f"seed={seed + i}",
-                                 bound.holds_for(pair.u)))
-    return reports
-
-
-_SUITES = {
-    "valuation": _suite_valuation,
-    "invariance": _suite_invariance,
-    "growth": _suite_growth,
-    "convergence": _suite_convergence,
-    "staircase": _suite_staircase,
-    "conjugacy": _suite_conjugacy,
-}
-
-
-def _suite_cap(suite: str) -> int | None:
-    """Most pairs (convergence) or weights (staircase) a suite runs, if it has a cap."""
-    if suite == "convergence":
-        return 5
-    if suite == "staircase":
-        return len(default_zetas())
-    return None
-
-
 def cmd_laws(args) -> int:
     t0 = time.monotonic()
-    if args.suite not in _SUITES:
-        print(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)}", file=sys.stderr)
+    if args.suite not in SUITES:
+        print(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}", file=sys.stderr)
         return 2
+    suite, cap = SUITES[args.suite]
     count, note = args.count, ""
-    cap = _suite_cap(args.suite)
     if cap is not None and count > cap:
         count, note = cap, f" (ran {cap} of the {args.count} requested)"
-    reports = _SUITES[args.suite](args.seed, count, args.n)
+    reports = suite(args.seed, count, args.n)
     passed = sum(1 for r in reports if r.passed)
     results = {"suite": args.suite, "checks": len(reports), "passed": passed}
-    report = _report(f"laws {args.suite}", args, "-", results, reports, args.seed, t0)
+    report = _report(f"laws {args.suite}", "-", results, reports, args.seed, t0)
     _dump(report, args.out)
     print(f"{args.suite}: {passed}/{len(reports)} checks passed{note}", file=sys.stderr)
     return 0 if passed == len(reports) else 1
@@ -353,7 +249,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_growth)
 
     p = sub.add_parser("laws", help="run a law suite")
-    p.add_argument("suite")
+    p.add_argument("suite", help="one of: " + ", ".join(SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_positive_int, default=10)
     p.add_argument("--n", type=_positive_int, default=2)

@@ -24,7 +24,7 @@ rationals; mpmath is imported only to integrate exponential tails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence

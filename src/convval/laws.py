@@ -1,4 +1,5 @@
-"""Fixture generators and executable checks for the valuation identities.
+"""Fixture generators, executable checks for the valuation identities, and
+the law suites (``SUITES``) that ``convval laws`` and the acceptance tests run.
 
 Everything here is deterministic per seed; exact rational comparisons are
 used wherever both sides are rational (tolerance 0), with floats appearing
@@ -16,11 +17,13 @@ from typing import Callable, Sequence
 from .errors import CertificateFailed, DimensionMismatch
 from .functions import (PWAConvex, cone_function, inf_if_convex, make,
                         pwa_equal, sup, transform)
-from .conjugacy import inf_convolution
-from .growth import GrowthFunction, make_growth
+from .conjugacy import biconjugate_check, cone_bound, inf_convolution
+from .growth import (GrowthFunction, check_derivative_relation,
+                     check_psi_vanishes, make_growth, peval, psi_from_zeta)
 from .linalg import vec_scale
-from .polyhedra import HRep, Polyhedron, random_unimodular
+from .polyhedra import HRep, Polyhedron, hausdorff_distance, random_unimodular
 from .reports import LawReport
+from .valuation import combined_valuation
 
 
 @dataclass(frozen=True)
@@ -228,7 +231,6 @@ def staircase_limit_check(zeta, k: int, t, h_values: Sequence) -> LawReport:
     the exact symbolic limit ((-1)^k/k!) psi^{(k)}(t) = zeta(t) with zero
     tolerance.
     """
-    from .growth import peval, psi_from_zeta
     t = Fraction(t)
     psi = psi_from_zeta(zeta, k)
 
@@ -288,7 +290,6 @@ def check_level_convergence(sequence: Sequence[PWAConvex], u: PWAConvex,
     empty-set convention); levels where exactly one is empty are recorded as
     failures of that element.
     """
-    from .polyhedra import hausdorff_distance
     per_level = {}
     ok = True
     witness = None
@@ -311,3 +312,100 @@ def check_level_convergence(sequence: Sequence[PWAConvex], u: PWAConvex,
     return LawReport("level_convergence", f"levels={list(levels)}", ok,
                      witness=witness, tolerance=threshold,
                      details={"distances": per_level})
+
+
+# ---------------------------------------------------------------------------
+# Law suites, shared by ``convval laws`` and the acceptance tests
+# ---------------------------------------------------------------------------
+
+def random_weights(key: str, count: int) -> list[GrowthFunction]:
+    """``count`` weights from ``random.Random(key)``: quadratic on [b0, b1], affine on [b1, b2]."""
+    rng = random.Random(key)
+    weights = []
+    for _ in range(count):
+        b = sorted(rng.sample(range(-4, 9), 3))
+        p1 = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
+        slope = Fraction(rng.randint(-4, 4), 2)
+        weights.append(make_growth(b, [p1, [peval(p1, b[1]) - slope * b[1], slope]]))
+    return weights
+
+
+def smoothing_inputs(u: PWAConvex) -> tuple[list[PWAConvex], list[Fraction]]:
+    """u smoothed by k l_B, B = [-1, 1]^n, k = 4^0 .. 4^5; the levels min u + 1, + 2."""
+    ball = Polyhedron.box([(-1, 1)] * u.n)
+    tmin = u.min_value()[0]
+    return ([smoothing_sequence(u, ball, 2 ** j) for j in range(0, 11, 2)],
+            [tmin + j for j in (1, 2)])
+
+
+def staircase_reports(zetas: Sequence[GrowthFunction], h_values: Sequence) -> list[LawReport]:
+    """:func:`staircase_limit_check` for k in {1, 2}, each weight and t in {1/4, 1/2}."""
+    return [staircase_limit_check(z, k, t, h_values)
+            for k in (1, 2) for z in zetas for t in (Fraction(1, 4), Fraction(1, 2))]
+
+
+def valuation_suite(seed: int, count: int, n: int) -> list[LawReport]:
+    """Per pair: the valuation identity for each default weight pair, then min_lattice."""
+    reports = []
+    zetas = default_zetas()
+    for i in range(count):
+        pair = generate_pair_with_convex_min(seed + i, n)
+        reports += [check_valuation_identity(lambda u: combined_valuation(z0, zn, u), pair)
+                    for z0, zn in zetas]
+        reports.append(check_min_lattice(pair))
+    return reports
+
+
+def invariance_suite(seed: int, count: int, n: int) -> list[LawReport]:
+    """Invariance of the first default weight pair on each pair's u."""
+    z0, zn = default_zetas()[0]
+    zfn = lambda u: combined_valuation(z0, zn, u)
+    return [check_invariance(zfn, generate_pair_with_convex_min(seed + i, n).u,
+                             trials=3, seed=seed + i, translations=2)
+            for i in range(count)]
+
+
+def growth_suite(seed: int, count: int, n: int) -> list[LawReport]:
+    """The derivative relation and the vanishing of psi_n on random weights."""
+    return [check(zeta, n) for zeta in random_weights(f"growth-suite-{seed}", count)
+            for check in (check_derivative_relation, check_psi_vanishes)]
+
+
+def convergence_suite(seed: int, count: int, n: int) -> list[LawReport]:
+    """Level-set convergence of each pair's u along :func:`smoothing_inputs`."""
+    reports = []
+    for i in range(count):
+        u = generate_pair_with_convex_min(seed + i, n).u
+        seq, levels = smoothing_inputs(u)
+        reports.append(check_level_convergence(seq, u, levels))
+    return reports
+
+
+def staircase_suite(seed: int, count: int, n: int) -> list[LawReport]:
+    """Staircase limits of the first ``count`` default zeta_n at h = 2^-1 .. 2^-8."""
+    zetas = [z for _, z in default_zetas()][:count]
+    return staircase_reports(zetas, [Fraction(1, 2 ** j) for j in range(1, 9)])
+
+
+def conjugacy_suite(seed: int, count: int, n: int) -> list[LawReport]:
+    """Biconjugation of each pair's u and v; u's certified cone bound (in details)."""
+    reports = []
+    for i in range(count):
+        pair = generate_pair_with_convex_min(seed + i, n)
+        reports += [LawReport("biconjugation", f"seed={seed + i}", biconjugate_check(u))
+                    for u in (pair.u, pair.v)]
+        bound = cone_bound(pair.u)
+        reports.append(LawReport("cone_bound_certificate", f"seed={seed + i}",
+                                 bound.holds_for(pair.u), details={"bound": bound}))
+    return reports
+
+
+# Suite name -> (fn(seed, count, n) -> reports, the most pairs or weights it runs).
+SUITES: dict[str, tuple[Callable[[int, int, int], list[LawReport]], int | None]] = {
+    "valuation": (valuation_suite, None),
+    "invariance": (invariance_suite, None),
+    "growth": (growth_suite, None),
+    "convergence": (convergence_suite, 5),
+    "staircase": (staircase_suite, 3),  # one per default_zetas() pair
+    "conjugacy": (conjugacy_suite, None),
+}

@@ -38,10 +38,6 @@ def vec_scale(c, a: Sequence) -> Vec:
     return tuple(c * x for x in a)
 
 
-def is_zero(a: Sequence) -> bool:
-    return all(x == 0 for x in a)
-
-
 def scale_to_int(vec: Sequence) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (same direction)."""
     if all(type(x) is int for x in vec):

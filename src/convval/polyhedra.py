@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from operator import mul
@@ -646,6 +646,8 @@ def random_unimodular(seed: int, n: int, steps: int) -> tuple[Vec, ...]:
     """Random product of elementary integer shears; determinant exactly 1."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if n == 1:
+        return ((Fraction(1),),)  # SL(1) = {1}: there is no shear to draw
     rng = random.Random(seed)
     m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for _ in range(steps):

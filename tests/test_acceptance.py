@@ -8,24 +8,20 @@ tail) is inherently involved, and are stated inline.
 import math
 import random
 from fractions import Fraction as F
-from itertools import product
-
-import pytest
 
 from convval.conjugacy import (biconjugate_check, cone_bound, conjugate,
                                epi_scale, inf_convolution, moreau_eval,
                                uniform_cone_bound)
-from convval.functions import (cone_function, indicator_function, make,
-                               pwa_equal, sup)
+from convval.functions import cone_function, indicator_function, inf_if_convex, pwa_equal, sup
 from convval.growth import (check_derivative_relation, check_psi_vanishes,
                             make_growth, moment, peval, psi_from_zeta)
-from convval.laws import (check_invariance, check_valuation_identity,
-                          default_zetas, generate_pair_with_convex_min, random_body,
-                          smoothing_sequence, staircase_fixture,
-                          staircase_limit_check, truncation_fixture)
-from convval.polyhedra import Polyhedron, hausdorff_distance, volume
-from convval.valuation import (combined_valuation, integral_valuation,
-                               level_volume_profile, mc_oracle)
+from convval.laws import (check_invariance, check_level_convergence,
+                          conjugacy_suite, default_zetas,
+                          generate_pair_with_convex_min, random_body,
+                          random_weights, smoothing_inputs, smoothing_sequence,
+                          staircase_reports, truncation_fixture, valuation_suite)
+from convval.polyhedra import Polyhedron, volume
+from convval.valuation import combined_valuation, integral_valuation, mc_oracle
 
 ZETAS = default_zetas()
 
@@ -36,20 +32,11 @@ def _line(capsys, ok: bool, msg: str):
     assert ok, msg
 
 
-def _zfns():
-    return [lambda u, z0=z0, zn=zn: combined_valuation(z0, zn, u)
-            for z0, zn in ZETAS]
-
-
 def test_criterion_01_valuation_identity(capsys):
-    """100 seeded pairs per n in {2, 3}, 3 weight pairs, exact equality."""
-    ok = True
-    for n in (2, 3):
-        for seed in range(100):
-            pair = generate_pair_with_convex_min(seed, n)
-            for zfn in _zfns():
-                rep = check_valuation_identity(zfn, pair)
-                ok = ok and rep.passed and rep.tolerance == 0
+    """The valuation suite on 100 seeded pairs per n in {2, 3}: 3 weight
+    pairs with exact equality, and the minima of the lattice."""
+    ok = all(rep.passed and rep.tolerance == 0
+             for n in (2, 3) for rep in valuation_suite(0, 100, n))
     _line(capsys, ok, "criterion 1: valuation identity on 100 pairs x n in {2,3} x 3 weights, exact")
 
 
@@ -66,7 +53,6 @@ def test_criterion_02_truncation_family(capsys):
         psi = psi_from_zeta(zn, n)
         for s in (F(1, 2), F(1), F(2), F(8), F(64)):
             u_s, lp, lps, lqs = truncation_fixture(n, s)
-            from convval.functions import inf_if_convex
             ok = ok and pwa_equal(inf_if_convex(u_s, lps), lp)
             ok = ok and pwa_equal(sup(u_s, lps), lqs)
             ok = ok and zfn(u_s) + zfn(lps) == zfn(lp) + zfn(lqs)
@@ -95,14 +81,11 @@ def test_criterion_03_invariance(capsys):
 def test_criterion_04_growth_relation(capsys):
     """10 random weights x n in {2, 3}: exact n-th derivative recovery and
     vanishing of psi beyond the support."""
-    rng = random.Random("acceptance-growth")
+    weights = random_weights("acceptance-growth", 10)
+    # the generator is shared with the growth suite: its inputs must not drift
+    assert weights[0] == make_growth([0, 1, 3], [[-4, 1, F(1, 2)], [-2, F(-1, 2)]])
     ok = True
-    for _ in range(10):
-        b = sorted(rng.sample(range(-4, 9), 3))
-        p1 = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
-        slope = F(rng.randint(-4, 4), 2)
-        p2 = [peval(p1, b[1]) - slope * b[1], slope]
-        zeta = make_growth(b, [p1, p2])
+    for zeta in weights:
         for n in (2, 3):
             ok = ok and check_derivative_relation(zeta, n).passed
             ok = ok and check_psi_vanishes(zeta, n).passed
@@ -128,12 +111,7 @@ def test_criterion_06_staircase(capsys):
     """Difference quotients of psi_k converge to zeta with order >= 0.9,
     final error <= 1e-2, and the exact symbolic limit holds."""
     hs = [F(1, 2 ** j) for j in range(2, 9)]
-    ok = True
-    for k in (1, 2):
-        for _, zeta in ZETAS[:2]:
-            for t in (F(1, 4), F(1, 2)):
-                rep = staircase_limit_check(zeta, k, t, hs)
-                ok = ok and rep.passed
+    ok = all(staircase_reports([zeta for _, zeta in ZETAS[:2]], hs))
     _line(capsys, ok, "criterion 6: staircase difference quotients, order >= 0.9, "
                       "final <= 1e-2, symbolic limit exact")
 
@@ -141,17 +119,12 @@ def test_criterion_06_staircase(capsys):
 def test_criterion_07_conjugacy_laws(capsys):
     """u** = u on 25 fixtures; (u box v)* = u* + v* on 100 grid points;
     conjugate of the epi-scaled function is the scaled conjugate."""
-    ok = True
-    fixtures = []
-    for seed in range(10):
-        pair = generate_pair_with_convex_min(seed, 2)
-        fixtures += [pair.u, pair.v]
+    biconjugated = [r for r in conjugacy_suite(0, 10, 2) if r.law == "biconjugation"]
+    assert len(biconjugated) == 20  # u and v of 10 pairs
+    ok = all(r.passed for r in biconjugated)
     for seed in range(5):
-        fixtures.append(cone_function(random_body(seed, 2)))
-    assert len(fixtures) == 25
-    for u in fixtures:
-        ok = ok and biconjugate_check(u)
-    u, v = fixtures[0], fixtures[2]
+        ok = ok and biconjugate_check(cone_function(random_body(seed, 2)))
+    u, v = (generate_pair_with_convex_min(seed, 2).u for seed in (0, 1))
     left = conjugate(inf_convolution(u, v))
     su, sv = conjugate(u), conjugate(v)
     grid = [(F(i, 5), F(j, 5)) for i in range(-5, 5) for j in range(-5, 5)]
@@ -180,22 +153,16 @@ def test_criterion_08_smoothing(capsys):
     by k = 2^10; the valuation gap does the same."""
     z0, zn = ZETAS[0]
     zfn = lambda u: combined_valuation(z0, zn, u)
-    ball = Polyhedron.box([(-1, 1), (-1, 1)])
     ok = True
     for seed in (0, 1):
         u = generate_pair_with_convex_min(seed, 2).u
-        seq = [smoothing_sequence(u, ball, 2 ** j) for j in range(0, 11, 2)]
-        tmin = u.min_value()[0]
-        levels = [tmin + 1, tmin + 2]
-        for t in levels:
-            dists = [hausdorff_distance(u.sublevel(t), uk.sublevel(t)) for uk in seq]
-            for a, b in zip(dists, dists[1:]):
-                ok = ok and (b < a or a == 0.0)  # strict until exactly converged
-            ok = ok and dists[-1] < 1e-6
+        seq, levels = smoothing_inputs(u)
+        distances = check_level_convergence(seq, u, levels).details["distances"]
         gaps = [abs(float(zfn(u) - zfn(uk))) for uk in seq]
-        for a, b in zip(gaps, gaps[1:]):
-            ok = ok and (b < a or a == 0.0)
-        ok = ok and gaps[-1] < 1e-6
+        for values in [*distances.values(), gaps]:
+            for a, b in zip(values, values[1:]):
+                ok = ok and (b < a or a == 0.0)  # strict until exactly converged
+            ok = ok and values[-1] < 1e-6
     _line(capsys, ok, "criterion 8: smoothing sequences strictly converge, "
                       "distances and valuation gap < 1e-6 at k = 2^10")
 
@@ -246,12 +213,12 @@ def test_criterion_10_moreau(capsys):
 def test_criterion_11_cone_bounds(capsys):
     """Certified linear-cone lower bounds on every fixture, plus uniform
     bounds over whole smoothing sequences."""
-    ok = True
+    bounds = [r for r in conjugacy_suite(0, 10, 2) if r.law == "cone_bound_certificate"]
+    ok = all(r.passed and r.details["bound"].a > 0 for r in bounds)  # each pair's u
     for seed in range(10):
-        pair = generate_pair_with_convex_min(seed, 2)
-        for u in (pair.u, pair.v):
-            b = cone_bound(u)
-            ok = ok and b.a > 0 and b.holds_for(u)
+        v = generate_pair_with_convex_min(seed, 2).v
+        b = cone_bound(v)
+        ok = ok and b.a > 0 and b.holds_for(v)
     ball = Polyhedron.box([(-1, 1), (-1, 1)])
     for seed in (0, 3):
         u = generate_pair_with_convex_min(seed, 2).u

@@ -1,6 +1,7 @@
 """CLI and JSON document round-trips."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from convval.documents import (DocumentError, function_from_doc,
                                parse_rational)
 from convval.functions import make, pwa_equal
 from convval.growth import make_growth
+from convval.laws import SUITES
 
 
 @pytest.fixture
@@ -178,8 +180,31 @@ MALFORMED_COUNTS = [
 ]
 
 
+# sha256 of each `laws SUITE --count 1 --n N` report, without elapsed_seconds,
+# as sorted-key JSON: moving or refactoring a suite must not change its report.
+REPORT_DIGESTS = {  # suite: (n = 1, n = 2)
+    "valuation": ("26a39fdb6a7e09d0", "d1f7f124df5cf7f6"),
+    "invariance": ("5959947e3952f2c2", "6c0f7b9641001ffa"),
+    "growth": ("8070275ccad4859b", "a886f310c363e939"),
+    "convergence": ("61b923e90f8d8b70", "9c50d316b3d920ac"),
+    "staircase": ("e3044b1eb20901a4", "e3044b1eb20901a4"),
+    "conjugacy": ("c665bc3cd62565ba", "c665bc3cd62565ba"),
+}
+
+
 class TestLaws:
-    @pytest.mark.parametrize("suite", ["valuation", "growth", "staircase"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_every_suite_reports_as_recorded(self, tmp_path, capsys, suite, n):
+        out = tmp_path / "laws.json"
+        assert main(["laws", suite, "--count", "1", "--n", str(n), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rep = json.loads(out.read_text())
+        del rep["elapsed_seconds"]
+        digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()[:16]
+        assert digest == REPORT_DIGESTS[suite][n - 1]
+
+    @pytest.mark.parametrize("suite", list(SUITES))
     @pytest.mark.parametrize("argv, message", MALFORMED_COUNTS)
     def test_malformed_argv_exits_2(self, capsys, suite, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -13,9 +13,8 @@ from convval.conjugacy import (ConeBound, biconjugate_check, cone_bound,
                                conjugate, epi_scale, inf_convolution,
                                moreau_eval, uniform_cone_bound)
 from convval.errors import CertificateFailed, NotCoercive
-from convval.functions import (cone_function, indicator_function, make,
-                               pwa_equal, sup)
-from convval.laws import generate_pair_with_convex_min, random_body
+from convval.functions import cone_function, indicator_function, make, pwa_equal
+from convval.laws import generate_pair_with_convex_min
 from convval.polyhedra import Polyhedron
 
 

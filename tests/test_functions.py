@@ -6,9 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convval.errors import (DimensionMismatch, EmptyDomain, NotCoercive,
-                            NotConvexMin, NotUnimodular)
-from convval.functions import (PWAConvex, cone_function, indicator_function,
+from convval.errors import EmptyDomain, NotCoercive, NotConvexMin, NotUnimodular
+from convval.functions import (cone_function, indicator_function,
                                inf_if_convex, make, pwa_equal, sup, transform)
 from convval.linalg import dot
 from convval.polyhedra import HRep, Polyhedron, volume

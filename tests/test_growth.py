@@ -7,8 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convval.growth import (GrowthFunction, NumericPsi,
-                            check_derivative_relation,
+from convval.growth import (NumericPsi, check_derivative_relation,
                             check_moment_finiteness_of_derivative,
                             check_psi_vanishes, make_growth, moment, peval,
                             pint, pmul, poly_nonneg_on, psi_from_zeta,

@@ -6,15 +6,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from convval import polyhedra
-from convval.errors import CertificateFailed, EmptyPolyhedron, UnboundedPolyhedron
-from convval.linalg import determinant, dot, vec_sub
-from convval.polyhedra import (HRep, Polyhedron, VRep, apply_linear,
+from convval.errors import CertificateFailed, UnboundedPolyhedron
+from convval.linalg import determinant, dot
+from convval.polyhedra import (HRep, Polyhedron, apply_linear,
                                hausdorff_distance, intersect, minkowski_sum,
                                random_unimodular, translate, triangulate, volume)
 
@@ -186,6 +185,9 @@ class TestRandomUnimodular:
             a = random_unimodular(seed, 3, 8)
             b = random_unimodular(seed, 3, 8)
             assert a == b and determinant(a) == 1
+
+    def test_sl1_is_the_identity(self):
+        assert random_unimodular(0, 1, 6) == ((F(1),),)
 
 
 class TestCertificates:

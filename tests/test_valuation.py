@@ -1,6 +1,5 @@
 """Level-volume profiles and the integral valuation (layer-cake) machinery."""
 
-import math
 import os
 import random
 import subprocess
