@@ -250,9 +250,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("laws", help="run a law suite")
     p.add_argument("suite", help="one of: " + ", ".join(SUITES))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="first seed (staircase ignores it)")
     p.add_argument("--count", type=_positive_int, default=10)
-    p.add_argument("--n", type=_positive_int, default=2)
+    p.add_argument("--n", type=_positive_int, default=2, help="dimension (staircase ignores it)")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_laws)
 

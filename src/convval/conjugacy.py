@@ -38,8 +38,8 @@ def conjugate(u: PWAConvex) -> PWAConvex:
         rows.append((a, s))
         rows.append((tuple(-x for x in a), -s))
     star = _build_pruned(n, pieces, HRep(n, tuple(rows)), coercive=False)
-    star.coercive = _check_coercive(star.epigraph, n)
-    return star
+    return PWAConvex(n, star.pieces, star.domain, star.epigraph,
+                     _check_coercive(star.epigraph, n))
 
 
 def biconjugate_check(u: PWAConvex) -> bool:

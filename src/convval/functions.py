@@ -57,7 +57,6 @@ class PWAConvex:
         self.coercive = coercive
         self._cells = None
         self._min = None
-        self._profile = None  # filled by the valuation module
 
     @property
     def cells(self) -> tuple[tuple[Piece, Polyhedron], ...]:

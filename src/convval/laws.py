@@ -382,7 +382,11 @@ def convergence_suite(seed: int, count: int, n: int) -> list[LawReport]:
 
 
 def staircase_suite(seed: int, count: int, n: int) -> list[LawReport]:
-    """Staircase limits of the first ``count`` default zeta_n at h = 2^-1 .. 2^-8."""
+    """Staircase limits of the first ``count`` default zeta_n at h = 2^-1 .. 2^-8.
+
+    The staircase fixtures are fixed (k in {1, 2}), so ``seed`` and ``n`` are
+    ignored: every seed and n give the same reports.
+    """
     zetas = [z for _, z in default_zetas()][:count]
     return staircase_reports(zetas, [Fraction(1, 2 ** j) for j in range(1, 9)])
 

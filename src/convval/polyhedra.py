@@ -18,14 +18,15 @@ it from an initial basis, and ``cut_by`` runs it from the known generators
 of a pointed polyhedron to intersect it with a few extra rows, reading
 which of them are implicit off the incidence masks.
 
-A ``Polyhedron`` keeps the integer data of the DD that built its V-rep (a
-``_Cone``: rows, generators, masks, lines), and containment, emptiness,
-dimension, ``cut_by`` and triangulation read it; ``cut_by`` yields
-polyhedra that hold only that data and build their ``Fraction`` V-rep when
-it is read.  Volumes are exact rationals from a simplicial decomposition
-that works on integer points (the vertices times the lcm L of their
-denominators) and bitmasks of tight vertices: the integer |det| of the
-simplices are summed and divided by L^d d! once.
+A ``Polyhedron`` is built from halfspaces only.  Its generators come from
+its own DD or from one that ``cut_by`` or an affine map carries over, and it
+keeps that integer data (a ``_Cone``: rows, generators, masks, lines);
+containment, emptiness, dimension, ``cut_by`` and triangulation read it,
+and a carried cone becomes a ``Fraction`` V-rep only when that is read.
+Volumes are exact rationals from a simplicial decomposition that works on
+integer points (the vertices times the lcm L of their denominators) and
+bitmasks of tight vertices: the integer |det| of the simplices are summed
+and divided by L^d d! once.
 Only Euclidean distances (Hausdorff) leave the rational world, via a single
 square root at the end.
 
@@ -40,8 +41,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from operator import mul
+from functools import cmp_to_key, reduce
+from operator import and_, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -352,40 +353,44 @@ def vrep_to_hrep(v: VRep) -> HRep:
 # ---------------------------------------------------------------------------
 
 class Polyhedron:
-    """Convex polyhedron with lazily synchronized dual representations.
+    """Convex polyhedron given by halfspaces; its generators are computed lazily.
 
-    When the V-rep comes from a double description, its integer data (a
-    ``_Cone``) is kept too, and the predicates below read it; ``cut_by``
-    yields polyhedra that hold only that, and build their V-rep when read.
+    The V-rep and its integer data (a ``_Cone``) come from the polyhedron's
+    own double description, or from the cone that ``cut_by`` or an affine map
+    hands over (``_carrying``).  Either way the generators are extreme and
+    the masks describe faces, as the predicates below and triangulation need.
     """
 
-    def __init__(self, hrep: HRep | None = None, vrep: VRep | None = None):
-        if hrep is None and vrep is None:
-            raise ValueError("need at least one representation")
-        if hrep is not None and vrep is not None and hrep.d != vrep.d:
-            raise DimensionMismatch("H- and V-representation dimensions differ")
+    def __init__(self, hrep: HRep):
         self._hrep = hrep
-        self._vrep = vrep
+        self._vrep: VRep | None = None
         self._canonical_hrep: HRep | None = None
         self._cone: _Cone | None = None
+
+    @staticmethod
+    def _carrying(hrep: HRep, cone: _Cone) -> "Polyhedron":
+        """``Polyhedron(hrep)`` whose integer double description is ``cone``."""
+        p = Polyhedron(hrep)
+        p._cone = cone
+        return p
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def from_halfspaces(d: int, halfspaces: Iterable) -> "Polyhedron":
-        return Polyhedron(hrep=HRep.make(d, halfspaces))
+        return Polyhedron(HRep.make(d, halfspaces))
 
     @staticmethod
     def from_generators(d: int, vertices, rays=(), lines=()) -> "Polyhedron":
         """Hull of arbitrary (possibly redundant) generators, canonicalized."""
         raw = VRep.make(d, vertices, rays, lines)
         if raw.is_empty:
-            return Polyhedron(hrep=HRep.infeasible(d), vrep=raw)
-        return Polyhedron(hrep=vrep_to_hrep(raw))
+            return Polyhedron.empty(d)
+        return Polyhedron(vrep_to_hrep(raw))
 
     @staticmethod
     def empty(d: int) -> "Polyhedron":
-        return Polyhedron(hrep=HRep.infeasible(d), vrep=VRep.empty(d))
+        return Polyhedron(HRep.infeasible(d))
 
     @staticmethod
     def box(bounds: Sequence[tuple]) -> "Polyhedron":
@@ -403,39 +408,26 @@ class Polyhedron:
 
     @property
     def d(self) -> int:
-        return self._hrep.d if self._hrep is not None else self._vrep.d
+        return self._hrep.d
 
     @property
     def hrep(self) -> HRep:
-        if self._hrep is None:
-            self._hrep = vrep_to_hrep(self._vrep)
         return self._hrep
 
     @property
     def vrep(self) -> VRep:
         if self._vrep is None:
-            if self._cone is not None:
-                self._vrep = _dehomogenize(self._cone, self.d)
-            else:
+            if self._cone is None:
                 self._vrep = hrep_to_vrep(self._hrep)
-                self._cone = getattr(self._vrep, "_cone", None)
+                self._cone = self._vrep._cone
+            else:
+                self._vrep = _dehomogenize(self._cone, self.d)
         return self._vrep
 
     def _integer(self) -> _Cone:
-        """The integer double description: the one that built the V-rep, or,
-        for a V-rep given at construction, one built once from both
-        representations (its masks describe faces only if the given
-        generators are extreme, as ``cut_by`` and triangulation need)."""
+        """The integer double description behind the V-rep."""
         if self._cone is None:
-            v = self.vrep
-            if self._cone is None:
-                rows = _int_rows(self.hrep.halfspaces) + [(0,) * self.d + (-1,)]
-                gens = [scale_to_int(tuple(x) + (1,)) for x in v.vertices]
-                gens += [scale_to_int(tuple(r) + (0,)) for r in v.rays]
-                every = (1 << len(rows)) - 1
-                self._cone = _Cone(rows, gens, [_incidence(rows, every, g) for g in gens],
-                                   [scale_to_int(tuple(l) + (0,)) for l in v.lines],
-                                   len(v.vertices))
+            self.vrep  # the double description keeps its cone
         return self._cone
 
     @property
@@ -449,9 +441,7 @@ class Polyhedron:
 
     @property
     def is_empty(self) -> bool:
-        if self._cone is not None:
-            return not self._cone.nverts
-        return self.vrep.is_empty
+        return not self._integer().nverts
 
     @property
     def is_bounded(self) -> bool:
@@ -527,24 +517,24 @@ def intersect(a: HRep | Polyhedron, b: HRep | Polyhedron) -> Polyhedron:
     hb = b.hrep if isinstance(b, Polyhedron) else b
     if ha.d != hb.d:
         raise DimensionMismatch(f"cannot intersect R^{ha.d} with R^{hb.d}")
-    return Polyhedron(hrep=HRep(ha.d, ha.halfspaces + hb.halfspaces))
+    return Polyhedron(HRep(ha.d, ha.halfspaces + hb.halfspaces))
 
 
 def cut_by(p: Polyhedron, row_sets: Iterable[Sequence[tuple[Sequence, object]]]
            ) -> Iterator[tuple[Polyhedron, tuple[bool, ...]]]:
     """``p`` intersected with each set of extra halfspaces, lazily and in order.
 
-    Yields ``(q, flags)``, one flag per extra row: ``is_implicit`` of the row
-    in ``q`` (True for an empty ``q``).
+    Yields ``(q, flags)``, one flag per extra row: whether the row is tight on
+    all of ``q``.  The flags are the AND of the incidence masks of the
+    generators of ``q``, starting from all bits set, so an empty ``q`` flags
+    every row.
 
     A nonempty pointed ``p`` continues its own double description: from the
     integer generators of ``p`` and their incidence masks (``p._integer()``),
-    each intersection costs one ``_dd_step`` per extra row; the flags are the
-    AND of the resulting masks, and ``q`` holds only that integer data until
-    its V-rep is read.  This needs the generators of ``p`` to be its extreme
-    ones, as every V-rep from ``hrep_to_vrep`` is.  With lines the
-    homogenization cone is not pointed, so each intersection is a fresh
-    ``hrep_to_vrep``.
+    each intersection costs one ``_dd_step`` per extra row, and ``q`` carries
+    the resulting cone, whose extra rows follow the homogenizing row.  With
+    lines the homogenization cone is not pointed, so each ``q`` runs its own
+    ``hrep_to_vrep``, and its extra rows follow the rows of ``p``.
     """
     d = p.d
     base = p.hrep.halfspaces
@@ -554,21 +544,19 @@ def cut_by(p: Polyhedron, row_sets: Iterable[Sequence[tuple[Sequence, object]]]
     every = (1 << len(cone.rows)) - 1
     for extra in row_sets:
         extra = tuple((_fracvec(a), Fraction(b)) for a, b in extra)
-        q = Polyhedron(hrep=HRep(d, base + extra))
-        if not pointed:
-            yield q, tuple(is_implicit(q, a, b) for a, b in extra)
-            continue
-        rows = cone.rows + _int_rows(extra)
-        raylist, mask = start, every
-        for idx in range(len(cone.rows), len(rows)):
-            raylist = _dd_step(rows, idx, raylist, mask, d + 1)
-            mask |= 1 << idx
-        q._cone = _cone(rows, raylist, [], d)
-        common = mask
-        if q._cone.nverts:  # an empty q is tight on every row
-            for _, a in raylist:
-                common &= a
-        yield q, tuple(bool(common >> idx & 1) for idx in range(len(cone.rows), len(rows)))
+        h = HRep(d, base + extra)
+        if pointed:
+            rows = cone.rows + _int_rows(extra)
+            raylist, mask = start, every
+            for idx in range(len(cone.rows), len(rows)):
+                raylist = _dd_step(rows, idx, raylist, mask, d + 1)
+                mask |= 1 << idx
+            q, first = Polyhedron._carrying(h, _cone(rows, raylist, [], d)), len(cone.rows)
+        else:
+            q, first = Polyhedron(h), len(base)
+        qc = q._integer()
+        common = reduce(and_, qc.masks, -1) if qc.nverts else -1  # -1: all bits
+        yield q, tuple(bool(common >> idx & 1) for idx in range(first, first + len(extra)))
 
 
 def minkowski_sum(a: VRep | Polyhedron, b: VRep | Polyhedron) -> Polyhedron:
@@ -585,16 +573,39 @@ def minkowski_sum(a: VRep | Polyhedron, b: VRep | Polyhedron) -> Polyhedron:
     )
 
 
+def _affine_image(p: Polyhedron, point, normal, v: Point,
+                  halfspaces: Iterable[tuple[Point, Fraction]]) -> Polyhedron:
+    """Image of ``p`` under a bijection x -> m x + v, whose H-rep is ``halfspaces``;
+    ``point`` maps x to m x and ``normal`` maps a to a m^-1.
+
+    The image carries the mapped integer double description of ``p``: a
+    generator (x, x0) goes to (m x + x0 v, x0) and a row (a, c) to
+    (a m^-1, c - a m^-1 v), each made primitive.  Every row value of every
+    generator keeps its sign, so the masks and ``nverts`` carry over.
+    """
+    d = p.d
+    if p.is_empty:
+        return Polyhedron.empty(d)
+    cone = p._integer()
+
+    def gen(g):
+        return scale_to_int(vec_add(point(g[:d]), vec_scale(g[d], v)) + (g[d],))
+
+    def row(r):
+        a = normal(r[:d])
+        return scale_to_int(a + (r[d] - dot(a, v),))
+
+    image = _Cone([row(r) for r in cone.rows], [gen(g) for g in cone.gens], cone.masks,
+                  [gen(l) for l in cone.lines], cone.nverts)
+    return Polyhedron._carrying(HRep(d, tuple(halfspaces)), image)
+
+
 def translate(p: Polyhedron, v: Sequence) -> Polyhedron:
     v = _fracvec(v)
     if len(v) != p.d:
         raise DimensionMismatch("translation vector dimension mismatch")
-    vr = p.vrep
-    if vr.is_empty:
-        return Polyhedron.empty(p.d)
-    new_v = VRep(p.d, tuple(vec_add(x, v) for x in vr.vertices), vr.rays, vr.lines)
-    new_h = HRep(p.d, tuple((a, b + dot(a, v)) for a, b in p.hrep.halfspaces))
-    return Polyhedron(hrep=new_h, vrep=new_v)
+    return _affine_image(p, lambda x: x, lambda a: a, v,
+                         ((a, b + dot(a, v)) for a, b in p.hrep.halfspaces))
 
 
 def apply_linear(p: Polyhedron, m: Sequence[Sequence]) -> Polyhedron:
@@ -605,28 +616,12 @@ def apply_linear(p: Polyhedron, m: Sequence[Sequence]) -> Polyhedron:
     minv = invert(mat)
     if minv is None:
         raise SingularMatrix("linear image needs an invertible matrix")
-    vr = p.vrep
-    if vr.is_empty:
-        return Polyhedron.empty(p.d)
 
-    def img(x: Point) -> Point:
-        return tuple(dot(row, x) for row in mat)
+    def normal(a):  # normals transform by the inverse-transpose: a . m^{-1} y <= b
+        return tuple(dot(a, col) for col in zip(*minv))
 
-    new_v = VRep(
-        p.d,
-        tuple(img(x) for x in vr.vertices),
-        tuple(_fracvec(scale_to_int(img(r))) for r in vr.rays),
-        tuple(_fracvec(scale_to_int(img(l))) for l in vr.lines),
-    )
-    # normals transform by the inverse-transpose: a . m^{-1} y <= b
-    new_h = HRep(
-        p.d,
-        tuple(
-            (tuple(sum(a[i] * minv[i][j] for i in range(p.d)) for j in range(p.d)), b)
-            for a, b in p.hrep.halfspaces
-        ),
-    )
-    return Polyhedron(hrep=new_h, vrep=new_v)
+    return _affine_image(p, lambda x: tuple(dot(row, x) for row in mat), normal,
+                         (Fraction(0),) * p.d, ((normal(a), b) for a, b in p.hrep.halfspaces))
 
 
 def scale(p: Polyhedron, t) -> Polyhedron:
@@ -634,12 +629,8 @@ def scale(p: Polyhedron, t) -> Polyhedron:
     t = Fraction(t)
     if t <= 0:
         raise ValueError("scale factor must be positive")
-    vr = p.vrep
-    if vr.is_empty:
-        return Polyhedron.empty(p.d)
-    new_v = VRep(p.d, tuple(vec_scale(t, x) for x in vr.vertices), vr.rays, vr.lines)
-    new_h = HRep(p.d, tuple((a, t * b) for a, b in p.hrep.halfspaces))
-    return Polyhedron(hrep=new_h, vrep=new_v)
+    return _affine_image(p, lambda x: vec_scale(t, x), lambda a: vec_scale(1 / t, a),
+                         (Fraction(0),) * p.d, ((a, t * b) for a, b in p.hrep.halfspaces))
 
 
 def random_unimodular(seed: int, n: int, steps: int) -> tuple[Vec, ...]:

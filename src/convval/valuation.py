@@ -27,6 +27,7 @@ exact over the rationals whenever zeta is polynomial-compact.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -103,10 +104,13 @@ def _taylor_weights(z: int, mult: dict[int, int]) -> tuple[list[int], int, int]:
     return series, q, p
 
 
+_PROFILES = weakref.WeakKeyDictionary()  # function -> its profile, while the function lives
+
+
 def level_volume_profile(u: PWAConvex) -> LevelVolumeProfile:
-    """Exact piecewise-polynomial t -> vol_n({u <= t}); cached on u."""
-    if u._profile is not None:
-        return u._profile
+    """Exact piecewise-polynomial t -> vol_n({u <= t}); cached per function."""
+    if u in _PROFILES:
+        return _PROFILES[u]
     if not u.coercive:
         raise NotCoercive("level-volume profile requires a coercive function")
     n = u.n
@@ -172,7 +176,7 @@ def level_volume_profile(u: PWAConvex) -> LevelVolumeProfile:
         if i + 1 < len(levels):
             left = peval(p, levels[i + 1])
     prof = LevelVolumeProfile(n, t_min, atom, tuple(levels), tuple(polys[:-1]), polys[-1])
-    u._profile = prof
+    _PROFILES[u] = prof
     return prof
 
 

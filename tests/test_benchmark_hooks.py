@@ -39,3 +39,24 @@ def test_linalg_targets_resolve(tracing):
     linalg = importlib.import_module("convval.linalg")
     for attr in tracing.LINALG_TARGETS:
         assert callable(getattr(linalg, attr)), f"convval.linalg.{attr}"
+
+
+def test_dd_counter_counts_each_double_description(tracing):
+    """``polyhedra.hrep_to_vrep.calls`` sees every double description that
+    runs: reading a fresh H-polyhedron's V-rep makes exactly one traced call,
+    and reading a ``cut_by`` restriction's, whose cone is carried, makes none.
+    A route around the module name would read 0 in both cases."""
+    polyhedra = importlib.import_module("convval.polyhedra")
+
+    def traced_calls(read):
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer), tracer.root("guard", 0):
+            read()
+        stats = tracing.layer_stats(tracer.spans)
+        return stats.get("polyhedra.hrep_to_vrep", {"calls": 0})["calls"]
+
+    square = polyhedra.Polyhedron.box([(0, 1), (0, 1)])
+    assert traced_calls(lambda: square.vrep) == 1
+    restriction, _ = next(polyhedra.cut_by(square, [[((1, 1), 1)]]))
+    assert traced_calls(lambda: restriction.vrep) == 0
+    assert len(restriction.vrep.vertices) == 3

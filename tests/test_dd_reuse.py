@@ -22,6 +22,7 @@ from convval.errors import ConvvalError, NotConvexMin
 from convval.functions import from_epigraph, inf_if_convex, make, pwa_equal, sup
 from convval.linalg import vec_sub
 from convval.polyhedra import HRep, Polyhedron, is_implicit
+from counting import counted
 
 # ---------------------------------------------------------------------------
 # Oracles: one double description per piece and per facet pair
@@ -272,19 +273,6 @@ class TestInfIfConvexAgainstPerPairRoute:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def counted_dd():
-    calls = []
-    real = polyhedra.hrep_to_vrep
-
-    def counting(h):
-        calls.append(h.d)
-        return real(h)
-
-    with mock.patch.object(polyhedra, "hrep_to_vrep", counting):
-        yield calls
-
-
 SLOPES_4 = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 SLOPES_12 = [(4, 1), (4, -1), (-4, 1), (-4, -1), (1, 4), (1, -4), (-1, 4), (-1, -4),
              (3, 3), (3, -3), (-3, 3), (-3, -3)]
@@ -295,7 +283,7 @@ class TestDoubleDescriptionCounts:
     def test_make_runs_no_dd_per_piece(self, extra):
         counts = []
         for slopes in (SLOPES_4, SLOPES_12):
-            with counted_dd() as calls:
+            with counted(polyhedra, "hrep_to_vrep") as calls:
                 u = make([(a, 0) for a in slopes] + extra)
             assert len(u.pieces) == len(slopes)
             counts.append(len(calls))
@@ -306,7 +294,7 @@ class TestDoubleDescriptionCounts:
         for slopes in (SLOPES_4, SLOPES_12):
             u = make([(a, 0) for a in slopes])
             v = u.translate_graph(1)  # min(u, u + 1) = u
-            with counted_dd() as calls:
+            with counted(polyhedra, "hrep_to_vrep") as calls:
                 assert pwa_equal(inf_if_convex(u, v), u)
             counts.append(len(calls))
             facet_pairs.append(len(u.epigraph.canonical_hrep.halfspaces)

@@ -12,9 +12,7 @@ a benchmark run.
 """
 
 import math
-import sys
 from collections import Counter
-from contextlib import ExitStack, contextmanager
 from fractions import Fraction as F
 from itertools import product
 from unittest import mock
@@ -29,6 +27,7 @@ from convval.laws import generate_pair_with_convex_min, random_body
 from convval.linalg import determinant, vec_sub
 from convval.polyhedra import HRep, Polyhedron, intersect, triangulate, volume
 from convval.valuation import LevelVolumeProfile, level_volume_profile
+from counting import counted
 
 # ---------------------------------------------------------------------------
 # Oracles: the Fraction route
@@ -215,24 +214,6 @@ class TestVolumeAgainstFractionRoute:
 # ---------------------------------------------------------------------------
 # Count guards
 # ---------------------------------------------------------------------------
-
-
-@contextmanager
-def counted(module, name):
-    """Count the calls of ``module.name`` through every convval module that
-    binds it."""
-    calls = []
-    real = getattr(module, name)
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    with ExitStack() as stack:
-        for key, m in sorted(sys.modules.items()):
-            if key.startswith("convval") and getattr(m, name, None) is real:
-                stack.enter_context(mock.patch.object(m, name, counting))
-        yield calls
 
 
 def fresh_functions():

@@ -13,13 +13,13 @@ routes fail a test, not only a benchmark run.
 """
 
 import math
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from fractions import Fraction as F
 from functools import lru_cache
 from operator import mul
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from convval import conjugacy, functions, linalg, polyhedra, valuation
 from convval.conjugacy import conjugate
@@ -27,9 +27,11 @@ from convval.errors import ConvvalError
 from convval.functions import cone_function, from_epigraph, inf_if_convex, make, pwa_equal
 from convval.growth import make_growth, pdiff, pint, pmul, tail_integral
 from convval.laws import generate_pair_with_convex_min, random_body
-from convval.linalg import dot, rank, scale_to_int, vec_sub
-from convval.polyhedra import HRep, Polyhedron, VRep, _fracvec, cut_by, translate
+from convval.linalg import dot, invert, rank, scale_to_int, vec_add, vec_scale, vec_sub
+from convval.polyhedra import (HRep, Polyhedron, VRep, _fracvec, apply_linear, cut_by,
+                               is_implicit, translate, volume, vrep_to_hrep)
 from convval.valuation import level_volume_profile
+from counting import counted
 
 # ---------------------------------------------------------------------------
 # Oracles: the Fraction routes and recomputed masks
@@ -205,8 +207,8 @@ coords = st.one_of(st.integers(-3, 3), st.fractions(min_value=-2, max_value=2,
 @st.composite
 def polyhedra_in(draw, d):
     """Pointed, unbounded, with lines, empty, lower-dimensional and
-    redundant H-reps, hulls of generators, and translates (whose V-rep is
-    given at construction, so their integer data is built from it)."""
+    redundant H-reps, hulls of generators, and translates (which carry the
+    mapped integer data of their source)."""
     kind = draw(st.sampled_from(["rows", "box", "lines", "flat", "empty", "hull"]))
     rows = [(draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)), draw(coords))
             for _ in range(draw(st.integers(0, 5)))]
@@ -325,9 +327,9 @@ class TestAgainstFractionRoutes:
             assert q.vrep == want_q
 
     def test_restriction_of_a_translated_cone(self):
-        """The V-rep of a translate is given, so its integer data is built
-        from it; the rays (1, 0) and (0, 1) are adjacent through the
-        homogenizing row alone, and x <= y cuts between them."""
+        """A translate carries the quadrant's mapped cone; the rays (1, 0)
+        and (0, 1) are adjacent through the homogenizing row alone, and
+        x <= y cuts between them."""
         quadrant = Polyhedron.from_halfspaces(2, [((-1, 0), 0), ((0, -1), 0)])
         quadrant.vrep
         p = translate(quadrant, (F(1, 2), 1))
@@ -385,6 +387,113 @@ class TestAgainstFractionRoutes:
                 capped, _ = next(cut_by(u.epigraph, [[((F(0),) * 3 + (F(1),), top)]]))
                 assert capped.is_full_dimensional
                 assert polyhedra._integer_simplices(capped) == oracle_integer_simplices(capped)
+
+
+# ---------------------------------------------------------------------------
+# Affine images carry the mapped cone
+# ---------------------------------------------------------------------------
+
+
+def oracle_translate(p, v):
+    v = _fracvec(v)
+    vr = p.vrep
+    if vr.is_empty:
+        return HRep.infeasible(p.d), VRep.empty(p.d)
+    return (HRep(p.d, tuple((a, b + dot(a, v)) for a, b in p.hrep.halfspaces)),
+            VRep(p.d, tuple(vec_add(x, v) for x in vr.vertices), vr.rays, vr.lines))
+
+
+def oracle_apply_linear(p, m):
+    mat = [_fracvec(row) for row in m]
+    minv = invert(mat)
+    vr = p.vrep
+    if vr.is_empty:
+        return HRep.infeasible(p.d), VRep.empty(p.d)
+
+    def img(x):
+        return tuple(dot(row, x) for row in mat)
+
+    return (HRep(p.d, tuple((tuple(sum(a[i] * minv[i][j] for i in range(p.d))
+                                   for j in range(p.d)), b)
+                            for a, b in p.hrep.halfspaces)),
+            VRep(p.d, tuple(img(x) for x in vr.vertices),
+                 tuple(_fracvec(scale_to_int(img(r))) for r in vr.rays),
+                 tuple(_fracvec(scale_to_int(img(l))) for l in vr.lines)))
+
+
+def oracle_scale(p, t):
+    vr = p.vrep
+    if vr.is_empty:
+        return HRep.infeasible(p.d), VRep.empty(p.d)
+    return (HRep(p.d, tuple((a, t * b) for a, b in p.hrep.halfspaces)),
+            VRep(p.d, tuple(vec_scale(t, x) for x in vr.vertices), vr.rays, vr.lines))
+
+
+def oracle_image(h, v):
+    """The image as it was built from both representations: the V-rep given,
+    and the masks recomputed by dot products on the rows of ``h``."""
+    d = h.d
+    rows = [scale_to_int(tuple(a) + (-b,)) for a, b in h.halfspaces] + [(0,) * d + (-1,)]
+    gens = [scale_to_int(tuple(x) + (1,)) for x in v.vertices]
+    gens += [scale_to_int(tuple(r) + (0,)) for r in v.rays]
+    every = (1 << len(rows)) - 1
+    cone = polyhedra._Cone(rows, gens, [oracle_incidence(rows, every, g) for g in gens],
+                           [scale_to_int(tuple(l) + (0,)) for l in v.lines], len(v.vertices))
+    image = Polyhedron._carrying(h, cone)
+    image._vrep = v
+    return image
+
+
+def oracle_restrictions(image, extras):
+    """``cut_by`` of such an image: the eager pointed route from its given
+    V-rep, or else a fresh double description with ``is_implicit`` flags."""
+    if image.vrep.is_empty or image.vrep.lines:
+        for extra in extras:
+            extra = tuple((_fracvec(a), F(b)) for a, b in extra)
+            q = Polyhedron(HRep(image.d, image.hrep.halfspaces + extra))
+            yield q.vrep, tuple(is_implicit(q, a, b) for a, b in extra)
+    else:
+        yield from oracle_cut_by(image, extras)
+
+
+@st.composite
+def affine_cases(draw, d):
+    """A body of ``polyhedra_in`` or a ``cut_by`` restriction of one, a
+    translation, an invertible matrix, a positive factor and extra rows."""
+    p = draw(polyhedra_in(d))
+    if draw(st.booleans()):
+        p, _ = next(cut_by(p, draw(extra_row_sets(d))[:1]))
+    m = draw(st.lists(st.lists(coords, min_size=d, max_size=d), min_size=d, max_size=d))
+    assume(invert(m) is not None)
+    return (p, draw(st.lists(coords, min_size=d, max_size=d)), m,
+            draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3)),
+            draw(extra_row_sets(d)))
+
+
+class TestAffineImagesAgainstGivenVRep:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3).flatmap(affine_cases))
+    def test_same_images(self, case):
+        """Each image equals the one built from the mapped ``Fraction``
+        V-rep: both representations in order, emptiness, dimension, the
+        canonical H-rep, the volume and ``cut_by`` with its flags; the
+        carried masks are the incidences recomputed on the mapped rows."""
+        p, v, m, t, extras = case
+        d = p.d
+        for image, (want_h, want_v) in [(translate(p, v), oracle_translate(p, v)),
+                                        (apply_linear(p, m), oracle_apply_linear(p, m)),
+                                        (polyhedra.scale(p, t), oracle_scale(p, t))]:
+            want = oracle_image(want_h, want_v)
+            assert image.hrep == want_h and image.vrep == want_v
+            assert image.is_empty == want_v.is_empty and image.dim == want.dim
+            assert image.canonical_hrep == vrep_to_hrep(want_v)
+            if not image.is_empty and image.is_bounded and image.dim == d:
+                assert volume(image) == volume(want)
+            cone = image._integer()
+            every = (1 << len(cone.rows)) - 1
+            assert cone.masks == [oracle_incidence(cone.rows, every, g) for g in cone.gens]
+            got = [(q.vrep, flags) for q, flags in cut_by(image, extras)]
+            assert got == list(oracle_restrictions(want, extras))
 
 
 # ---------------------------------------------------------------------------
@@ -526,22 +635,6 @@ class TestLayerCakeAgainstPerIntervalRoute:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def counted(*targets):
-    """Count calls to ``module.name`` for each (module, name), by name."""
-    calls = {}
-    with ExitStack() as stack:
-        for module, name in targets:
-            real = getattr(module, name)
-
-            def counting(*args, _real=real, _name=name, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _real(*args, **kwargs)
-
-            stack.enter_context(mock.patch.object(module, name, counting))
-        yield calls
-
-
 SLOPES_12 = [(4, 1), (4, -1), (-4, 1), (-4, -1), (1, 4), (1, -4), (-1, 4), (-1, -4),
              (3, 3), (3, -3), (-3, 3), (-3, -3)]
 
@@ -552,38 +645,39 @@ class TestIntegerRepCounts:
         none is built for any of the 144 restrictions."""
         u = make([(a, 0) for a in SLOPES_12])
         v = u.translate_graph(1)  # min(u, u + 1) = u
-        with counted((polyhedra, "_dehomogenize"), (polyhedra, "hrep_to_vrep")) as calls:
+        with counted(polyhedra, "_dehomogenize") as vreps, \
+                counted(polyhedra, "hrep_to_vrep") as dds:
             w = inf_if_convex(u, v)
         assert pwa_equal(w, u)
-        assert calls["_dehomogenize"] == calls["hrep_to_vrep"] <= 3
+        assert len(vreps) == len(dds) <= 3
 
     def test_dd_step_takes_no_incidence_for_new_rays(self):
         # the positive quadrant cone cut by y_1 <= y_2 gets the new ray (1, 1)
         rows = [(-1, 0), (0, -1), (1, -1)]
         start = [((1, 0), 0b10), ((0, 1), 0b01)]
-        with counted((polyhedra, "_incidence")) as calls:
+        with counted(polyhedra, "_incidence") as calls:
             out = polyhedra._dd_step(rows, 2, start, 0b11, 2)
         assert out == [((0, 1), 0b01), ((1, 1), 0b100)]
-        assert calls == {}
+        assert calls == []
 
     def test_cut_by_reads_the_cache(self):
         u = make([(a, 0) for a in SLOPES_12])
         u.epigraph.vrep
         extras = [[((1, 0, -1), 0), ((0, 1, -1), F(1, 2))]] * 5
-        with counted((polyhedra, "_incidence"), (polyhedra, "scale_to_int")) as calls:
+        with counted(polyhedra, "_incidence") as incidences, \
+                counted(polyhedra, "scale_to_int") as scaled:
             list(cut_by(u.epigraph, extras))
-        assert calls.get("_incidence", 0) == 0
+        assert incidences == []
         # one scale_to_int per extra row; the new rays of the steps add the rest
-        with counted((polyhedra, "scale_to_int")) as base_calls:
+        with counted(polyhedra, "scale_to_int") as base_scaled:
             list(cut_by(u.epigraph, extras[:1]))
-        assert calls["scale_to_int"] == 5 * base_calls["scale_to_int"]
+        assert len(scaled) == 5 * len(base_scaled)
 
     def test_make_and_pwa_equal_take_no_dot(self):
-        targets = [(linalg, "dot"), (polyhedra, "dot"), (functions, "dot")]
         pieces = [(a, 0) for a in SLOPES_12] + [((0, 0), -1)]  # one piece is pruned
         other = make(pieces[::-1])
-        with counted(*targets) as calls:
+        with counted(linalg, "dot") as calls:  # linalg's, polyhedra's, functions'...
             u = make(pieces)
             assert pwa_equal(u, other) and not pwa_equal(u, u.translate_graph(1))
         assert len(u.pieces) == 12
-        assert calls == {}
+        assert calls == []

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from convval import polyhedra
 from convval.errors import CertificateFailed, UnboundedPolyhedron
 from convval.linalg import determinant, dot
-from convval.polyhedra import (HRep, Polyhedron, apply_linear,
+from convval.polyhedra import (HRep, Polyhedron, VRep, apply_linear,
                                hausdorff_distance, intersect, minkowski_sum,
                                random_unimodular, translate, triangulate, volume)
 
@@ -42,6 +42,19 @@ class TestConversions:
     def test_empty(self):
         p = Polyhedron.from_halfspaces(1, [((F(1),), F(0)), ((F(-1),), F(-1))])
         assert p.is_empty
+
+    def test_empty_hull_with_rays(self):
+        p = Polyhedron.from_generators(2, [], rays=[(1, 0)])
+        assert p.is_empty and p.dim == -1
+        assert p.vrep == VRep.empty(2)
+
+    def test_built_from_halfspaces_only(self):
+        """Generators come from the polyhedron's own double description, so
+        a redundant point cannot be handed in beside the halfspaces."""
+        p = Polyhedron.from_generators(2, [(-3, -3), (-1, -4), (1, -2), (-2, 2), (2, 4)])
+        assert volume(p) == F(47, 2)
+        with pytest.raises(TypeError):
+            Polyhedron(hrep=p.hrep, vrep=VRep.make(2, p.vrep.vertices + ((F(-1, 2), 0),)))
 
     def test_point_roundtrip_is_minimal(self):
         p = Polyhedron.from_generators(2, [(2, 3)])
