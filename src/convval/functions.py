@@ -14,13 +14,16 @@ epigraph of all the pieces (one double description, whose vertex incidence
 masks say which rows are tight where, so no dot product is taken); when
 none is dropped, that epigraph is the function's.  The cells of the domain
 on which each piece attains the maximum are computed by
-:func:`_active_cells` on first use and cached as :attr:`PWAConvex.cells`;
-only the Moreau envelope reads them.
+:func:`_active_cells` on first use and read as :attr:`PWAConvex.cells`;
+only the Moreau envelope reads them.  Such derived values (the cells and
+the minimum) are kept in a module-level weak cache keyed by the function,
+so a function is never written to after construction.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
@@ -40,6 +43,10 @@ from .polyhedra import HRep, Polyhedron, _fracvec, cut_by
 Piece = tuple[tuple[Fraction, ...], Fraction]
 INF = math.inf
 
+# function -> {name: value} for what a function works out on first use (its
+# cells and its minimum); weak, so an entry lives only as long as its function.
+_DERIVED = weakref.WeakKeyDictionary()
+
 
 class PWAConvex:
     """Piecewise-affine convex function; immutable after construction.
@@ -55,16 +62,19 @@ class PWAConvex:
         self.domain = domain
         self.epigraph = epigraph
         self.coercive = coercive
-        self._cells = None
-        self._min = None
+
+    def _derived(self, name: str, compute):
+        """``compute()``, worked out once per function and kept in ``_DERIVED``."""
+        known = _DERIVED.setdefault(self, {})
+        if name not in known:
+            known[name] = compute()
+        return known[name]
 
     @property
     def cells(self) -> tuple[tuple[Piece, Polyhedron], ...]:
         """(piece, cell) per piece, in piece order: the cell is the nonempty
         part of the domain where that piece attains the maximum."""
-        if self._cells is None:
-            self._cells = _active_cells(self.n, self.pieces, self.domain)
-        return self._cells
+        return self._derived("cells", lambda: _active_cells(self.n, self.pieces, self.domain))
 
     # -- basic queries -------------------------------------------------------
 
@@ -79,13 +89,14 @@ class PWAConvex:
 
     def min_value(self) -> tuple[Fraction, Polyhedron]:
         """(min value, argmin polytope); the minimum is attained by coercivity."""
-        if self._min is None:
-            verts = self.epigraph.vrep.vertices
-            if not verts:
-                raise EmptyDomain("improper function has no minimum")
-            tmin = min(v[self.n] for v in verts)
-            self._min = (tmin, self.sublevel(tmin))
-        return self._min
+        return self._derived("min", self._minimum)
+
+    def _minimum(self) -> tuple[Fraction, Polyhedron]:
+        verts = self.epigraph.vrep.vertices
+        if not verts:
+            raise EmptyDomain("improper function has no minimum")
+        tmin = min(v[self.n] for v in verts)
+        return tmin, self.sublevel(tmin)
 
     def sublevel(self, t) -> Polyhedron:
         """{u <= t} as an exact polyhedron (empty below the minimum)."""
@@ -288,10 +299,18 @@ def inf_if_convex(u: PWAConvex, v: PWAConvex) -> PWAConvex:
     h of epi v), the hull restricted to the outside of both facets must be
     empty up to faces: empty, or tight on g or on h throughout.  These
     restrictions come from ``cut_by``, which continues the hull's double
-    description by two steps per pair when the hull is pointed and flags
+    description by one step per extra row when the hull is pointed and flags
     the rows that are tight throughout from the incidence masks of those
-    steps.  On failure raises :class:`NotConvexMin` with a witness point x
-    where min(u, v)(x) exceeds the hull function.
+    steps.
+
+    Only pairs of *open* facets are checked: g is open when the hull has a
+    point strictly beyond it, i.e. when its one-row restriction is not tight
+    on g.  The restriction of a pair lies inside that of each of its facets,
+    so a pair with a closed facet passes, and the open rows of epi v are not
+    needed when epi u has none.  The pairs are checked in the order of the
+    full product, so the first failing pair is the same.  On failure raises
+    :class:`NotConvexMin` with a witness point x where min(u, v)(x) exceeds
+    the hull function.
     """
     if u.n != v.n:
         raise DimensionMismatch("dimension mismatch in inf")
@@ -304,10 +323,15 @@ def inf_if_convex(u: PWAConvex, v: PWAConvex) -> PWAConvex:
         tuple(gu.rays) + tuple(gv.rays),
         tuple(gu.lines) + tuple(gv.lines),
     )
-    pairs = product(eu.canonical_hrep.halfspaces, ev.canonical_hrep.halfspaces)
-    outside = (((tuple(-x for x in g), -cg), (tuple(-x for x in h), -ch))
-               for (g, cg), (h, ch) in pairs)
-    for q, (tight_g, tight_h) in cut_by(hull, outside):
+
+    def open_outsides(epi: Polyhedron) -> list:
+        outsides = [(tuple(-x for x in g), -cg) for g, cg in epi.canonical_hrep.halfspaces]
+        flags = cut_by(hull, ([row] for row in outsides))
+        return [row for row, (_, (tight,)) in zip(outsides, flags) if not tight]
+
+    open_g = open_outsides(eu)
+    open_h = open_outsides(ev) if open_g else []
+    for q, (tight_g, tight_h) in cut_by(hull, product(open_g, open_h)):
         if not (tight_g or tight_h):  # an empty q is tight on both rows
             raise NotConvexMin(q.relint_point()[:n])
     return from_epigraph(hull, coercive=u.coercive and v.coercive)

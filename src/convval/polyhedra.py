@@ -23,10 +23,14 @@ its own DD or from one that ``cut_by`` or an affine map carries over, and it
 keeps that integer data (a ``_Cone``: rows, generators, masks, lines);
 containment, emptiness, dimension, ``cut_by`` and triangulation read it,
 and a carried cone becomes a ``Fraction`` V-rep only when that is read.
-Volumes are exact rationals from a simplicial decomposition that works on
-integer points (the vertices times the lcm L of their denominators) and
-bitmasks of tight vertices: the integer |det| of the simplices are summed
-and divided by L^d d! once.
+Volumes are exact rationals from a pulling triangulation (De Loera, Rambau
+and Santos, *Triangulations*, 2010, ch. 4) that works on integer points
+(the vertices times the lcm L of their denominators) and bitmasks of tight
+vertices: the facets of a face are the inclusion-maximal tight sets inside
+it, so no rank test is taken.  Every simplex ends in a triangle of a
+polygon fan, and one determinant per fan, scaled by the exact cross
+products of the fan's triangles in the polygon's plane, gives the integer
+|det| of all its simplices; they are summed and divided by L^d d! once.
 Only Euclidean distances (Hausdorff) leave the rational world, via a single
 square root at the end.
 
@@ -682,20 +686,9 @@ def relative_interior_contains(p: Polyhedron, x: Sequence) -> bool:
 # Volume
 # ---------------------------------------------------------------------------
 
-def _angular_order(points: Sequence[tuple[int, ...]], u1: Sequence[int],
-                   u2: Sequence[int]) -> list[int]:
-    """Indices of coplanar integer points in angular order around their centroid.
-
-    ``u1`` and ``u2`` span the plane.  A point p is placed by ``n p - sum p``,
-    its offset from the centroid times the point count n, so the order is
-    exact in integers.
-    """
-    n = len(points)
-    total = [sum(c) for c in zip(*points)]
-    coords = []
-    for p in points:
-        rel = [n * x - s for x, s in zip(p, total)]
-        coords.append((sum(map(mul, rel, u1)), sum(map(mul, rel, u2))))
+def _angular_order(coords: Sequence[tuple[int, int]]) -> list[int]:
+    """Indices of nonzero integer plane coordinates in angular order around
+    the origin."""
 
     def half(c):  # 0 for upper half-plane (y>0 or y==0,x>0), 1 for lower
         x, y = c
@@ -709,15 +702,22 @@ def _angular_order(points: Sequence[tuple[int, ...]], u1: Sequence[int],
         cr = ci[0] * cj[1] - ci[1] * cj[0]
         return 0 if cr == 0 else (-1 if cr > 0 else 1)
 
-    return sorted(range(n), key=cmp_to_key(cmp))
+    return sorted(range(len(coords)), key=cmp_to_key(cmp))
 
 
-def _polygon_fan(points: Sequence[tuple[int, ...]]) -> list[tuple[int, int, int]]:
+def _polygon_fan(points: Sequence[tuple[int, ...]]
+                 ) -> list[tuple[tuple[int, int, int], int]]:
     """Fan triangulation of a planar polygon given as an unordered set of
-    integer points, as index triples into ``points``.
+    integer points: index triples into ``points``, each with the |cross| of
+    its edges from its first point in the plane coordinates below.
 
-    The plane is spanned by the ``echelon`` rows of the differences, times
-    the sign of its pivot ``D``: a positive multiple of the RREF basis.
+    The plane is spanned by the ``echelon`` rows u1, u2 of the differences,
+    times the sign of its pivot ``D``: a positive multiple of the RREF basis.
+    A point p is placed at ``(r.u1, r.u2)`` with ``r = n p - sum p``, its
+    offset from the centroid times the point count n, so the angular order is
+    exact in integers.  That placement is one linear map of the plane, so the
+    |cross| of the triangles are proportional to their areas, and to the |det|
+    of the simplices that cone them from the same points.
     """
     p0 = points[0]
     red, pivots, det = echelon([vec_sub(p, p0) for p in points[1:]])
@@ -725,57 +725,79 @@ def _polygon_fan(points: Sequence[tuple[int, ...]]) -> list[tuple[int, int, int]
         raise CertificateFailed(f"polygon face spans {len(pivots)} dimensions, not 2")
     s = 1 if det > 0 else -1
     u1, u2 = ([s * x for x in row] for row in red)
-    order = _angular_order(points, u1, u2)
-    return [(order[0], order[i], order[i + 1]) for i in range(1, len(order) - 1)]
+    n = len(points)
+    total = [sum(c) for c in zip(*points)]
+    coords = []
+    for p in points:
+        rel = [n * x - t for x, t in zip(p, total)]
+        coords.append((sum(map(mul, rel, u1)), sum(map(mul, rel, u2))))
+    order = _angular_order(coords)
+    ox, oy = coords[order[0]]
+    fan = []
+    for i, j in zip(order[1:], order[2:]):
+        (ix, iy), (jx, jy) = coords[i], coords[j]
+        fan.append(((order[0], i, j), abs((ix - ox) * (jy - oy) - (iy - oy) * (jx - ox))))
+    return fan
 
 
 def _face_simplices(face: int, fdim: int, tight_masks: Sequence[int],
-                    pts: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Triangulate a face of affine dimension fdim given by its vertex mask.
+                    pts: Sequence[tuple[int, ...]], chain: tuple[int, ...] = ()
+                    ) -> list[tuple[tuple[int, ...], int]]:
+    """Triangulate a face of affine dimension fdim >= 2 given by its vertex
+    mask, coned from the points ``chain``; each simplex comes with its |det|.
 
     A face is an int bitmask over the integer points ``pts`` (bit i for
-    ``pts[i]``), and ``tight_masks`` holds, per defining halfspace, the mask
-    of the points it is tight on.  Faces are explored combinatorially: the
-    facets of a face are its intersections ``face & mask`` with the tight
-    masks that are (fdim-1)-dimensional, so no further vertex enumeration
-    and no further inner product is needed.  Simplices are tuples of indices
-    into ``pts``, in the order of ``pts``, and the face is coned from its
-    first point.
+    ``pts[i]``), and ``tight_masks`` holds, per row of an H-rep of the
+    full-dimensional polytope, the mask of the points that row is tight on.
+    Every facet of the polytope is among those rows and every face is the
+    intersection of the facets that contain it, so the facets of a face are
+    the inclusion-maximal sets among the proper, nonempty ``face & mask``:
+    faces are explored on bitmasks alone.  Each face is coned from its first
+    point, so a simplex is ``chain``, the first point of each face down the
+    recursion, and a triangle of a polygon fan, as indices into ``pts`` in
+    the order of ``pts``.  Its |det| (that of the edges from its first point)
+    is taken once per fan by ``_lattice_det``; the fan's other simplices
+    differ from that one only in the polygon's plane, so their |det| scale
+    with the fan's |cross|.
     """
     idx = [i for i in range(len(pts)) if face >> i & 1]
-    if fdim == 0:
-        return [(idx[0],)]
-    if fdim == 1:
-        if len(idx) != 2:  # all listed points are extreme
-            raise CertificateFailed(f"edge face has {len(idx)} vertices, not 2")
-        return [tuple(idx)]
+    if fdim < 2:  # only a polytope in R^0 or R^1 gets here, and it is no simplex
+        raise CertificateFailed(f"{fdim}-dimensional face has {len(idx)} vertices, "
+                                f"not {fdim + 1}")
     if fdim == 2:
-        return [tuple(idx[k] for k in t) for t in _polygon_fan([pts[i] for i in idx])]
+        fan = _polygon_fan([pts[i] for i in idx])
+        simplices = [chain + tuple(idx[k] for k in t) for t, _ in fan]
+        det0, cross0 = _lattice_det(pts, simplices[0]), fan[0][1]
+        out = []
+        for simplex, (_, cross) in zip(simplices, fan):
+            det, rest = divmod(det0 * cross, cross0)
+            if rest:
+                raise CertificateFailed(f"fan determinant {det0} * {cross} / {cross0} is inexact")
+            out.append((simplex, det))
+        return out
+    candidates = [t for t in dict.fromkeys(face & m for m in tight_masks) if t and t != face]
+    maximal: list[int] = []
+    for t in sorted(candidates, key=int.bit_count, reverse=True):
+        if all(t & f != t for f in maximal):
+            maximal.append(t)
+    facets = set(maximal)
     v0 = face & -face  # the lowest set bit: the first point
-    seen: set[int] = set()
-    simplices = []
-    for mask in tight_masks:
-        tight = face & mask
-        if not tight or tight & v0 or tight in seen:
-            continue
-        seen.add(tight)
-        sub = [p for i, p in enumerate(pts) if tight >> i & 1]
-        if len(echelon([vec_sub(p, sub[0]) for p in sub[1:]])[1]) != fdim - 1:
-            continue
-        for s in _face_simplices(tight, fdim - 1, tight_masks, pts):
-            simplices.append((idx[0],) + s)
-    return simplices
+    chain += (idx[0],)
+    return [s for t in candidates if t in facets and not t & v0
+            for s in _face_simplices(t, fdim - 1, tight_masks, pts, chain)]
 
 
 def _integer_simplices(p: Polyhedron) -> tuple[list[tuple[int, ...]], int,
-                                                list[tuple[int, ...]]]:
+                                                list[tuple[tuple[int, ...], int]]]:
     """``(pts, scale, simplices)`` for a bounded full-dimensional polytope.
 
     ``pts`` are the vertices times ``scale``, the lcm of their denominators;
     the recursion runs on those integer points, and each simplex is a tuple
-    of indices into ``pts``.  Both come from ``p._integer()``: a vertex
-    generator (x, x0) is primitive, so x0 is the lcm of the denominators of
-    x / x0, and the points tight on a row are read off the vertex masks.
+    of indices into ``pts`` together with its integer |det| (``_lattice_det``),
+    its volume times ``d! scale^d``.  Both come from ``p._integer()``: a
+    vertex generator (x, x0) is primitive, so x0 is the lcm of the
+    denominators of x / x0, and the points tight on a row are read off the
+    vertex masks.
     """
     d = p.d
     cone = p._integer()
@@ -783,10 +805,10 @@ def _integer_simplices(p: Polyhedron) -> tuple[list[tuple[int, ...]], int,
     scale = math.lcm(*(g[d] for g in gens))
     pts = [tuple(x * (scale // g[d]) for x in g[:d]) for g in gens]
     if len(pts) == d + 1:
-        return pts, scale, [tuple(range(d + 1))]
+        simplex = tuple(range(d + 1))
+        return pts, scale, [(simplex, _lattice_det(pts, simplex))]
     # Any defining H-rep works: redundant rows (and the homogenizing row,
-    # tight on no vertex) produce empty, duplicate or lower-dimensional tight
-    # sets, which are filtered out.
+    # tight on no vertex) give empty, duplicate or non-maximal tight sets.
     tight_masks = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1)
                    for i in range(len(cone.rows))]
     return pts, scale, _face_simplices((1 << len(pts)) - 1, d, tight_masks, pts)
@@ -813,7 +835,7 @@ def _lattice_det(pts: Sequence[tuple[int, ...]], simplex: Sequence[int]) -> int:
 def triangulate(p: Polyhedron) -> list[tuple[Point, ...]]:
     """Decompose a bounded full-dimensional polytope into d-simplices."""
     verts = p.vrep.vertices
-    return [tuple(verts[i] for i in s) for s in _integer_simplices(p)[2]]
+    return [tuple(verts[i] for i in s) for s, _ in _integer_simplices(p)[2]]
 
 
 def volume(p: Polyhedron) -> Fraction:
@@ -828,9 +850,8 @@ def volume(p: Polyhedron) -> Fraction:
     if d == 1:
         xs = [v[0] for v in p.vrep.vertices]
         return max(xs) - min(xs)
-    pts, scale, simplices = _integer_simplices(p)
-    total = sum(_lattice_det(pts, s) for s in simplices)
-    return Fraction(total, scale ** d * math.factorial(d))
+    _, scale, simplices = _integer_simplices(p)
+    return Fraction(sum(det for _, det in simplices), scale ** d * math.factorial(d))
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,7 @@ from .errors import CertificateFailed, NotCoercive, UnboundedPolyhedron
 from .functions import PWAConvex, cone_function, indicator_function
 from .growth import (GrowthFunction, Poly, padd, pdiff, peval, pint, pmul,
                      poly_nonneg_on, tail_integral)
-from .polyhedra import (Polyhedron, _integer_simplices, _lattice_det, cut_by,
-                        volume)
+from .polyhedra import Polyhedron, _integer_simplices, cut_by, volume
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +142,8 @@ def level_volume_profile(u: PWAConvex) -> LevelVolumeProfile:
         pts, scale, simplices = _integer_simplices(capped)
         heights = [pt[n] * scale_h // scale for pt in pts]
         weights: Counter[tuple[int, ...]] = Counter()
-        for simplex in simplices:
-            weights[tuple(sorted(heights[i] for i in simplex))] += _lattice_det(pts, simplex)
+        for simplex, det in simplices:
+            weights[tuple(sorted(heights[i] for i in simplex))] += det
         cap = hlevels[-1] + scale_h
         for key, weight in weights.items():
             mult = Counter(key)

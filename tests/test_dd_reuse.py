@@ -6,11 +6,14 @@ The oracles below are the pruning by one cell polyhedron per piece and the
 ``functions`` used before.  Every comparison is an exact ``==`` on pieces,
 domains and both representations of the epigraph (in order), or on the
 ``NotConvexMin`` witness.  The count guards make a per-piece or per-pair
-double description fail a test, not only a benchmark run.
+double description, or a check of a facet pair that cannot fail, fail a
+test, not only a benchmark run.
 """
 
+import sys
 from contextlib import contextmanager
 from fractions import Fraction as F
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -20,8 +23,9 @@ from convval import conjugacy, functions, polyhedra
 from convval.conjugacy import conjugate, inf_convolution
 from convval.errors import ConvvalError, NotConvexMin
 from convval.functions import from_epigraph, inf_if_convex, make, pwa_equal, sup
-from convval.linalg import vec_sub
-from convval.polyhedra import HRep, Polyhedron, is_implicit
+from convval.laws import generate_pair_with_convex_min
+from convval.linalg import dot, vec_sub
+from convval.polyhedra import HRep, Polyhedron, cut_by, is_implicit
 from counting import counted
 
 # ---------------------------------------------------------------------------
@@ -77,6 +81,37 @@ def oracle_inf_if_convex(u, v):
             if not is_implicit(q, g, cg) and not is_implicit(q, h, ch):
                 raise NotConvexMin(q.relint_point()[:n])
     return from_epigraph(hull, coercive=u.coercive and v.coercive)
+
+
+def hull_of(u, v):
+    gu, gv = u.epigraph.vrep, v.epigraph.vrep
+    return Polyhedron.from_generators(u.n + 1, gu.vertices + gv.vertices,
+                                      gu.rays + gv.rays, gu.lines + gv.lines)
+
+
+def open_facets(u, v):
+    """The facet rows of epi u that a generator of epi v violates strictly:
+    those the hull of both epigraphs has points strictly beyond."""
+    gv = v.epigraph.vrep
+    return [(g, c) for g, c in u.epigraph.canonical_hrep.halfspaces
+            if any(dot(g, x) > c for x in gv.vertices) or any(dot(g, r) > 0 for r in gv.rays)
+            or any(dot(g, l) != 0 for l in gv.lines)]
+
+
+@contextmanager
+def cut_by_steps():
+    """Record the ``_dd_step`` calls that ``cut_by`` makes itself, not those
+    of a double description it or its caller starts."""
+    calls = []
+    real = polyhedra._dd_step
+
+    def step(*args):
+        if sys._getframe(1).f_code.co_name == "cut_by":
+            calls.append(args[1])
+        return real(*args)
+
+    with mock.patch.object(polyhedra, "_dd_step", step):
+        yield calls
 
 
 def outcome(fn, *args, **kwargs):
@@ -261,6 +296,21 @@ class TestInfIfConvexAgainstPerPairRoute:
         assert got[0] == "NotConvexMin"
         assert got == outcome(oracle_inf_if_convex, u, v)
 
+    def test_first_failing_pair_of_the_full_product(self):
+        u = make([((-1,), -2), ((3,), -1), ((-1,), -1), ((1,), 0)])
+        v = make([((-3,), 2), ((1,), -2), ((2,), -3), ((-1,), -3)])
+        outsides = [[(tuple(-x for x in g), -c) for g, c in e.canonical_hrep.halfspaces]
+                    for e in (u.epigraph, v.epigraph)]
+        failing = [q.relint_point()[:1] if not any(flags) else None
+                   for q, flags in cut_by(hull_of(u, v), product(*outsides))]
+        # facets 1 and 2 of epi u are open; of the 3 x 2 pairs, (g1, h1) and
+        # (g2, h1) fail, with different witnesses
+        assert len(open_facets(u, v)) == 2 and len(outsides[1]) == 2
+        assert [i for i, w in enumerate(failing) if w] == [3, 5] and failing[3] != failing[5]
+        got = outcome(inf_if_convex, u, v)
+        assert got == ("NotConvexMin", failing[3])
+        assert got == outcome(oracle_inf_if_convex, u, v)
+
     def test_hull_with_lines_convex(self):
         u = make([((1, 0), 0)], coercive=False)  # x_1, constant along x_2
         w = u.translate_graph(1)
@@ -301,3 +351,23 @@ class TestDoubleDescriptionCounts:
                                * len(v.epigraph.canonical_hrep.halfspaces))
         assert facet_pairs[1] > 4 * facet_pairs[0]
         assert counts[0] == counts[1] <= 3
+
+    def test_inf_if_convex_cuts_only_open_facet_pairs(self):
+        u = make([(a, 0) for a in SLOPES_12])
+        v = u.translate_graph(1)  # the hull is epi u: no facet of epi u is open
+        facets_u = len(u.epigraph.canonical_hrep.halfspaces)
+        assert facets_u * len(v.epigraph.canonical_hrep.halfspaces) == 144
+        with cut_by_steps() as steps:
+            assert pwa_equal(inf_if_convex(u, v), u)
+        assert len(steps) == facets_u  # not two steps for each of 144 pairs
+
+    def test_inf_if_convex_steps_on_a_pair(self):
+        pair = generate_pair_with_convex_min(0, 2)  # u = w sup l, v = w sup (2w - l)
+        u, v = pair.u, pair.v
+        open_g, open_h = open_facets(u, v), open_facets(v, u)
+        assert open_g and open_h
+        with cut_by_steps() as steps:
+            assert pwa_equal(inf_if_convex(u, v), pair.wedge)
+        assert len(steps) == (len(u.epigraph.canonical_hrep.halfspaces)
+                              + len(v.epigraph.canonical_hrep.halfspaces)
+                              + 2 * len(open_g) * len(open_h))

@@ -66,6 +66,13 @@ class TestConstruction:
         m, arg = v.min_value()
         assert m == 0 and volume(arg) == 2
 
+    def test_no_writes_after_construction(self):
+        u = make([((1,), -1), ((-1,), -1), ((0,), 0)], n=1)
+        before = dict(vars(u))
+        assert len(u.cells) == 3 and u.min_value()[0] == 0
+        assert u.cells is u.cells and u.min_value() is u.min_value()
+        assert vars(u) == before
+
     def test_sublevel(self):
         u = abs2()
         s = u.sublevel(1)

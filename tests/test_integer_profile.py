@@ -5,10 +5,12 @@ The oracles below are the ``level_volume_profile`` and ``volume`` that
 ``valuation`` and ``polyhedra`` used before: the epigraph capped by a fresh
 ``intersect``, one ``Fraction`` determinant per simplex and one
 ``Fraction`` divided-difference expansion (``oracle_local_series``) per
-simplex.  Every comparison is an exact ``==`` on ``LevelVolumeProfile`` or
-on the volume.  The count guards make a determinant, a fresh double
-description for the cap or a per-simplex expansion fail a test, not only
-a benchmark run.
+simplex; and the triangulation that found the facets of a face by an
+``echelon`` rank test per candidate (``oracle_face_simplices``).  Every
+comparison is an exact ``==`` on ``LevelVolumeProfile``, on the volume or
+on the simplex list, in order.  The count guards make a determinant, a
+fresh double description for the cap, a per-simplex expansion or a
+per-simplex lattice determinant fail a test, not only a benchmark run.
 """
 
 import math
@@ -24,8 +26,8 @@ from convval.errors import CertificateFailed
 from convval.functions import cone_function, indicator_function, make
 from convval.growth import padd, peval
 from convval.laws import generate_pair_with_convex_min, random_body
-from convval.linalg import determinant, vec_sub
-from convval.polyhedra import HRep, Polyhedron, intersect, triangulate, volume
+from convval.linalg import determinant, echelon, vec_sub
+from convval.polyhedra import HRep, Polyhedron, cut_by, intersect, triangulate, volume
 from convval.valuation import LevelVolumeProfile, level_volume_profile
 from counting import counted
 
@@ -98,6 +100,49 @@ def oracle_profile(u):
         if i + 1 < len(levels):
             left = peval(p, levels[i + 1])
     return LevelVolumeProfile(n, t_min, atom, tuple(levels), tuple(polys[:-1]), polys[-1])
+
+
+def oracle_face_simplices(face, fdim, tight_masks, pts):
+    """The facets of a face by one ``echelon`` rank test per candidate."""
+    idx = [i for i in range(len(pts)) if face >> i & 1]
+    if fdim == 2:
+        return [tuple(idx[k] for k in t)
+                for t, _ in polyhedra._polygon_fan([pts[i] for i in idx])]
+    v0 = face & -face
+    seen = set()
+    simplices = []
+    for mask in tight_masks:
+        tight = face & mask
+        if not tight or tight & v0 or tight in seen:
+            continue
+        seen.add(tight)
+        sub = [p for i, p in enumerate(pts) if tight >> i & 1]
+        if len(echelon([vec_sub(p, sub[0]) for p in sub[1:]])[1]) != fdim - 1:
+            continue
+        for s in oracle_face_simplices(tight, fdim - 1, tight_masks, pts):
+            simplices.append((idx[0],) + s)
+    return simplices
+
+
+def oracle_simplices(p):
+    """The simplex list of ``p`` by the rank-test route, from the same points
+    and tight masks as ``_integer_simplices``."""
+    d = p.d
+    cone = p._integer()
+    gens, masks = cone.gens[:cone.nverts], cone.masks[:cone.nverts]
+    if len(gens) == d + 1:
+        return [tuple(range(d + 1))]
+    scale = math.lcm(*(g[d] for g in gens))
+    pts = [tuple(x * (scale // g[d]) for x in g[:d]) for g in gens]
+    tight_masks = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1)
+                   for i in range(len(cone.rows))]
+    return oracle_face_simplices((1 << len(pts)) - 1, d, tight_masks, pts)
+
+
+def capped_epigraph(u):
+    top = max(v[-1] for v in u.epigraph.vrep.vertices) + 1
+    up = (F(0),) * u.n + (F(1),)
+    return next(cut_by(u.epigraph, [[(up, top)]]))[0]
 
 
 def same_profile(u):
@@ -212,6 +257,50 @@ class TestVolumeAgainstFractionRoute:
 
 
 # ---------------------------------------------------------------------------
+# Triangulation against the rank-test route
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def generated_polytopes(draw):
+    d = draw(st.integers(2, 5))
+    pts = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                        min_size=d + 1, max_size=d + 5))
+    return Polyhedron.from_generators(d, pts)
+
+
+@st.composite
+def capped_epigraphs(draw):
+    n = draw(st.integers(1, 4))
+    u = draw(st.one_of(l1_norms(n), box_indicators(n), cone_functions(n)))
+    return capped_epigraph(u)
+
+
+polytopes = st.one_of(generated_polytopes(), capped_epigraphs()).filter(
+    lambda p: p.is_full_dimensional)
+
+
+class TestTriangulationAgainstRankRoute:
+    @settings(max_examples=80, deadline=None)
+    @given(polytopes)
+    def test_same_simplices(self, p):
+        assert [s for s, _ in polyhedra._integer_simplices(p)[2]] == oracle_simplices(p)
+
+    def test_same_simplices_of_pair_epigraphs(self):
+        for n, seed in ((2, 0), (3, 1), (4, 0)):
+            pair = generate_pair_with_convex_min(seed, n)
+            for u in (pair.u, pair.v, *pair.lattice()):
+                p = capped_epigraph(u)
+                assert [s for s, _ in polyhedra._integer_simplices(p)[2]] == oracle_simplices(p)
+
+    @settings(max_examples=80, deadline=None)
+    @given(polytopes)
+    def test_dets_are_lattice_dets(self, p):
+        pts, _, simplices = polyhedra._integer_simplices(p)
+        assert all(det == polyhedra._lattice_det(pts, s) > 0 for s, det in simplices)
+
+
+# ---------------------------------------------------------------------------
 # Count guards
 # ---------------------------------------------------------------------------
 
@@ -258,9 +347,22 @@ class TestProfileCounts:
             pts, _, simplices = seen[0]
             heights = [pt[-1] for pt in pts]
             cap = max(heights)
-            tuples = {tuple(sorted(heights[i] for i in s)) for s in simplices}
+            tuples = {tuple(sorted(heights[i] for i in s)) for s, _ in simplices}
             assert len(calls) == sum(len({h for h in t if h != cap}) for t in tuples)
             simplex_counts.append((len(calls), sum(len({heights[i] for i in s} - {cap})
-                                                   for s in simplices)))
+                                                   for s, _ in simplices)))
         # the guard is sharp: a per-simplex expansion would be counted higher
         assert any(by_tuple < by_simplex for by_tuple, by_simplex in simplex_counts)
+
+    def test_one_lattice_det_per_polygon_fan(self):
+        counts = []
+        for u in fresh_functions():
+            capped = capped_epigraph(u)
+            capped.vrep
+            with counted(polyhedra, "_lattice_det") as dets, \
+                    counted(polyhedra, "_polygon_fan") as fans:
+                simplices = polyhedra._integer_simplices(capped)[2]
+            assert len(dets) == len(fans)
+            counts.append((len(fans), len(simplices)))
+        # the guard is sharp: a determinant per simplex would be counted higher
+        assert any(by_fan < by_simplex for by_fan, by_simplex in counts)

@@ -15,7 +15,8 @@ from convval.laws import (check_invariance, check_level_convergence,
                           check_min_lattice, check_valuation_identity,
                           generate_pair_with_convex_min, random_body,
                           smoothing_sequence, staircase_fixture,
-                          staircase_limit_check, truncation_fixture)
+                          staircase_limit_check, truncation_fixture,
+                          valuation_suite)
 from convval.polyhedra import Polyhedron, intersect, volume
 from convval.valuation import combined_valuation, integral_valuation
 
@@ -63,6 +64,13 @@ class TestValuationIdentity:
             rep = check_valuation_identity(zfn, pair)
             assert rep.passed and rep.tolerance == 0
             assert rep.left == rep.right
+
+    def test_suite_at_n4(self):
+        """An n = 4 slice of acceptance criterion 1: pairs 0 and 1, the three
+        default weight pairs and the minima of the lattice, all exact."""
+        reports = valuation_suite(0, 2, 4)
+        assert len(reports) == 8
+        assert all(rep.passed and rep.tolerance == 0 for rep in reports)
 
     def test_fails_for_a_broken_functional(self):
         # a non-valuation (squared sublevel volume) must be caught
