@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import isqrt
 from typing import Sequence
 
-from .errors import BudgetExceeded, CertificateFailed, DimensionMismatch, NotCoercive
-from .functions import PWAConvex, _build, _build_pruned, _check_coercive, from_epigraph
-from .linalg import dot, rank, solve, vec_sub
-from .polyhedra import HRep, _fracvec, minkowski_sum
+from .errors import CertificateFailed, DimensionMismatch, NotCoercive
+from .functions import PWAConvex, _build, _check_coercive, from_epigraph
+from .linalg import dot, vec_sub
+from .polyhedra import HRep, _fracvec, minkowski_sum, nearest_point
 
 
 def conjugate(u: PWAConvex) -> PWAConvex:
@@ -37,7 +36,7 @@ def conjugate(u: PWAConvex) -> PWAConvex:
         a, s = tuple(l[:n]), l[n]
         rows.append((a, s))
         rows.append((tuple(-x for x in a), -s))
-    star = _build_pruned(n, pieces, HRep(n, tuple(rows)), coercive=False)
+    star = _build(n, pieces, HRep(n, tuple(rows)), coercive=False)
     return PWAConvex(n, star.pieces, star.domain, star.epigraph,
                      _check_coercive(star.epigraph, n))
 
@@ -68,48 +67,25 @@ def epi_scale(u: PWAConvex, t) -> PWAConvex:
 def moreau_eval(u: PWAConvex, t, x: Sequence, *, budget: int = 10 ** 6) -> Fraction:
     """Exact Moreau envelope value e_t u(x) = min_y (u(y) + |x - y|^2 / (2t)).
 
-    Per affine cell of u (``u.cells``, cached on u) this is a convex QP; the
-    minimizer is found by exhaustive KKT active-set enumeration over linearly
-    independent subsets of the cell's facet rows (at most n at a time).
-    ``budget`` caps the total number of subsets examined across all cells.
+    On the cell where the piece a.y + b is active (``u.cells``, cached per
+    function), min a.y + b + |x - y|^2 / (2t) is attained at the projection
+    of x - t a onto the cell (``nearest_point``); the envelope is the least
+    of these values over the cells.  ``budget`` caps the subsets that one
+    cell's projection examines.
     """
     t = Fraction(t)
     if t <= 0:
         raise ValueError("moreau_eval requires t > 0")
     x = _fracvec(x)
-    n = u.n
-    if len(x) != n:
+    if len(x) != u.n:
         raise DimensionMismatch("point dimension mismatch")
     best = None
-    used = 0
-    for (ai, bi), cell in u.cells:
-        crows = cell.canonical_hrep.halfspaces
-        y0 = vec_sub(x, tuple(t * a for a in ai))
-        for k in range(0, min(n, len(crows)) + 1):
-            for subset in combinations(range(len(crows)), k):
-                used += 1
-                if used > budget:
-                    raise BudgetExceeded(f"moreau_eval exceeded the {budget}-subset budget")
-                gs = [crows[s][0] for s in subset]
-                cs = [crows[s][1] for s in subset]
-                if k and rank(gs) < k:
-                    continue
-                if k:
-                    gram = [[t * dot(g1, g2) for g2 in gs] for g1 in gs]
-                    rhs = [dot(g, y0) - c for g, c in zip(gs, cs)]
-                    lam = solve(gram, rhs)
-                    if lam is None or any(l < 0 for l in lam):
-                        continue
-                    y = tuple(y0[j] - t * sum(lam[m] * gs[m][j] for m in range(k))
-                              for j in range(n))
-                else:
-                    y = y0
-                if not all(dot(g, y) <= c for g, c in crows):
-                    continue
-                diff = vec_sub(x, y)
-                val = dot(ai, y) + bi + dot(diff, diff) / (2 * t)
-                if best is None or val < best:
-                    best = val
+    for (a, b), cell in u.cells:
+        y = nearest_point(cell, vec_sub(x, tuple(t * ai for ai in a)), budget)
+        diff = vec_sub(x, y)
+        val = dot(a, y) + b + dot(diff, diff) / (2 * t)
+        if best is None or val < best:
+            best = val
     if best is None:
         raise NotCoercive("moreau_eval found no feasible cell (improper function)")
     return best

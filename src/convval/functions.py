@@ -8,16 +8,17 @@ finite near the origin but need not be coercive.
 
 The epigraph is cached as an exact :class:`~convval.polyhedra.Polyhedron` in
 R^{n+1}; most operations (sup, sublevel, conjugation, infimal convolution)
-are simple polyhedral manipulations of that object.  Construction keeps the
-distinct pieces that are active somewhere, read off the vertices of the
-epigraph of all the pieces (one double description, whose vertex incidence
-masks say which rows are tight where, so no dot product is taken); when
-none is dropped, that epigraph is the function's.  The cells of the domain
-on which each piece attains the maximum are computed by
-:func:`_active_cells` on first use and read as :attr:`PWAConvex.cells`;
-only the Moreau envelope reads them.  Such derived values (the cells and
-the minimum) are kept in a module-level weak cache keyed by the function,
-so a function is never written to after construction.
+are simple polyhedral manipulations of that object.  Every constructor and
+transform goes through one builder, ``_build``: it keeps the distinct
+pieces that are active somewhere, read off the vertices of the epigraph of
+all the pieces (one double description, whose vertex incidence masks say
+which rows are tight where, so no dot product is taken); when none is
+dropped, that epigraph is the function's.  The cells of the domain on which
+each piece attains the maximum are computed by :func:`_active_cells` on
+first use and read as :attr:`PWAConvex.cells`; only the Moreau envelope
+reads them.  Such derived values (the cells, the minimum and the level
+profile) are kept in a module-level weak cache keyed by the function, so a
+function is never written to after construction.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ Piece = tuple[tuple[Fraction, ...], Fraction]
 INF = math.inf
 
 # function -> {name: value} for what a function works out on first use (its
-# cells and its minimum); weak, so an entry lives only as long as its function.
+# cells, minimum and level profile); weak, so an entry lives only as long as
+# its function.
 _DERIVED = weakref.WeakKeyDictionary()
 
 
@@ -162,21 +164,7 @@ def _check_coercive(epi: Polyhedron, n: int) -> bool:
 
 
 def _build(n: int, pieces, domain: HRep, coercive: bool) -> PWAConvex:
-    pieces = tuple((_fracvec(a), Fraction(b)) for a, b in pieces)
-    return _checked(n, pieces, domain, _epigraph_of(n, pieces, domain), coercive)
-
-
-def _checked(n: int, pieces: tuple[Piece, ...], domain: HRep, epi: Polyhedron,
-             coercive: bool) -> PWAConvex:
-    if epi.is_empty:
-        raise EmptyDomain("empty domain: the function is improper")
-    if coercive and not _check_coercive(epi, n):
-        raise NotCoercive("some sublevel set is unbounded")
-    return PWAConvex(n, pieces, domain, epi, coercive)
-
-
-def _build_pruned(n: int, pieces, domain: HRep, coercive: bool) -> PWAConvex:
-    """``_build`` on the distinct pieces that are active somewhere.
+    """max(pieces) on ``domain``, kept to the distinct pieces that are active somewhere.
 
     The active set of piece i is the face of the epigraph where its row is
     tight.  A nonempty face contains a minimal face, and a valid row is
@@ -184,7 +172,7 @@ def _build_pruned(n: int, pieces, domain: HRep, coercive: bool) -> PWAConvex:
     tight at some vertex of the epigraph: one double description decides
     every piece, by the incidence masks of its vertices (row i of the
     epigraph is piece i).  When none is pruned, that epigraph is the
-    function's.
+    function's; with no vertex at all the function is improper.
     """
     pieces = tuple(dict.fromkeys((_fracvec(a), Fraction(b)) for a, b in pieces))
     epi = _epigraph_of(n, pieces, domain)
@@ -194,8 +182,12 @@ def _build_pruned(n: int, pieces, domain: HRep, coercive: bool) -> PWAConvex:
         tight |= mask
     active = tuple(piece for i, piece in enumerate(pieces) if tight >> i & 1)
     if 0 < len(active) < len(pieces):
-        return _build(n, active, domain, coercive)
-    return _checked(n, pieces, domain, epi, coercive)  # no vertex: EmptyDomain
+        pieces, epi = active, _epigraph_of(n, active, domain)
+    if epi.is_empty:
+        raise EmptyDomain("empty domain: the function is improper")
+    if coercive and not _check_coercive(epi, n):
+        raise NotCoercive("some sublevel set is unbounded")
+    return PWAConvex(n, pieces, domain, epi, coercive)
 
 
 def make(pieces: Iterable, domain: HRep | Polyhedron | None = None, *,
@@ -220,7 +212,7 @@ def make(pieces: Iterable, domain: HRep | Polyhedron | None = None, *,
         domain = domain.hrep
     if domain.d != n:
         raise DimensionMismatch("domain dimension mismatch")
-    return _build_pruned(n, pieces, domain, coercive)
+    return _build(n, pieces, domain, coercive)
 
 
 def from_epigraph(epi: Polyhedron, *, coercive: bool = True) -> PWAConvex:
@@ -244,7 +236,7 @@ def from_epigraph(epi: Polyhedron, *, coercive: bool = True) -> PWAConvex:
             raise ValueError("polyhedron is not an epigraph (violates recession (0,1))")
     if not pieces:
         raise ValueError("polyhedron is unbounded below; not the epigraph of a proper function")
-    return _build_pruned(n, pieces, HRep(n, tuple(dom_rows)), coercive)
+    return _build(n, pieces, HRep(n, tuple(dom_rows)), coercive)
 
 
 def indicator_function(k: Polyhedron, t=0) -> PWAConvex:

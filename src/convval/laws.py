@@ -286,24 +286,16 @@ def check_level_convergence(sequence: Sequence[PWAConvex], u: PWAConvex,
                             levels: Sequence, threshold: float = 1e-6) -> LawReport:
     """Per-level Hausdorff distances nonincreasing and finally below threshold.
 
-    Levels where both sublevel sets are empty count as distance 0 (the paper's
-    empty-set convention); levels where exactly one is empty are recorded as
-    failures of that element.
+    ``hausdorff_distance`` keeps the paper's empty-set convention: 0 where
+    both sublevel sets are empty, inf (a failure of that element) where
+    exactly one is.
     """
     per_level = {}
     ok = True
     witness = None
     for t in levels:
         su = u.sublevel(t)
-        dists = []
-        for uk in sequence:
-            sk = uk.sublevel(t)
-            if su.is_empty and sk.is_empty:
-                dists.append(0.0)
-            elif su.is_empty or sk.is_empty:
-                dists.append(math.inf)
-            else:
-                dists.append(hausdorff_distance(su, sk))
+        dists = [hausdorff_distance(su, uk.sublevel(t)) for uk in sequence]
         per_level[Fraction(t)] = dists
         monotone = all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
         if not (monotone and dists[-1] < threshold):

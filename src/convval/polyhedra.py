@@ -31,8 +31,9 @@ it, so no rank test is taken.  Every simplex ends in a triangle of a
 polygon fan, and one determinant per fan, scaled by the exact cross
 products of the fan's triangles in the polygon's plane, gives the integer
 |det| of all its simplices; they are summed and divided by L^d d! once.
-Only Euclidean distances (Hausdorff) leave the rational world, via a single
-square root at the end.
+The Euclidean projection onto a polyhedron (``nearest_point``, which the
+Moreau envelope and the Hausdorff distance share) is exact; only distances
+leave the rational world, via a single square root at the end.
 
 Scales targeted: ambient dimension <= 6, a few dozen constraints.  All values
 are immutable after construction and all operations are pure.
@@ -50,6 +51,7 @@ from operator import and_, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
+    BudgetExceeded,
     CertificateFailed,
     DimensionMismatch,
     EmptyPolyhedron,
@@ -490,7 +492,7 @@ class Polyhedron:
             return False
         return self.contains_polyhedron(other) and other.contains_polyhedron(self)
 
-    __hash__ = None  # mutable caches; not hashable
+    __hash__ = None  # __eq__ is set equality; no cheap hash agrees with it
 
     def relint_point(self) -> Point:
         """A point in the relative interior (positive mix of all generators)."""
@@ -858,49 +860,62 @@ def volume(p: Polyhedron) -> Fraction:
 # Distances
 # ---------------------------------------------------------------------------
 
-def _dist2_point_polytope(x: Point, poly: Polyhedron) -> Fraction:
-    """Exact squared Euclidean distance from a point to a bounded polytope."""
-    if poly.contains(x):
-        return Fraction(0)
-    rows = poly.canonical_hrep.halfspaces
-    d = poly.d
-    best: Fraction | None = None
-    for k in range(1, min(d, len(rows)) + 1):
+def nearest_point(p: Polyhedron, x: Sequence, budget: int = 10 ** 6) -> Point:
+    """The point of the nonempty polyhedron ``p`` nearest to ``x``, exactly.
+
+    KKT active-set enumeration over the rows of ``p.canonical_hrep``: for
+    k = 0, 1, ..., min(d, rows), each k-subset with independent normals G
+    gives the projection y = x - G^T lam of x onto {G y = c}, lam solving the
+    Gram system G G^T lam = G x - c.  The first y with lam >= 0 that lies in
+    ``p`` is a KKT point of a convex problem, hence its minimum, and some
+    independent active set yields it (conic Caratheodory).  A point of ``p``
+    is its own answer, with no solve.  More than ``budget`` subsets raise
+    :class:`BudgetExceeded`; if no subset works, :class:`CertificateFailed`.
+    """
+    if p.is_empty:
+        raise EmptyPolyhedron("nearest point in the empty set")
+    x = _fracvec(x)
+    rows = p.canonical_hrep.halfspaces
+    used = 0
+    for k in range(min(p.d, len(rows)) + 1):
         for subset in itertools.combinations(rows, k):
+            used += 1
+            if used > budget:
+                raise BudgetExceeded(f"nearest_point exceeded the {budget}-subset budget")
             normals = [a for a, _ in subset]
-            if rank(normals) < k:
-                continue
-            gram = [[dot(a, b) for b, _ in subset] for a in normals]
-            rhs = [dot(a, x) - b for a, b in subset]
-            lam = solve(gram, rhs)
-            if lam is None:
-                continue
-            proj = x
-            for coeff, a in zip(lam, normals):
-                proj = vec_sub(proj, vec_scale(coeff, a))
-            if poly.contains(proj):
-                dist2 = dot(vec_sub(proj, x), vec_sub(proj, x))
-                if best is None or dist2 < best:
-                    best = dist2
-    if best is None:
-        raise CertificateFailed("no face projection of the point lies in the polytope")
-    return best
+            y = x
+            if k:
+                if rank(normals) < k:
+                    continue
+                lam = solve([[dot(a, b) for b in normals] for a in normals],
+                            [dot(a, x) - c for a, c in subset])
+                if lam is None or any(l < 0 for l in lam):
+                    continue
+                for coeff, a in zip(lam, normals):
+                    y = vec_sub(y, vec_scale(coeff, a))
+            if all(dot(a, y) <= c for a, c in rows):
+                return y
+    raise CertificateFailed("no face projection of the point lies in the polyhedron")
 
 
 def hausdorff_distance(k: Polyhedron, l: Polyhedron) -> float:
-    """Hausdorff distance between two bounded nonempty polytopes.
+    """Hausdorff distance between two bounded polytopes.
 
-    Exact up to the final square root (absolute accuracy ~1e-15).
+    Exact up to the final square root (absolute accuracy ~1e-15): the
+    largest squared distance from a vertex of one body to its
+    ``nearest_point`` in the other.  Two empty bodies are at distance 0 and
+    an empty body is at distance inf from a nonempty one, the convention for
+    empty sublevel sets.
     """
-    if k.is_empty or l.is_empty:
-        raise EmptyPolyhedron("Hausdorff distance needs nonempty bodies")
-    if not (k.is_bounded and l.is_bounded):
-        raise UnboundedPolyhedron("Hausdorff distance needs bounded bodies")
     if k.d != l.d:
         raise DimensionMismatch("ambient dimensions differ")
+    if k.is_empty or l.is_empty:
+        return 0.0 if k.is_empty and l.is_empty else math.inf
+    if not (k.is_bounded and l.is_bounded):
+        raise UnboundedPolyhedron("Hausdorff distance needs bounded bodies")
     worst2 = Fraction(0)
-    for v in k.vrep.vertices:
-        worst2 = max(worst2, _dist2_point_polytope(v, l))
-    for v in l.vrep.vertices:
-        worst2 = max(worst2, _dist2_point_polytope(v, k))
+    for a, b in ((k, l), (l, k)):
+        for v in a.vrep.vertices:
+            gap = vec_sub(nearest_point(b, v), v)
+            worst2 = max(worst2, dot(gap, gap))
     return math.sqrt(worst2)

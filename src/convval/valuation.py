@@ -27,7 +27,6 @@ exact over the rationals whenever zeta is polynomial-compact.
 from __future__ import annotations
 
 import math
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -103,15 +102,14 @@ def _taylor_weights(z: int, mult: dict[int, int]) -> tuple[list[int], int, int]:
     return series, q, p
 
 
-_PROFILES = weakref.WeakKeyDictionary()  # function -> its profile, while the function lives
-
-
 def level_volume_profile(u: PWAConvex) -> LevelVolumeProfile:
     """Exact piecewise-polynomial t -> vol_n({u <= t}); cached per function."""
-    if u in _PROFILES:
-        return _PROFILES[u]
     if not u.coercive:
         raise NotCoercive("level-volume profile requires a coercive function")
+    return u._derived("profile", lambda: _profile(u))
+
+
+def _profile(u: PWAConvex) -> LevelVolumeProfile:
     n = u.n
     d = n + 1
     levels = sorted({v[n] for v in u.epigraph.vrep.vertices})
@@ -174,9 +172,7 @@ def level_volume_profile(u: PWAConvex) -> LevelVolumeProfile:
                 f"volume profile discontinuous at level {levels[i]}: {left} -> {right}")
         if i + 1 < len(levels):
             left = peval(p, levels[i + 1])
-    prof = LevelVolumeProfile(n, t_min, atom, tuple(levels), tuple(polys[:-1]), polys[-1])
-    _PROFILES[u] = prof
-    return prof
+    return LevelVolumeProfile(n, t_min, atom, tuple(levels), tuple(polys[:-1]), polys[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from convval import conjugacy, functions, polyhedra
 from convval.conjugacy import conjugate, inf_convolution
-from convval.errors import ConvvalError, NotConvexMin
+from convval.errors import ConvvalError, EmptyDomain, NotCoercive, NotConvexMin
 from convval.functions import from_epigraph, inf_if_convex, make, pwa_equal, sup
 from convval.laws import generate_pair_with_convex_min
 from convval.linalg import dot, vec_sub
@@ -47,16 +47,27 @@ def oracle_active_cells(n, pieces, domain):
     return tuple(cells)
 
 
+def plain_build(n, pieces, domain, coercive):
+    """The builder that kept every piece it was given."""
+    pieces = tuple((polyhedra._fracvec(a), F(b)) for a, b in pieces)
+    epi = functions._epigraph_of(n, pieces, domain)
+    if epi.is_empty:
+        raise EmptyDomain("empty domain: the function is improper")
+    if coercive and not functions._check_coercive(epi, n):
+        raise NotCoercive("some sublevel set is unbounded")
+    return functions.PWAConvex(n, pieces, domain, epi, coercive)
+
+
 def oracle_build_pruned(n, pieces, domain, coercive):
     pieces = [(polyhedra._fracvec(a), F(b)) for a, b in pieces]
     cells = oracle_active_cells(n, pieces, domain)
-    return functions._build(n, tuple(p for p, _ in cells), domain, coercive)
+    return plain_build(n, tuple(p for p, _ in cells), domain, coercive)
 
 
 @contextmanager
 def per_piece_pruning():
-    with mock.patch.object(functions, "_build_pruned", oracle_build_pruned), \
-            mock.patch.object(conjugacy, "_build_pruned", oracle_build_pruned):
+    with mock.patch.object(functions, "_build", oracle_build_pruned), \
+            mock.patch.object(conjugacy, "_build", oracle_build_pruned):
         yield
 
 

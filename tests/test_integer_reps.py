@@ -23,7 +23,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from convval import conjugacy, functions, linalg, polyhedra, valuation
 from convval.conjugacy import conjugate
-from convval.errors import ConvvalError
+from convval.errors import ConvvalError, EmptyDomain, NotCoercive
 from convval.functions import cone_function, from_epigraph, inf_if_convex, make, pwa_equal
 from convval.growth import make_growth, pdiff, pint, pmul, tail_integral
 from convval.laws import generate_pair_with_convex_min, random_body
@@ -158,6 +158,15 @@ def simplex_indices(pts, scale, simplices):
     return pts, scale, [s for s, _ in simplices]
 
 
+def plain_checked(n, pieces, domain, epi, coercive):
+    """The function of ``pieces`` with the given epigraph, after the builder's checks."""
+    if epi.is_empty:
+        raise EmptyDomain("empty domain: the function is improper")
+    if coercive and not functions._check_coercive(epi, n):
+        raise NotCoercive("some sublevel set is unbounded")
+    return functions.PWAConvex(n, pieces, domain, epi, coercive)
+
+
 def oracle_build_pruned(n, pieces, domain, coercive):
     pieces = tuple(dict.fromkeys((_fracvec(a), F(b)) for a, b in pieces))
     epi = functions._epigraph_of(n, pieces, domain)
@@ -165,14 +174,14 @@ def oracle_build_pruned(n, pieces, domain, coercive):
     active = tuple((a, b) for a, b in pieces
                    if any(dot(a, v[:n]) + b == v[n] for v in verts))
     if 0 < len(active) < len(pieces):
-        return functions._build(n, active, domain, coercive)
-    return functions._checked(n, pieces, domain, epi, coercive)
+        pieces, epi = active, functions._epigraph_of(n, active, domain)
+    return plain_checked(n, pieces, domain, epi, coercive)
 
 
 @contextmanager
 def dot_pruning():
-    with mock.patch.object(functions, "_build_pruned", oracle_build_pruned), \
-            mock.patch.object(conjugacy, "_build_pruned", oracle_build_pruned):
+    with mock.patch.object(functions, "_build", oracle_build_pruned), \
+            mock.patch.object(conjugacy, "_build", oracle_build_pruned):
         yield
 
 

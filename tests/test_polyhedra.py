@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convval import polyhedra
-from convval.errors import CertificateFailed, UnboundedPolyhedron
+from convval.errors import CertificateFailed, DimensionMismatch, UnboundedPolyhedron
 from convval.linalg import determinant, dot
 from convval.polyhedra import (HRep, Polyhedron, VRep, apply_linear,
                                hausdorff_distance, intersect, minkowski_sum,
@@ -190,6 +190,13 @@ class TestHausdorff:
         sq = box((-1, 1), (-1, 1))
         dia = Polyhedron.from_generators(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
         assert hausdorff_distance(sq, dia) == pytest.approx(math.sqrt(2) / 2)
+
+    def test_empty_bodies(self):
+        sq, empty = box((0, 1), (0, 1)), Polyhedron.empty(2)
+        assert hausdorff_distance(empty, Polyhedron.empty(2)) == 0.0
+        assert hausdorff_distance(sq, empty) == hausdorff_distance(empty, sq) == math.inf
+        with pytest.raises(DimensionMismatch):
+            hausdorff_distance(empty, Polyhedron.empty(3))
 
 
 class TestRandomUnimodular:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convval.errors import CertificateFailed, NotCoercive
-from convval.functions import cone_function, indicator_function, make, sup
+from convval.functions import _DERIVED, cone_function, indicator_function, make, sup
 from convval.growth import make_growth, moment, peval, psi_from_zeta
 from convval.laws import (generate_pair_with_convex_min, random_body,
                           staircase_fixture, truncation_fixture)
@@ -76,6 +76,13 @@ class TestProfile:
         u = make([((1, 0), 0)], n=2, coercive=False)
         with pytest.raises(NotCoercive):
             level_volume_profile(u)
+        assert "profile" not in _DERIVED.get(u, {})
+
+    def test_cached_on_the_function_without_writing_to_it(self):
+        u = absn(2)
+        before = dict(vars(u))
+        assert level_volume_profile(u) is level_volume_profile(u)
+        assert vars(u) == before
 
 
 class TestIntegralValuation:
