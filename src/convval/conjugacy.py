@@ -106,20 +106,23 @@ class ConeBound:
 
         Vertices (x_v, t_v) must satisfy t_v > a|x_v| + b and recession rays
         (r, s) must satisfy s > a|r|; both checks avoid square roots by
-        comparing squares.
+        comparing squares.  They run on the integer generators of the
+        epigraph, vertices (X, T, x0) and rays (R, S, 0), with a = p / q and
+        b = m / e: a vertex passes iff G = T e - m x0 > 0 and
+        (G q)^2 > (p e)^2 |X|^2, a ray iff S > 0 and (S q)^2 > p^2 |R|^2.
         """
         n = u.n
-        g = u.epigraph.vrep
-        if g.lines:
+        cone = u.epigraph._integer()
+        if cone.lines:
             return False
-        for v in g.vertices:
-            xv, tv = v[:n], v[n]
-            gap = tv - self.b
-            if gap <= 0 or gap * gap <= self.a * self.a * dot(xv, xv):
-                return False
-        for r in g.rays:
-            rx, s = r[:n], r[n]
-            if s <= 0 or s * s <= self.a * self.a * dot(rx, rx):
+        a, b = Fraction(self.a), Fraction(self.b)
+        p, q, m, e = a.numerator, a.denominator, b.numerator, b.denominator
+        for j, g in enumerate(cone.gens):
+            if j < cone.nverts:
+                gap, slope = g[n] * e - m * g[n + 1], p * e
+            else:
+                gap, slope = g[n], p
+            if gap <= 0 or (gap * q) ** 2 <= slope * slope * sum(v * v for v in g[:n]):
                 return False
         return True
 

@@ -27,6 +27,7 @@ import math
 import weakref
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -39,7 +40,7 @@ from .errors import (
     EmptyPolyhedron,
 )
 from .linalg import determinant, dot, invert, vec_sub
-from .polyhedra import HRep, Polyhedron, _fracvec, cut_by
+from .polyhedra import HRep, Polyhedron, _fracvec, _int_point, _within, cut_by
 
 Piece = tuple[tuple[Fraction, ...], Fraction]
 INF = math.inf
@@ -81,13 +82,27 @@ class PWAConvex:
     # -- basic queries -------------------------------------------------------
 
     def eval(self, x: Sequence) -> Fraction | float:
-        """Exact value at a rational point (+inf outside the domain)."""
-        x = _fracvec(x)
-        if len(x) != self.n:
-            raise DimensionMismatch(f"point of length {len(x)} for a function on R^{self.n}")
-        if not self.domain.satisfies(x):
+        """Exact value at a rational point (+inf outside the domain).
+
+        Runs on integers: x is the homogeneous point (X, q) of ``_int_point``,
+        tested against the domain's integer rows, and each piece is kept as
+        the integer row L (a, b), L the lcm of the denominators of all the
+        pieces, so its value at x is L (a, b).(X, q) / (L q).
+        """
+        y = _int_point(x)
+        if len(y) != self.n + 1:
+            raise DimensionMismatch(f"point of length {len(y) - 1} for a function on R^{self.n}")
+        if not _within(self.domain.int_rows, y):
             return INF
-        return max(dot(a, x) + b for a, b in self.pieces)
+        scale, rows = self._derived("integer pieces", self._integer_pieces)
+        return Fraction(max(sum(map(mul, row, y)) for row in rows), scale * y[-1])
+
+    def _integer_pieces(self) -> tuple[int, list[tuple[int, ...]]]:
+        """(L, rows): the rows L (a, b) of the pieces, L the lcm of their
+        denominators."""
+        scale = math.lcm(*(v.denominator for a, b in self.pieces for v in a + (b,)))
+        return scale, [tuple(v.numerator * (scale // v.denominator) for v in a + (b,))
+                       for a, b in self.pieces]
 
     def min_value(self) -> tuple[Fraction, Polyhedron]:
         """(min value, argmin polytope); the minimum is attained by coercivity."""

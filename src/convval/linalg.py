@@ -9,8 +9,13 @@ loop.  ``rref``, ``rank``, ``null_space``, ``solve``, ``invert`` and
 divide by its common pivot only where a rational result leaves the module;
 ``null_space`` returns primitive integer vectors and divides by nothing.
 Fractions remain in ``dot`` and the vector helpers, which callers use on
-rational points.  Sizes are tiny (d <= 7), so no attempt is made at
-asymptotic cleverness.
+rational points outside the hot loops.  The loops over rational points
+themselves run on integers too: ``HRep.satisfies``, ``PWAConvex.eval``,
+``polyhedra.nearest_point`` and ``ConeBound.holds_for`` scale a point to
+one homogeneous integer vector (``polyhedra._int_point``) and test it
+against primitive integer rows, and build a ``Fraction`` only for the value
+they return.  Sizes are tiny (d <= 7), so no attempt is made at asymptotic
+cleverness.
 """
 
 from __future__ import annotations

@@ -31,9 +31,16 @@ it, so no rank test is taken.  Every simplex ends in a triangle of a
 polygon fan, and one determinant per fan, scaled by the exact cross
 products of the fan's triangles in the polygon's plane, gives the integer
 |det| of all its simplices; they are summed and divided by L^d d! once.
-The Euclidean projection onto a polyhedron (``nearest_point``, which the
-Moreau envelope and the Hausdorff distance share) is exact; only distances
-leave the rational world, via a single square root at the end.
+Points meet rows in integers as well: a rational point x becomes the
+homogeneous integer point (X, q) with x = X / q (``_int_point``), and
+``_within`` tests it against primitive integer rows (a, -b); that is the one
+halfspace test, behind ``HRep.satisfies`` (on the rows ``HRep.int_rows``
+keeps), ``Polyhedron.contains`` and ``PWAConvex.eval``.  The Euclidean
+projection onto a polyhedron (``nearest_point``, which the Moreau envelope
+and the Hausdorff distance share) is exact and runs on the same integer rows:
+one ``echelon`` per candidate active set, and one division when it returns.
+Only distances leave the rational world, via a single square root at the
+end.
 
 Scales targeted: ambient dimension <= 6, a few dozen constraints.  All values
 are immutable after construction and all operations are pure.
@@ -46,7 +53,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, reduce
+from functools import cached_property, cmp_to_key, reduce
 from operator import and_, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -66,7 +73,6 @@ from .linalg import (
     null_space,
     rank,
     scale_to_int,
-    solve,
     vec_add,
     vec_scale,
     vec_sub,
@@ -77,6 +83,20 @@ Point = tuple[Fraction, ...]
 
 def _fracvec(v: Sequence) -> Point:
     return tuple(Fraction(x) for x in v)
+
+
+def _int_point(x: Sequence) -> tuple[int, ...]:
+    """Homogeneous integer point (X, q) of a rational point: x = X / q, with q
+    the lcm of the denominators of x."""
+    x = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in x]
+    q = math.lcm(*(v.denominator for v in x))
+    return tuple(v.numerator * (q // v.denominator) for v in x) + (q,)
+
+
+def _within(rows: Iterable[Sequence[int]], y: Sequence[int]) -> bool:
+    """True iff the homogeneous integer point y satisfies every integer row
+    (a, -b), i.e. row.y <= 0: the one halfspace test of the package."""
+    return all(sum(map(mul, row, y)) <= 0 for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +124,17 @@ class HRep:
     def infeasible(d: int) -> "HRep":
         return HRep(d, ((tuple(Fraction(0) for _ in range(d)), Fraction(-1)),))
 
+    @cached_property
+    def int_rows(self) -> list[tuple[int, ...]]:
+        """The halfspaces as primitive integer rows (``_int_rows``), built on
+        first use."""
+        return _int_rows(self.halfspaces)
+
     def satisfies(self, x: Sequence) -> bool:
-        x = _fracvec(x)
-        if len(x) != self.d:
-            raise DimensionMismatch(f"point of length {len(x)} in R^{self.d}")
-        return all(dot(a, x) <= b for a, b in self.halfspaces)
+        y = _int_point(x)
+        if len(y) != self.d + 1:
+            raise DimensionMismatch(f"point of length {len(y) - 1} in R^{self.d}")
+        return _within(self.int_rows, y)
 
 
 @dataclass(frozen=True)
@@ -869,32 +895,50 @@ def nearest_point(p: Polyhedron, x: Sequence, budget: int = 10 ** 6) -> Point:
     Gram system G G^T lam = G x - c.  The first y with lam >= 0 that lies in
     ``p`` is a KKT point of a convex problem, hence its minimum, and some
     independent active set yields it (conic Caratheodory).  A point of ``p``
-    is its own answer, with no solve.  More than ``budget`` subsets raise
-    :class:`BudgetExceeded`; if no subset works, :class:`CertificateFailed`.
+    is its own answer, with no elimination.  More than ``budget`` subsets
+    raise :class:`BudgetExceeded`; if no subset works, :class:`CertificateFailed`.
+
+    The loop runs on integers: the rows are the primitive rows (a, -c) of
+    ``HRep.int_rows`` and x is the homogeneous point (X, q) of ``_int_point``.
+    One ``echelon`` of [G G^T | G X - q c] per subset is both the rank test
+    (its pivots are the first k columns iff G has rank k) and the solve: its
+    pivot D is then det(G G^T) > 0, a Gram determinant, and its last column
+    is M = D q lam, so lam >= 0 is read off the signs of M, Y = D X - G^T M
+    is the projection times D q, and a.Y <= c D q is the membership test.
+    The answer is the one division by D q.
     """
     if p.is_empty:
         raise EmptyPolyhedron("nearest point in the empty set")
-    x = _fracvec(x)
-    rows = p.canonical_hrep.halfspaces
-    used = 0
-    for k in range(min(p.d, len(rows)) + 1):
-        for subset in itertools.combinations(rows, k):
-            used += 1
-            if used > budget:
-                raise BudgetExceeded(f"nearest_point exceeded the {budget}-subset budget")
-            normals = [a for a, _ in subset]
-            y = x
-            if k:
-                if rank(normals) < k:
-                    continue
-                lam = solve([[dot(a, b) for b in normals] for a in normals],
-                            [dot(a, x) - c for a, c in subset])
-                if lam is None or any(l < 0 for l in lam):
-                    continue
-                for coeff, a in zip(lam, normals):
-                    y = vec_sub(y, vec_scale(coeff, a))
-            if all(dot(a, y) <= c for a, c in rows):
-                return y
+    rows = p.canonical_hrep.int_rows
+    y0 = _int_point(x)
+    if len(y0) != p.d + 1:
+        raise DimensionMismatch(f"point of length {len(y0) - 1} in R^{p.d}")
+    xs, q = y0[:-1], y0[-1]
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(len(rows)), k) for k in range(min(p.d, len(rows)) + 1))
+    for used, subset in enumerate(subsets, 1):
+        if used > budget:
+            raise BudgetExceeded(f"nearest_point exceeded the {budget}-subset budget")
+        if not subset:
+            if _within(rows, y0):
+                return tuple(Fraction(v, q) for v in xs)
+            normals = [row[:-1] for row in rows]
+            gram = [[sum(map(mul, a, b)) for b in normals] for a in normals]
+            rhs = [sum(map(mul, row, y0)) for row in rows]  # a.X - q c
+            continue
+        k = len(subset)
+        red, pivots, det = echelon([[gram[i][j] for j in subset] + [rhs[i]] for i in subset])
+        if pivots != list(range(k)):
+            continue
+        m = [r[k] for r in red]
+        if any(v < 0 for v in m):
+            continue
+        y = [det * v for v in xs]
+        for coeff, i in zip(m, subset):
+            y = [v - coeff * a for v, a in zip(y, normals[i])]
+        y.append(det * q)
+        if _within(rows, y):
+            return tuple(Fraction(v, y[-1]) for v in y[:-1])
     raise CertificateFailed("no face projection of the point lies in the polyhedron")
 
 

@@ -1,0 +1,226 @@
+"""The conjugacy layer's integer routes against the ``Fraction`` routes they
+replaced: ``PWAConvex.eval``, ``HRep.satisfies`` and ``ConeBound.holds_for``.
+
+The oracles below are copied from the routes before the change, which took
+``Fraction`` dot products over the domain rows, the pieces and the V-rep of
+the epigraph.  Every comparison is an exact ``==``.
+"""
+
+from fractions import Fraction as F
+from functools import lru_cache
+from math import inf, isqrt
+
+from hypothesis import given, settings, strategies as st
+
+from convval.conjugacy import ConeBound, cone_bound, conjugate
+from convval.functions import cone_function, indicator_function, make
+from convval.laws import generate_pair_with_convex_min
+from convval.linalg import dot
+from convval.polyhedra import HRep, Polyhedron
+
+# ---------------------------------------------------------------------------
+# Oracles: the Fraction routes
+# ---------------------------------------------------------------------------
+
+
+def oracle_satisfies(h, x):
+    x = tuple(F(c) for c in x)
+    return all(dot(a, x) <= b for a, b in h.halfspaces)
+
+
+def oracle_eval(u, x):
+    x = tuple(F(c) for c in x)
+    if not oracle_satisfies(u.domain, x):
+        return inf
+    return max(dot(a, x) + b for a, b in u.pieces)
+
+
+def oracle_holds_for(bound, u):
+    n = u.n
+    g = u.epigraph.vrep
+    if g.lines:
+        return False
+    for v in g.vertices:
+        xv, tv = v[:n], v[n]
+        gap = tv - bound.b
+        if gap <= 0 or gap * gap <= bound.a * bound.a * dot(xv, xv):
+            return False
+    for r in g.rays:
+        rx, s = r[:n], r[n]
+        if s <= 0 or s * s <= bound.a * bound.a * dot(rx, rx):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Cases
+# ---------------------------------------------------------------------------
+
+coords = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4,
+                                                    max_denominator=6))
+PRIME = 10 ** 9 + 7
+
+
+@lru_cache(maxsize=None)
+def function_cases(n):
+    """Pair functions and their conjugates (not coercive, with domain rows),
+    a box indicator and a max of pieces on a cut domain."""
+    fns = []
+    for seed in range(3):
+        pair = generate_pair_with_convex_min(seed, n)
+        fns += [pair.u, pair.v, conjugate(pair.u), conjugate(pair.v)]
+    box = Polyhedron.box([(F(-1, 3), 2)] * n)
+    fns.append(indicator_function(box, F(-2, 7)))
+    slopes = [tuple(s * int(i == j) for i in range(n)) for j in range(n) for s in (1, -1)]
+    cut = HRep.make(n, [((1,) * n, F(3, 2)), ((-1,) + (0,) * (n - 1), 1)])
+    fns.append(make([(a, F(j, 3)) for j, a in enumerate(slopes)], cut, coercive=False))
+    return tuple(fns)
+
+
+def points_near(u, data):
+    """Points inside the domain, on its boundary and outside it, and points
+    with large denominators."""
+    n = u.n
+    verts = list(u.domain_polyhedron().vrep.vertices)
+    epi = [v[:n] for v in u.epigraph.vrep.vertices]  # where pieces tie
+    where = data.draw(st.sampled_from(["inside", "vertex", "row", "beyond", "fine", "any"]))
+    rows = u.domain.halfspaces
+    if where == "inside":
+        pts = verts + epi
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=len(pts),
+                                     max_size=len(pts)).filter(any))
+        return tuple(sum(w * p[i] for w, p in zip(weights, pts)) / sum(weights)
+                     for i in range(n))
+    if where == "vertex":
+        return data.draw(st.sampled_from(verts + epi))
+    if where in ("row", "beyond") and rows:
+        # Move a point along the normal of a row onto its hyperplane, or just
+        # past it by the smallest margin drawn.
+        a, b = data.draw(st.sampled_from(rows))
+        v = data.draw(st.sampled_from(verts))
+        s = (b - dot(a, v)) / dot(a, a)
+        if where == "beyond":
+            s += F(1, data.draw(st.sampled_from([1, 10 ** 6, PRIME * 10 ** 12])))
+        return tuple(c + s * ac for c, ac in zip(v, a))
+    x = tuple(F(c) for c in data.draw(st.lists(coords, min_size=n, max_size=n)))
+    if where == "fine":
+        x = tuple(c + F(data.draw(st.integers(-10 ** 6, 10 ** 6)), PRIME) for c in x)
+    return x
+
+
+class TestEval:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_eval_and_satisfies_match_the_fraction_routes(self, data):
+        n = data.draw(st.integers(1, 3))
+        u = data.draw(st.sampled_from(function_cases(n)))
+        x = points_near(u, data)
+        got = u.eval(x)
+        assert got == oracle_eval(u, x)
+        assert type(got) is (float if got == inf else F)
+        assert u.domain.satisfies(x) == oracle_satisfies(u.domain, x)
+        assert u.domain_polyhedron().contains(x) == oracle_satisfies(u.domain, x)
+
+    def test_every_case_has_points_outside(self):
+        # The "beyond" points really leave the domain of every case with rows.
+        for n in (1, 2, 3):
+            for u in function_cases(n):
+                for a, b in u.domain.halfspaces:
+                    v = u.domain_polyhedron().vrep.vertices[0]
+                    s = (b - dot(a, v)) / dot(a, a) + F(1, PRIME * 10 ** 12)
+                    x = tuple(c + s * ac for c, ac in zip(v, a))
+                    assert u.eval(x) == inf == oracle_eval(u, x)
+
+    def test_integer_and_mixed_inputs(self):
+        u = make([((1, F(1, 2)), F(-1, 3)), ((-2, 1), 0), ((0, -1), 1)], n=2)
+        for x in [(0, 0), (3, -2), (F(1, 2), 1), (0.5, -0.25), ("1/3", "-2/5")]:
+            assert u.eval(x) == oracle_eval(u, x)
+
+
+# ---------------------------------------------------------------------------
+# Cone bounds
+# ---------------------------------------------------------------------------
+
+
+def norm_bracket(v):
+    """(lo, hi) with lo <= |v| < hi and hi - lo tiny; lo == |v| when the
+    norm is rational with a small enough denominator."""
+    sq = F(dot(v, v))
+    den = sq.denominator * 10 ** 30
+    root = isqrt(sq.numerator * sq.denominator * 10 ** 60)
+    return F(root, den), F(root + 1, den)
+
+
+def tight_bounds(u, a):
+    """Bounds with slope ``a`` that fail and pass at a vertex by the least
+    margin: b_fail puts a|x_v| <= t_v - b at one vertex (equality when |x_v|
+    is rational), b_pass keeps t_v - b > a|x_v| at every vertex."""
+    n = u.n
+    verts = u.epigraph.vrep.vertices
+    brackets = [norm_bracket(v[:n]) for v in verts]
+    b_fail = min(v[n] - a * lo for v, (lo, _) in zip(verts, brackets))
+    b_pass = min(v[n] - a * hi for v, (_, hi) in zip(verts, brackets))
+    return ConeBound(a, b_fail), ConeBound(a, b_pass)
+
+
+@lru_cache(maxsize=None)
+def bound_cases(n):
+    """Coercive pair functions, a cone function (rays in every direction),
+    conjugates (a vertical ray only) and a function with a line."""
+    fns = []
+    for seed in range(3):
+        pair = generate_pair_with_convex_min(seed, n)
+        fns += [pair.u, pair.v, conjugate(pair.u)]
+    fns.append(cone_function(Polyhedron.box([(-1, 2)] * n), F(1, 3)))
+    fns.append(make([((1,) + (0,) * (n - 1), 0)], n=n, coercive=False))
+    return tuple(fns)
+
+
+class TestHoldsFor:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_least_margins(self, data):
+        n = data.draw(st.integers(1, 3))
+        u = data.draw(st.sampled_from(bound_cases(n)))
+        certified = u.coercive and data.draw(st.booleans())
+        if certified:  # its rays pass, so only the vertices decide
+            a = cone_bound(u).a
+        else:
+            a = data.draw(st.sampled_from([F(1, 7), F(1, 2), F(1), F(3)]))
+        fail, ok = tight_bounds(u, a)
+        assert fail.holds_for(u) is False
+        assert oracle_holds_for(fail, u) is False
+        assert ok.holds_for(u) == oracle_holds_for(ok, u)
+        if certified:
+            assert ok.holds_for(u) is True
+        b = data.draw(st.fractions(min_value=-20, max_value=20, max_denominator=9))
+        any_bound = ConeBound(a, b)
+        assert any_bound.holds_for(u) == oracle_holds_for(any_bound, u)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_least_ray_margins(self, data):
+        # A cone function's rays (r, 1) fail once a|r| >= 1: slopes just
+        # above and just below 1 / |r| for its longest ray.
+        n = data.draw(st.integers(1, 3))
+        u = cone_function(Polyhedron.box([(-1, data.draw(st.integers(1, 3)))] * n))
+        lo, hi = max(norm_bracket(r[:n]) for r in u.epigraph.vrep.rays)
+        steep, gentle = ConeBound(1 / lo, F(-100)), ConeBound(1 / hi, F(-100))
+        assert steep.holds_for(u) is False is oracle_holds_for(steep, u)
+        assert gentle.holds_for(u) is True is oracle_holds_for(gentle, u)
+
+    def test_certified_bounds_pass(self):
+        for n in (1, 2, 3):
+            for u in bound_cases(n):
+                if u.coercive:
+                    bound = cone_bound(u)
+                    assert bound.holds_for(u) is True is oracle_holds_for(bound, u)
+
+    def test_equality_on_a_pythagorean_vertex(self):
+        # Every vertex of the box has |x| = 5, so t - b == 5a is the boundary.
+        u = indicator_function(Polyhedron.box([(-3, 3), (-4, 4)]), F(1, 2))
+        a = F(2, 3)
+        at = ConeBound(a, F(1, 2) - 5 * a)
+        below = ConeBound(a, F(1, 2) - 5 * a - F(1, 10 ** 40))
+        assert at.holds_for(u) is False is oracle_holds_for(at, u)
+        assert below.holds_for(u) is True is oracle_holds_for(below, u)

@@ -1,12 +1,14 @@
-"""``polyhedra.nearest_point`` and its two callers, against the two
-enumerations it replaced.
+"""``polyhedra.nearest_point`` and its two callers, against the routes it
+replaced.
 
 The oracles below are copied from the routes before it: the KKT loop of
 ``moreau_eval``, which tried every independent subset of a cell's facet rows
 and kept the least value, and ``_dist2_point_polytope``, which kept the least
 squared distance over every face projection that lies in the body.  Both
-examine every subset; ``nearest_point`` stops at the first KKT point.  Every
-comparison is an exact ``==``.
+examine every subset; ``nearest_point`` stops at the first KKT point.  The
+third, ``oracle_nearest_point``, is ``nearest_point`` itself as it was on
+``Fraction`` rows, with a ``rank`` and a ``solve`` per subset, before its
+loop moved onto integers.  Every comparison is an exact ``==``.
 """
 
 from fractions import Fraction as F
@@ -85,6 +87,41 @@ def oracle_dist2(x, poly):
     return best
 
 
+def oracle_nearest_point(p, x, budget=10 ** 6):
+    if p.is_empty:
+        raise EmptyPolyhedron("nearest point in the empty set")
+    x = tuple(F(c) for c in x)
+    rows = p.canonical_hrep.halfspaces
+    used = 0
+    for k in range(min(p.d, len(rows)) + 1):
+        for subset in combinations(rows, k):
+            used += 1
+            if used > budget:
+                raise BudgetExceeded(f"nearest_point exceeded the {budget}-subset budget")
+            normals = [a for a, _ in subset]
+            y = x
+            if k:
+                if rank(normals) < k:
+                    continue
+                lam = solve([[dot(a, b) for b in normals] for a in normals],
+                            [dot(a, x) - c for a, c in subset])
+                if lam is None or any(l < 0 for l in lam):
+                    continue
+                for coeff, a in zip(lam, normals):
+                    y = vec_sub(y, vec_scale(coeff, a))
+            if all(dot(a, y) <= c for a, c in rows):
+                return y
+    raise AssertionError("no face projection of the point lies in the polyhedron")
+
+
+def outcome(route, *args):
+    """The route's point, or ``"BudgetExceeded"`` if it ran out of subsets."""
+    try:
+        return route(*args)
+    except BudgetExceeded:
+        return "BudgetExceeded"
+
+
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
@@ -156,6 +193,32 @@ class TestAgainstEveryFaceProjection:
         assert dot(vec_sub(y, x), vec_sub(y, x)) == oracle_dist2(x, body)
 
 
+class TestAgainstTheFractionRoute:
+    @settings(max_examples=200, deadline=None)
+    @given(bodies(), st.data())
+    def test_same_point_and_same_budget_failures(self, body, data):
+        d = body.d
+        verts = body.vrep.vertices
+        where = data.draw(st.sampled_from(["inside", "vertex", "outside", "fine"]))
+        if where == "inside":
+            weights = data.draw(st.lists(st.integers(0, 3), min_size=len(verts),
+                                         max_size=len(verts)).filter(any))
+            x = tuple(sum(w * v[i] for w, v in zip(weights, verts)) / sum(weights)
+                      for i in range(d))
+        elif where == "vertex":
+            x = data.draw(st.sampled_from(verts))
+        else:
+            x = tuple(F(c) for c in data.draw(st.lists(coords, min_size=d, max_size=d)))
+            if where == "fine":  # large, coprime denominators
+                x = tuple(c + F(data.draw(st.integers(-10 ** 6, 10 ** 6)), 10 ** 9 + 7)
+                          for c in x)
+        budget = data.draw(st.sampled_from([1, 2, 3, 5, 8, 13, 10 ** 6]))
+        got = outcome(nearest_point, body, x, budget)
+        assert got == outcome(oracle_nearest_point, body, x, budget)
+        if got != "BudgetExceeded":
+            assert all(type(c) is F for c in got)
+
+
 # ---------------------------------------------------------------------------
 # Budgets, failures and counts
 # ---------------------------------------------------------------------------
@@ -180,11 +243,16 @@ class TestBudgetAndCounts:
         assert nearest_point(square, (5, 5), budget=20) == (1, 1)
 
     def test_no_solve_for_a_point_inside(self):
+        # Each subset beyond the empty one is one ``echelon`` of its Gram
+        # system; a point of the body is its own answer, with none.
         square = Polyhedron.box([(0, 1), (0, 1)])
         square.canonical_hrep
-        with counted(linalg, "solve") as calls:
+        with counted(linalg, "echelon") as calls:
             assert nearest_point(square, (F(1, 2), F(1, 3))) == (F(1, 2), F(1, 3))
         assert calls == []
+        with counted(linalg, "echelon") as calls:
+            assert nearest_point(square, (2, F(1, 3))) == (1, F(1, 3))
+        assert calls
 
     def test_one_projection_per_cell(self):
         for n in (1, 2, 3):
