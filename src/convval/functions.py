@@ -39,8 +39,9 @@ from .errors import (
     OriginNotInBody,
     EmptyPolyhedron,
 )
-from .linalg import determinant, dot, invert, vec_sub
-from .polyhedra import HRep, Polyhedron, _fracvec, _int_point, _within, cut_by
+from .linalg import determinant, dot, invert, vec_scale, vec_sub
+from .polyhedra import (HRep, Polyhedron, _affine_image, _fracvec, _int_point, _within,
+                        cut_by)
 
 Piece = tuple[tuple[Fraction, ...], Fraction]
 INF = math.inf
@@ -140,14 +141,16 @@ class PWAConvex:
 # Construction
 # ---------------------------------------------------------------------------
 
-def _epigraph_of(n: int, pieces: tuple[Piece, ...], domain: HRep) -> Polyhedron:
-    rows = []
+def _epigraph_rows(pieces: tuple[Piece, ...], domain: HRep) -> tuple:
+    """Halfspaces of the epigraph: (a, -1).(x, t) <= -b per piece, then the
+    domain's rows."""
     zero = Fraction(0)
-    for a, b in pieces:
-        rows.append((tuple(a) + (Fraction(-1),), -b))
-    for c, d in domain.halfspaces:
-        rows.append((tuple(c) + (zero,), d))
-    return Polyhedron(hrep=HRep(n + 1, tuple(rows)))
+    return (tuple((tuple(a) + (Fraction(-1),), -b) for a, b in pieces)
+            + tuple((tuple(c) + (zero,), d) for c, d in domain.halfspaces))
+
+
+def _epigraph_of(n: int, pieces: tuple[Piece, ...], domain: HRep) -> Polyhedron:
+    return Polyhedron(hrep=HRep(n + 1, _epigraph_rows(pieces, domain)))
 
 
 def _active_cells(n: int, pieces, domain: HRep) -> tuple[tuple[Piece, Polyhedron], ...]:
@@ -267,20 +270,45 @@ def cone_function(k: Polyhedron, t=0) -> PWAConvex:
     """The function with epigraph pos(K x {1}), shifted up by t.
 
     Sublevel sets are {. <= t + s} = sK for s >= 0; the domain is pos(K).
-    Requires K bounded with 0 in K.
+    Requires K bounded with 0 in K.  The function at t = 0 is worked out
+    once per body and kept on K, next to its other lazily filled values;
+    any other t translates that kept function.
     """
-    n = k.d
-    origin = tuple(Fraction(0) for _ in range(n))
-    if not k.contains(origin):
-        raise OriginNotInBody("cone function needs the origin inside the body")
-    if not k.is_bounded:
-        raise ValueError("cone function needs a bounded body")
-    epi = Polyhedron.from_generators(
-        n + 1, [origin + (Fraction(0),)],
-        rays=[tuple(v) + (Fraction(1),) for v in k.vrep.vertices],
-    )
-    u = from_epigraph(epi, coercive=True)
+    if k._cone_function is None:
+        n = k.d
+        origin = tuple(Fraction(0) for _ in range(n))
+        if not k.contains(origin):
+            raise OriginNotInBody("cone function needs the origin inside the body")
+        if not k.is_bounded:
+            raise ValueError("cone function needs a bounded body")
+        epi = Polyhedron.from_generators(
+            n + 1, [origin + (Fraction(0),)],
+            rays=[tuple(v) + (Fraction(1),) for v in k.vrep.vertices],
+        )
+        k._cone_function = from_epigraph(epi, coercive=True)
+    u = k._cone_function
     return u.translate_graph(t) if Fraction(t) != 0 else u
+
+
+def scale_values(u: PWAConvex, k) -> PWAConvex:
+    """k u for rational k > 0: the pieces (k a, k b) on the same domain.
+
+    Equal to ``make`` of those pieces, without its double description: the
+    epigraph is the image of u's under (x, t) -> (x, k t), a positive
+    diagonal map, so it carries u's (``_affine_image``).  Such a map keeps
+    the sign of every row value on every generator, so the carried cone is
+    the one a fresh double description of the scaled rows would give, and
+    every piece stays active where it was.
+    """
+    k = Fraction(k)
+    if k <= 0:
+        raise ValueError("scale_values requires k > 0")
+    n = u.n
+    pieces = tuple((vec_scale(k, a), k * b) for a, b in u.pieces)
+    epi = _affine_image(u.epigraph, lambda x: x[:n] + (k * x[n],),
+                        lambda a: a[:n] + (a[n] / k,), (Fraction(0),) * (n + 1),
+                        _epigraph_rows(pieces, u.domain))
+    return PWAConvex(n, pieces, u.domain, epi, u.coercive)
 
 
 # ---------------------------------------------------------------------------

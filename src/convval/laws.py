@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from .errors import CertificateFailed, DimensionMismatch
 from .functions import (PWAConvex, cone_function, inf_if_convex, make,
-                        pwa_equal, sup, transform)
+                        pwa_equal, scale_values, sup, transform)
 from .conjugacy import biconjugate_check, cone_bound, inf_convolution
 from .growth import (GrowthFunction, check_derivative_relation,
                      check_psi_vanishes, make_growth, peval, psi_from_zeta)
@@ -276,10 +276,7 @@ def smoothing_sequence(u: PWAConvex, k_steep: Polyhedron, k: int) -> PWAConvex:
     """
     if k < 1:
         raise ValueError("steepness index k must be >= 1")
-    base = cone_function(k_steep)
-    steep = make([(vec_scale(k, a), k * b) for a, b in base.pieces],
-                 base.domain, n=u.n, coercive=base.coercive)
-    return inf_convolution(u, steep)
+    return inf_convolution(u, scale_values(cone_function(k_steep), k))
 
 
 def check_level_convergence(sequence: Sequence[PWAConvex], u: PWAConvex,

@@ -8,6 +8,10 @@ loop.  ``rref``, ``rank``, ``null_space``, ``solve``, ``invert`` and
 ``determinant`` scale their rows to primitive integer vectors, call it, and
 divide by its common pivot only where a rational result leaves the module;
 ``null_space`` returns primitive integer vectors and divides by nothing.
+The double descriptions in ``polyhedra`` take primitive integer rows and
+hand primitive integer rows on to the next one, so ``scale_to_int`` runs
+once where a rational row enters, and one ``echelon`` of a cone's transposed
+rows gives both its DD basis and whether it is pointed.
 Fractions remain in ``dot`` and the vector helpers, which callers use on
 rational points outside the hot loops.  The loops over rational points
 themselves run on integers too: ``HRep.satisfies``, ``PWAConvex.eval``,

@@ -18,6 +18,16 @@ it from an initial basis, and ``cut_by`` runs it from the known generators
 of a pointed polyhedron to intersect it with a few extra rows, reading
 which of them are implicit off the incidence masks.
 
+Integer rows go into each DD and come out of it, so one DD hands its rows
+to the next without a ``Fraction`` in between: ``hrep_to_vrep`` reads the
+rows an ``HRep`` keeps (``HRep.int_rows``), and the polar DD
+(``vrep_to_hrep``) takes integer generators (``_Generators``: a
+polyhedron's own ``_Cone``, the vertex sums of a Minkowski sum, or a raw
+V-rep scaled once) and returns an ``HRep`` that already carries its integer
+rows, the primitive polar rays.  In ``cone_generators`` one ``echelon`` of
+the transposed rows both picks the DD basis and says whether the cone is
+pointed; only a cone with lines takes a ``null_space``.
+
 A ``Polyhedron`` is built from halfspaces only.  Its generators come from
 its own DD or from one that ``cut_by`` or an affine map carries over, and it
 keeps that integer data (a ``_Cone``: rows, generators, masks, lines);
@@ -174,19 +184,18 @@ class VRep:
 # Double description on cones
 # ---------------------------------------------------------------------------
 
-def _pointed_cone_rays(rows: list[tuple[int, ...]], d: int) -> list[tuple[tuple[int, ...], int]]:
+def _pointed_cone_rays(rows: list[tuple[int, ...]], d: int, base_idx: list[int]
+                       ) -> list[tuple[tuple[int, ...], int]]:
     """Extreme rays of the pointed cone {y : r.y <= 0 for r in rows}, each
     with its incidence mask: bit i is set iff the ray is tight on ``rows[i]``.
 
-    Requires rank(rows) == d.  Incremental double description with the
-    combinatorial adjacency test.
+    ``base_idx`` are the d first rows that raise the rank (``cone_generators``
+    reads them off one ``echelon`` of the transpose); they give the initial
+    basis.  Incremental double description with the combinatorial adjacency
+    test.
     """
     if d == 0:
         return []
-    # The first rows that raise the rank are the pivot columns of the transpose.
-    _, base_idx, _ = echelon(list(zip(*rows)))
-    if len(base_idx) < d:
-        raise ValueError("cone rows are rank deficient; caller must project out lineality")
     # [B | I] reduces to [D I | D B^-1]; the rays are the columns of -B^-1.
     aug = [list(rows[i]) + [int(i == j) for j in base_idx] for i in base_idx]
     red, pivots, det = echelon(aug)
@@ -258,24 +267,34 @@ def _incidence(rows: list[tuple[int, ...]], mask: int, ray: tuple[int, ...]) -> 
                if mask >> i & 1 and sum(map(mul, row, ray)) == 0)
 
 
-def cone_generators(rows: Sequence[Sequence], dim: int
+def cone_generators(rows: Sequence[tuple[int, ...]], dim: int
                     ) -> tuple[list[tuple[tuple[int, ...], int]], list[tuple[int, ...]]]:
-    """Rays and lineality basis of the cone {y in R^dim : r.y <= 0 for r in rows},
-    as primitive integer vectors; each ray comes with its incidence mask over
-    ``rows`` (bit i for ``rows[i]``)."""
-    int_rows = [scale_to_int(r) for r in rows]
-    lines = null_space(int_rows, dim)
-    if not lines:  # pointed cone: no projection needed
-        return _pointed_cone_rays(int_rows, dim), []
+    """Rays and lineality basis of the cone {y in R^dim : r.y <= 0 for r in rows}.
+
+    ``rows`` are primitive integer rows, as every double description hands
+    them on (``HRep.int_rows``, ``_Cone.rows``, ``_Generators``); the rays and
+    the lineality basis come back as primitive integer vectors, and each ray
+    with its incidence mask over ``rows`` (bit i for ``rows[i]``).
+
+    One ``echelon`` of the transpose gives the first rows that raise the
+    rank: the DD basis, and the rank that says whether the cone is pointed
+    (rank ``dim``).  Only a cone with lines takes its ``null_space``.
+    """
+    base_idx = echelon(list(zip(*rows)))[1]
+    if len(base_idx) == dim:  # pointed cone: no projection needed
+        return _pointed_cone_rays(rows, dim, base_idx), []
+    lines = null_space(rows, dim)
     # Project onto the row space, spanned by the reduced rows.  Their common
     # scale D drops out: negating the basis negates both the projected rows
     # and the rays of their cone, so each lifted ray y is unchanged.  A row
     # is tight on y iff its projection is tight on z, so the masks carry over.
-    w_basis = echelon(int_rows)[0]
+    # The projection is injective on the row space, so the projected rows
+    # raise the rank at the same indices: the basis carries over too.
+    w_basis = echelon(rows)[0]
     r = len(w_basis)
-    proj = [tuple(dot(row, w) for w in w_basis) for row in int_rows]
+    proj = [tuple(dot(row, w) for w in w_basis) for row in rows]
     rays = []
-    for z, mask in _pointed_cone_rays([scale_to_int(p) for p in proj], r):
+    for z, mask in _pointed_cone_rays([scale_to_int(p) for p in proj], r, base_idx):
         y = tuple(sum(z[j] * w_basis[j][i] for j in range(r)) for i in range(dim))
         rays.append((scale_to_int(y), mask))
     return rays, lines
@@ -327,7 +346,7 @@ def hrep_to_vrep(h: HRep) -> VRep:
     are unchanged), which ``Polyhedron.vrep`` keeps.
     """
     d = h.d
-    rows = _int_rows(h.halfspaces) + [(0,) * d + (-1,)]
+    rows = h.int_rows + [(0,) * d + (-1,)]
     raylist, lines = cone_generators(rows, d + 1)
     if any(l[d] != 0 for l in lines):
         raise CertificateFailed("homogenization cone contains a line with x0 != 0")
@@ -347,37 +366,65 @@ def _dehomogenize(cone: _Cone, d: int) -> VRep:
                 tuple(_fracvec(l[:d]) for l in cone.lines))
 
 
-def vrep_to_hrep(v: VRep) -> HRep:
-    """Irredundant facet description of a V-polyhedron (polar double description)."""
+class _Generators(NamedTuple):
+    """A V-polyhedron in R^d as primitive integer generators of its
+    homogenization cone, the input of the polar double description:
+    (x q, q) per vertex x, q the lcm of its denominators, (r, 0) per ray and
+    (l, 0) per line."""
+
+    d: int
+    verts: list[tuple[int, ...]]
+    rays: list[tuple[int, ...]]
+    lines: list[tuple[int, ...]]
+
+
+def _generators(p: VRep | Polyhedron) -> _Generators:
+    """``_Generators`` of a polyhedron, read off its ``_Cone``, or of a V-rep,
+    each generator scaled once."""
+    if isinstance(p, Polyhedron):
+        c = p._integer()
+        return _Generators(p.d, c.gens[:c.nverts], c.gens[c.nverts:], c.lines)
+    return _Generators(p.d, [scale_to_int(tuple(x) + (1,)) for x in p.vertices],
+                       [scale_to_int(tuple(r) + (0,)) for r in p.rays],
+                       [scale_to_int(tuple(l) + (0,)) for l in p.lines])
+
+
+def vrep_to_hrep(v: VRep | _Generators) -> HRep:
+    """Irredundant facet description of a V-polyhedron (polar double description).
+
+    ``v`` is a V-rep, whose generators are scaled to integers once, or the
+    ``_Generators`` that a caller holding integer generators passes.  Each
+    polar ray (a, c) is primitive, so it is the integer row of its halfspace
+    a.x <= -c: the result carries those rows as its ``int_rows``, ready for
+    the next double description.
+    """
+    if isinstance(v, VRep):
+        v = _generators(v)
     d = v.d
-    if v.is_empty:
+    if not v.verts:
         return HRep.infeasible(d)
-    gens = [tuple(p) + (Fraction(1),) for p in v.vertices]
-    gens += [tuple(r) + (Fraction(0),) for r in v.rays]
+    gens = v.verts + v.rays
     for l in v.lines:
-        gens.append(tuple(l) + (Fraction(0),))
-        gens.append(tuple(-x for x in l) + (Fraction(0),))
+        gens += [l, tuple(-x for x in l)]
     raylist, plines = cone_generators(gens, d + 1)
-    prays = [_fracvec(w) for w, _ in raylist]
-    plines = [_fracvec(w) for w in plines]
-    halfspaces: list[tuple[Point, Fraction]] = []
     # directions of the affine hull: orthogonal to every equality normal
-    eq_normals = [w[:d] for w in plines if any(x != 0 for x in w[:d])]
+    eq_normals = [w[:d] for w in plines if any(w[:d])]
     hull_dirs = null_space(eq_normals, d) if eq_normals else None
-    for w in prays:
-        a, c = w[:d], w[d]
-        if all(x == 0 for x in a):
+    rows: list[tuple[int, ...]] = []
+    for w, _ in raylist:
+        a = w[:d]
+        if not any(a):
             continue
-        if hull_dirs is not None and all(dot(a, u) == 0 for u in hull_dirs):
+        if hull_dirs is not None and all(sum(map(mul, a, u)) == 0 for u in hull_dirs):
             # constant on the affine hull, implied by the equalities
             continue
-        halfspaces.append((a, -c))
+        rows.append(w)
     for w in plines:
-        a, c = w[:d], w[d]
-        if any(x != 0 for x in a):
-            halfspaces.append((a, -c))
-            halfspaces.append((tuple(-x for x in a), c))
-    return HRep(d, tuple(halfspaces))
+        if any(w[:d]):
+            rows += [w, tuple(-x for x in w)]
+    h = HRep(d, tuple((_fracvec(w[:d]), Fraction(-w[d])) for w in rows))
+    object.__setattr__(h, "int_rows", rows)  # fills the cached property
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +438,11 @@ class Polyhedron:
     own double description, or from the cone that ``cut_by`` or an affine map
     hands over (``_carrying``).  Either way the generators are extreme and
     the masks describe faces, as the predicates below and triangulation need.
+
+    The V-rep, the cone, the canonical H-rep and the body's cone function
+    (``functions.cone_function``) are filled in on first use.  Each is a
+    function of the H-rep alone, so filling one never changes what the
+    polyhedron is or how it compares.
     """
 
     def __init__(self, hrep: HRep):
@@ -398,6 +450,7 @@ class Polyhedron:
         self._vrep: VRep | None = None
         self._canonical_hrep: HRep | None = None
         self._cone: _Cone | None = None
+        self._cone_function = None  # kept by functions.cone_function
 
     @staticmethod
     def _carrying(hrep: HRep, cone: _Cone) -> "Polyhedron":
@@ -464,9 +517,10 @@ class Polyhedron:
 
     @property
     def canonical_hrep(self) -> HRep:
-        """Irredundant facet description (recomputed from the V-rep)."""
+        """Irredundant facet description: the polar double description of
+        the generators in ``_integer()``."""
         if self._canonical_hrep is None:
-            self._canonical_hrep = vrep_to_hrep(self.vrep)
+            self._canonical_hrep = vrep_to_hrep(_generators(self))
         return self._canonical_hrep
 
     # -- predicates ----------------------------------------------------------
@@ -592,17 +646,21 @@ def cut_by(p: Polyhedron, row_sets: Iterable[Sequence[tuple[Sequence, object]]]
 
 
 def minkowski_sum(a: VRep | Polyhedron, b: VRep | Polyhedron) -> Polyhedron:
-    """Minkowski sum: hull of pairwise vertex sums, union of rays and lines."""
-    va = a.vrep if isinstance(a, Polyhedron) else a
-    vb = b.vrep if isinstance(b, Polyhedron) else b
-    if va.d != vb.d:
-        raise DimensionMismatch(f"cannot add R^{va.d} and R^{vb.d}")
-    if va.is_empty or vb.is_empty:
-        return Polyhedron.empty(va.d)
-    sums = [vec_add(p, q) for p in va.vertices for q in vb.vertices]
-    return Polyhedron.from_generators(
-        va.d, sums, tuple(va.rays) + tuple(vb.rays), tuple(va.lines) + tuple(vb.lines)
-    )
+    """Minkowski sum: hull of pairwise vertex sums, union of rays and lines.
+
+    Runs on the integer generators of both (``_generators``): the sum of
+    vertices (X, x0) and (Y, y0) is the primitive (X y0 + Y x0, x0 y0).
+    """
+    if a.d != b.d:
+        raise DimensionMismatch(f"cannot add R^{a.d} and R^{b.d}")
+    d = a.d
+    ga, gb = _generators(a), _generators(b)
+    if not ga.verts or not gb.verts:
+        return Polyhedron.empty(d)
+    sums = [scale_to_int(tuple(x * q[d] + y * p[d] for x, y in zip(p[:d], q[:d]))
+                         + (p[d] * q[d],))
+            for p in ga.verts for q in gb.verts]
+    return Polyhedron(vrep_to_hrep(_Generators(d, sums, ga.rays + gb.rays, ga.lines + gb.lines)))
 
 
 def _affine_image(p: Polyhedron, point, normal, v: Point,

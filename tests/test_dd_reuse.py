@@ -3,11 +3,13 @@ per-piece and per-pair routes they replaced.
 
 The oracles below are the pruning by one cell polyhedron per piece and the
 ``inf_if_convex`` with one fresh ``hrep_to_vrep`` per facet pair that
-``functions`` used before.  Every comparison is an exact ``==`` on pieces,
-domains and both representations of the epigraph (in order), or on the
-``NotConvexMin`` witness.  The count guards make a per-piece or per-pair
-double description, or a check of a facet pair that cannot fail, fail a
-test, not only a benchmark run.
+``functions`` used before, and the cone function built afresh on every
+call, steepened by a fresh ``make``.  Every comparison is an exact ``==`` on
+pieces, domains and both representations of the epigraph (in order), or on
+the ``NotConvexMin`` witness.  The count guards make a per-piece or per-pair
+double description, a check of a facet pair that cannot fail, or a cone
+function built again for the same body, fail a test, not only a benchmark
+run.
 """
 
 import sys
@@ -22,8 +24,9 @@ from hypothesis import given, settings, strategies as st
 from convval import conjugacy, functions, polyhedra
 from convval.conjugacy import conjugate, inf_convolution
 from convval.errors import ConvvalError, EmptyDomain, NotCoercive, NotConvexMin
-from convval.functions import from_epigraph, inf_if_convex, make, pwa_equal, sup
-from convval.laws import generate_pair_with_convex_min
+from convval.functions import (cone_function, from_epigraph, inf_if_convex, make,
+                               pwa_equal, scale_values, sup)
+from convval.laws import generate_pair_with_convex_min, random_body, smoothing_sequence
 from convval.linalg import dot, vec_sub
 from convval.polyhedra import HRep, Polyhedron, cut_by, is_implicit
 from counting import counted
@@ -92,6 +95,15 @@ def oracle_inf_if_convex(u, v):
             if not is_implicit(q, g, cg) and not is_implicit(q, h, ch):
                 raise NotConvexMin(q.relint_point()[:n])
     return from_epigraph(hull, coercive=u.coercive and v.coercive)
+
+
+def fresh_cone_function(k, t=0):
+    """``cone_function`` as it was: built afresh on every call."""
+    origin = tuple(F(0) for _ in range(k.d))
+    epi = Polyhedron.from_generators(k.d + 1, [origin + (F(0),)],
+                                     rays=[tuple(v) + (F(1),) for v in k.vrep.vertices])
+    u = from_epigraph(epi, coercive=True)
+    return u.translate_graph(t) if F(t) != 0 else u
 
 
 def hull_of(u, v):
@@ -382,3 +394,75 @@ class TestDoubleDescriptionCounts:
         assert len(steps) == (len(u.epigraph.canonical_hrep.halfspaces)
                               + len(v.epigraph.canonical_hrep.halfspaces)
                               + 2 * len(open_g) * len(open_h))
+
+    def test_smoothing_builds_the_cone_function_once(self):
+        """Four steepnesses run the cone function's double descriptions once,
+        and none for the steepened epigraphs, which carry its cone."""
+        u = make([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 1)])
+        u.epigraph.canonical_hrep  # u's own double descriptions, done first
+        with counted(polyhedra, "hrep_to_vrep") as h2v, \
+                counted(polyhedra, "vrep_to_hrep") as v2h:
+            cone_function(Polyhedron.box([(-1, 1), (-1, 2)]))
+        once = [args[0] for args in h2v + v2h]
+        assert len(once) >= 4
+        body = Polyhedron.box([(-1, 1), (-1, 2)])
+        with counted(polyhedra, "hrep_to_vrep") as h2v, \
+                counted(polyhedra, "vrep_to_hrep") as v2h:
+            seq = [smoothing_sequence(u, body, 2 ** j) for j in range(4)]
+        inputs = [args[0] for args in h2v + v2h]
+        for x in once:
+            assert sum(x == y for y in inputs) == 1
+        base = cone_function(body)
+        for j in range(1, 4):  # at k = 1 it is l_K's own epigraph, counted in `once`
+            k = 2 ** j
+            steep = functions._epigraph_of(2, tuple((tuple(k * x for x in a), k * b)
+                                                    for a, b in base.pieces), base.domain)
+            assert steep.hrep not in inputs
+        assert all(pwa_equal(w, inf_convolution(u, scale_values(base, 2 ** j)))
+                   for j, w in enumerate(seq))
+
+
+def steep_bodies():
+    """Bodies with the origin inside: ``random_body`` in R^1..R^3, and boxes."""
+    for n in (1, 2, 3):
+        for seed in range(3):
+            yield random_body(seed, n)
+        yield Polyhedron.box([(-1, 1)] * n)
+        yield Polyhedron.box([(-1, 2)] * n)
+
+
+class TestSteepenedConeFunction:
+    """k l_K carries the cone of l_K through (x, t) -> (x, k t) instead of a
+    fresh ``make``; l_K is built once and kept on K."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 2 ** 10])
+    def test_carried_equals_make(self, k):
+        for body in steep_bodies():
+            base = cone_function(body)
+            got = scale_values(base, k)
+            want = make([(tuple(k * x for x in a), k * b) for a, b in base.pieces], base.domain)
+            assert got.pieces == want.pieces
+            assert got.domain == want.domain and got.coercive == want.coercive
+            assert got.epigraph.hrep == want.epigraph.hrep
+            gc, wc = got.epigraph._integer(), want.epigraph._integer()
+            for field in ("rows", "gens", "masks", "lines", "nverts"):
+                assert getattr(gc, field) == getattr(wc, field), field
+            assert got.epigraph.vrep == want.epigraph.vrep
+
+    def test_kept_on_the_body(self):
+        for body in steep_bodies():
+            u = cone_function(body)
+            assert cone_function(body) is u
+            for t in (0, F(1, 3), -2, 5):
+                got, want = cone_function(body, t), fresh_cone_function(Polyhedron(body.hrep), t)
+                assert got.pieces == want.pieces and got.domain == want.domain
+                assert got.epigraph._integer() == want.epigraph._integer()
+
+    def test_rejects_a_body_without_caching(self):
+        body = Polyhedron.box([(1, 2)])
+        for _ in range(2):
+            with pytest.raises(ConvvalError):
+                cone_function(body)
+        assert body._cone_function is None
+        with pytest.raises(ValueError):
+            scale_values(cone_function(Polyhedron.box([(-1, 1)])), 0)

@@ -3,8 +3,10 @@
 The oracles below are the Fraction-based elimination, double description and
 mask-free face triangulation (with its Fraction polygon fan and affine rank)
 that ``linalg`` and ``polyhedra`` used before they moved to
-``linalg.echelon``, int-bitmask incidence sets and integer points.  Every
-comparison is an exact ``==`` on the returned values and their order.
+``linalg.echelon``, int-bitmask incidence sets and integer points, and the
+``cone_generators`` that took one ``echelon`` for its pointedness test and
+another for its DD basis.  Every comparison is an exact ``==`` on the
+returned values and their order.
 """
 
 import functools
@@ -13,10 +15,12 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from convval import linalg
-from convval.linalg import dot, vec_sub
-from convval.polyhedra import (HRep, Polyhedron, VRep, hrep_to_vrep,
-                               triangulate, vrep_to_hrep)
+from convval import linalg, polyhedra
+from convval.linalg import dot, vec_add, vec_sub
+from convval.polyhedra import (HRep, Polyhedron, VRep, _int_rows, apply_linear,
+                               cone_generators, cut_by, hrep_to_vrep, minkowski_sum,
+                               scale, translate, triangulate, vrep_to_hrep)
+from counting import counted
 
 # ---------------------------------------------------------------------------
 # Oracles: the Fraction route
@@ -240,6 +244,45 @@ def oracle_vrep_to_hrep(v):
     return HRep(d, tuple(halfspaces))
 
 
+def two_echelon_cone_generators(rows, dim):
+    """``cone_generators`` as it was: ``null_space`` decides pointedness, and
+    ``_pointed_cone_rays`` takes its own ``echelon`` of the transpose for the
+    DD basis (run here through ``polyhedra._dd_step``, the one DD loop)."""
+
+    def pointed_cone_rays(rows, d):
+        if d == 0:
+            return []
+        _, base_idx, _ = linalg.echelon(list(zip(*rows)))
+        if len(base_idx) < d:
+            raise ValueError("cone rows are rank deficient")
+        aug = [list(rows[i]) + [int(i == j) for j in base_idx] for i in base_idx]
+        red, pivots, det = linalg.echelon(aug)
+        assert pivots == list(range(d))
+        s = -1 if det > 0 else 1
+        rays = [linalg.scale_to_int(tuple(s * red[j][d + i] for j in range(d)))
+                for i in range(d)]
+        processed = sum(1 << i for i in base_idx)
+        raylist = [(r, polyhedra._incidence(rows, processed, r)) for r in rays]
+        for idx in range(len(rows)):
+            if not processed >> idx & 1:
+                raylist = polyhedra._dd_step(rows, idx, raylist, processed, d)
+                processed |= 1 << idx
+        return raylist
+
+    int_rows = [linalg.scale_to_int(r) for r in rows]
+    lines = linalg.null_space(int_rows, dim)
+    if not lines:
+        return pointed_cone_rays(int_rows, dim), []
+    w_basis = linalg.echelon(int_rows)[0]
+    r = len(w_basis)
+    proj = [tuple(dot(row, w) for w in w_basis) for row in int_rows]
+    rays = []
+    for z, mask in pointed_cone_rays([linalg.scale_to_int(p) for p in proj], r):
+        y = tuple(sum(z[j] * w_basis[j][i] for j in range(r)) for i in range(dim))
+        rays.append((linalg.scale_to_int(y), mask))
+    return rays, lines
+
+
 def affine_rank(points):
     pts = list(points)
     if not pts:
@@ -374,6 +417,77 @@ def vreps(draw):
                      draw(st.lists(direction, max_size=1)))
 
 
+@st.composite
+def cone_row_lists(draw):
+    """Primitive integer rows in R^0..R^5: often rank deficient (a cone with
+    lines), with zero rows, repeated rows and combinations of rows, or none."""
+    dim = draw(st.integers(0, 5))
+    used = draw(st.integers(0, dim))  # the rows live in the first `used` coordinates
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["new", "new", "new", "zero", "repeat", "combo"]))
+        if kind == "zero" or not used:
+            row = [0] * dim
+        elif kind == "repeat" and rows:
+            row = list(draw(st.sampled_from(rows)))
+        elif kind == "combo" and len(rows) >= 2:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(st.integers(-2, 2))
+            row = [x + c * y for x, y in zip(a, b)]
+        else:
+            row = draw(st.lists(st.integers(-3, 3), min_size=used, max_size=used))
+            row += [0] * (dim - used)
+        rows.append(linalg.scale_to_int(row))
+    return rows, dim
+
+
+@st.composite
+def carried_polyhedra(draw):
+    """A polyhedron whose generators are the integer cone of its own double
+    description or one carried to it: from an H-rep (with lines or empty at
+    times), then possibly restricted by ``cut_by`` or mapped by ``translate``,
+    ``apply_linear`` or ``scale``."""
+    p = Polyhedron(draw(hreps()))
+    d = p.d
+    move = draw(st.sampled_from(["none", "cut", "translate", "linear", "scale"]))
+    if move == "cut":
+        a = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+        p, _ = next(cut_by(p, [[(a, draw(offsets))]]))
+    elif move == "translate":
+        p = translate(p, draw(st.lists(small_rationals, min_size=d, max_size=d)))
+    elif move == "linear":
+        m = [[int(i == j) for j in range(d)] for i in range(d)]
+        if d >= 2:
+            m[0][1] = draw(st.integers(-2, 2))
+        m[-1][-1] = draw(st.sampled_from([1, 2, -3, F(1, 2)]))
+        p = apply_linear(p, m)
+    elif move == "scale":
+        p = scale(p, draw(st.sampled_from([F(1, 3), 2, F(7, 2)])))
+    return p
+
+
+@st.composite
+def redundant_vreps(draw):
+    """Raw generators with repeats and points inside the hull of others."""
+    d = draw(st.integers(1, 4))
+    point = st.lists(small_rationals, min_size=d, max_size=d)
+    pts = draw(st.lists(point, min_size=1, max_size=5))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))  # repeats
+    for _ in range(draw(st.integers(0, 2))):  # midpoints: never extreme
+        a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        pts.append([(F(x) + F(y)) / 2 for x, y in zip(a, b)])
+    direction = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
+    rays = draw(st.lists(direction, max_size=2))
+    rays += [[2 * x for x in r] for r in rays[:1]]  # a repeated direction
+    return VRep.make(d, draw(st.permutations(pts)), rays, draw(st.lists(direction, max_size=1)))
+
+
+def assert_seeded_rows(h):
+    """The integer rows the polar route hands on are those the lazy
+    ``HRep.int_rows`` would build."""
+    assert h.int_rows == _int_rows(h.halfspaces)
+
+
 # ---------------------------------------------------------------------------
 # Tests
 # ---------------------------------------------------------------------------
@@ -434,12 +548,98 @@ class TestDoubleDescriptionAgainstFractionRoute:
     def test_vrep_to_hrep(self, v):
         assert vrep_to_hrep(v) == oracle_vrep_to_hrep(v)
 
+    @settings(max_examples=200, deadline=None)
+    @given(carried_polyhedra())
+    def test_polar_route_on_carried_cones(self, p):
+        """``canonical_hrep`` runs the polar DD on the integer generators of
+        the polyhedron's cone, ``vrep_to_hrep`` on its V-rep scaled once."""
+        v = p.vrep
+        want = oracle_vrep_to_hrep(v)
+        for h in (vrep_to_hrep(v), p.canonical_hrep):
+            assert h == want
+            assert_seeded_rows(h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(redundant_vreps())
+    def test_polar_route_on_raw_generators(self, v):
+        want = oracle_vrep_to_hrep(v)
+        h = vrep_to_hrep(v)
+        assert h == want
+        assert_seeded_rows(h)
+        if not v.is_empty:
+            p = Polyhedron.from_generators(v.d, v.vertices, v.rays, v.lines)
+            assert p.hrep == want
+            # the canonical rows follow the hull's own generators, in their order
+            assert p.canonical_hrep == oracle_vrep_to_hrep(p.vrep)
+            assert_seeded_rows(p.canonical_hrep)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_minkowski_sum_of_integer_generators(self, data):
+        """The vertex sums (X y0 + Y x0, x0 y0) give the H-rep the Fraction
+        sums gave."""
+        p = data.draw(carried_polyhedra())
+        q = data.draw(carried_polyhedra().filter(lambda q: q.d == p.d))
+        got = minkowski_sum(p, q)
+        vp, vq = p.vrep, q.vrep
+        if vp.is_empty or vq.is_empty:
+            assert got.is_empty
+            return
+        raw = VRep.make(p.d, [vec_add(a, b) for a in vp.vertices for b in vq.vertices],
+                        vp.rays + vq.rays, vp.lines + vq.lines)
+        assert got.hrep == oracle_vrep_to_hrep(raw)
+        assert_seeded_rows(got.hrep)
+        assert minkowski_sum(vp, vq).hrep == got.hrep
+
     def test_lineality_and_empty_cases(self):
         slab = HRep.make(3, [((1, 0, 0), 1), ((-1, 0, 0), 1)])
         v = hrep_to_vrep(slab)
         assert v == oracle_hrep_to_vrep(slab) and len(v.lines) == 2
         assert hrep_to_vrep(HRep.infeasible(2)) == VRep.empty(2)
         assert hrep_to_vrep(HRep.make(2, [])) == oracle_hrep_to_vrep(HRep.make(2, []))
+
+
+class TestConeGeneratorsOneElimination:
+    """One ``echelon`` of the transpose picks the DD basis and decides
+    pointedness; only a cone with lines takes a ``null_space``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cone_row_lists())
+    def test_against_the_two_echelon_route(self, case):
+        rows, dim = case
+        got = cone_generators(rows, dim)
+        assert got == two_echelon_cone_generators(rows, dim)
+        rays, lines = oracle_cone_generators(rows, dim)
+        assert [_fracvec(r) for r, _ in got[0]] == rays
+        assert [_fracvec(l) for l in got[1]] == lines
+
+    def test_fixed_cases(self):
+        cases = [([], 0), ([], 3), ([(0, 0, 0)], 3), ([(0, 0), (0, 0)], 2),
+                 ([(1, 0, 0), (-1, 0, 0)], 3),                  # a slab: two lines
+                 ([(1, 1, 0), (0, 0, 0), (1, 1, 0), (-1, 0, 0)], 3),  # zero and repeated rows
+                 ([(-1, 0), (0, -1)], 2), ([(1, 2), (-1, -2), (0, 1)], 2)]
+        for rows, dim in cases:
+            got = cone_generators(rows, dim)
+            assert got == two_echelon_cone_generators(rows, dim)
+            rays, lines = oracle_cone_generators(rows, dim)
+            assert [_fracvec(r) for r, _ in got[0]] == rays
+            assert [_fracvec(l) for l in got[1]] == lines
+
+    def test_null_space_only_with_lines(self):
+        with counted(linalg, "null_space") as calls:
+            cone_generators([(-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 1)], 3)
+        assert calls == []
+        with counted(linalg, "null_space") as calls:
+            rays, lines = cone_generators([(-1, 0, 0), (0, -1, 0)], 3)
+        assert len(calls) == 1 and lines == [(0, 0, 1)]
+
+    def test_pointed_cone_takes_one_transposed_echelon(self):
+        rows = [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 1), (1, -1, 0)]
+        with counted(linalg, "echelon") as calls:
+            cone_generators(rows, 3)
+        # the transpose, then the [B | I] of the basis; the DD steps take none
+        assert [len(args[0]) for args in calls] == [3, 3]
+        assert calls[0][0] == list(zip(*rows))
 
 
 class TestTriangulateAgainstFractionRoute:

@@ -294,7 +294,8 @@ class TestInheritedMasks:
             return got
 
         with mock.patch.object(polyhedra, "_dd_step", checked):
-            raylist = polyhedra._pointed_cone_rays(list(rows), d)
+            base = linalg.echelon(list(zip(*rows)))[1]  # rows of full rank d
+            raylist = polyhedra._pointed_cone_rays(list(rows), d, base)
         every = (1 << len(rows)) - 1
         assert [m for _, m in raylist] == [oracle_incidence(rows, every, r) for r, _ in raylist]
         assert len(steps) == len(rows) - d
