@@ -137,25 +137,24 @@ def cone_bound(u: PWAConvex) -> ConeBound:
     """Certified (a, b) with u(x) > a|x| + b everywhere.
 
     Route: coercivity puts the origin in the interior of dom u*, so a ball of
-    radius 2a fits inside dom u* for a rational a > 0 read off the domain
-    halfspaces of the conjugate; then u = u** >= 2a|x| - M with M an exact
-    upper bound for u* on that ball, and b = -M - 1 gives strict inequality.
-    The returned certificate is re-verified exactly.
+    radius 2a fits inside dom u* for a rational a > 0; then u = u** >= 2a|x| - M
+    with M an exact upper bound for u* on that ball, and b = -M - 1 gives
+    strict inequality.  The domain rows of u* are <y, r> <= s, one per ray
+    (r, s) of epi u with r != 0, so a is read off the rays without building
+    u*: a redundant row lies no nearer the origin than the facets, whose
+    least distance is the radius of the largest ball at 0 in dom u*.  The
+    returned certificate is re-verified exactly.
     """
     if not u.coercive:
         raise NotCoercive("cone_bound requires a coercive function")
     n = u.n
-    star = conjugate(u)
-    rows = star.epigraph.canonical_hrep.halfspaces
-    # Domain rows of u* are the epigraph rows with zero t-coefficient.
     radius_sq = None
-    for w, c in rows:
-        if w[n] != 0:
+    for ray in u.epigraph.vrep.rays:
+        r, s = ray[:n], ray[n]
+        rr = dot(r, r)
+        if rr == 0:
             continue
-        cc = dot(w[:n], w[:n])
-        if cc == 0:
-            continue
-        cand = c * c / (4 * cc)  # (2a)^2 * |w|^2 <= c^2
+        cand = s * s / (4 * rr)  # (2a)^2 * |r|^2 <= s^2
         if radius_sq is None or cand < radius_sq:
             radius_sq = cand
     a = Fraction(1) if radius_sq is None else _rational_sqrt_lower(radius_sq)

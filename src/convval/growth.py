@@ -87,11 +87,6 @@ def pantider(c: Sequence) -> Poly:
     return (Fraction(0),) + tuple(Fraction(x, i + 1) for i, x in enumerate(c))
 
 
-def pint(c: Sequence, a, b) -> Fraction:
-    q = pantider(c)
-    return peval(q, b) - peval(q, a)
-
-
 def tail_integral_exact(lam: Fraction, coeffs: Sequence, a: Fraction) -> Fraction:
     """R with Integral_a^inf (sum c_k t^k) e^{-lam t} dt = R * e^{-lam a}."""
     lam, a = Fraction(lam), Fraction(a)
@@ -325,11 +320,16 @@ def integral_against(zeta: GrowthFunction, breaks: tuple[Fraction, ...],
     polys[i] up to breaks[i + 1] and polys[-1] past breaks[-1].
 
     Exact Fraction unless the tail contributes; then float(exact) plus the
-    tail terms, summed interval by interval in float.
+    tail terms, summed interval by interval in float.  The exact part runs on
+    ints: on each interval (a, b) the product of the zeta piece and f is
+    scaled to integer coefficients over one denominator, its antiderivative
+    by lcm(1..m) on top, and a and b are put over one denominator, so
+    Integral_a^b is one integer over one denominator.  The sum is one
+    integer pair, and one Fraction is built at the end.
     """
     cuts = sorted({c for c in breaks + zeta.breakpoints if c > start})
     cuts = [start] + cuts
-    exact = Fraction(0)
+    num, den = 0, 1  # the exact part
     fl = 0.0
     has_float = False
     i = 0  # f on (a, b) is polys[i], i the first interval with breaks[i + 1] >= b
@@ -339,7 +339,22 @@ def integral_against(zeta: GrowthFunction, breaks: tuple[Fraction, ...],
         fp = polys[i]
         kind, payload = zeta.region_at((a + b) / 2)
         if kind in ("left", "piece") and payload and fp:
-            exact += pint(pmul(payload, fp), a, b)
+            q = math.lcm(*(c.denominator for c in (*payload, *fp)))
+            zs, fs = ([c.numerator * (q // c.denominator) for c in p] for p in (payload, fp))
+            prod = [0] * (len(zs) + len(fs) - 1)  # q^2 zeta f
+            for j, zc in enumerate(zs):
+                for k, fc in enumerate(fs):
+                    prod[j + k] += zc * fc
+            # With a = y / e and b = x / e, Integral_a^b is part / pden.
+            m = len(prod)
+            lm = math.lcm(*range(1, m + 1))
+            an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+            x, y, e = bn * ad, an * bd, ad * bd
+            part = sum(lm // k * c * e ** (m - k) * (x ** k - y ** k)
+                       for k, c in enumerate(prod, 1))
+            pden = q * q * lm * e ** m
+            new = math.lcm(den, pden)
+            num, den = num * (new // den) + part * (new // pden), new
         elif kind == "tail" and fp:
             lam, coeffs = payload
             fl += (tail_integral(lam, pmul(coeffs, fp), a)
@@ -352,6 +367,7 @@ def integral_against(zeta: GrowthFunction, breaks: tuple[Fraction, ...],
         lam, coeffs = zeta.tail
         fl += tail_integral(lam, pmul(coeffs, fp), cuts[-1])
         has_float = True
+    exact = Fraction(num, den)
     return float(exact) + fl if has_float else exact
 
 

@@ -9,13 +9,15 @@ triangulated once; a simplex with volume vol and vertex heights
 h_0..h_{n+1} contributes (-1)^{n+1} vol [h_0, ..., h_{n+1}] (t - .)_+^{n+1}
 to W (a confluent divided difference, polynomial in t between breakpoints;
 Baldoni, Berline, De Loera, Koeppe, Vergne, Math. Comp. 80, 2011).  The
-sum runs on integers: the simplex weights are integer determinants of the
-triangulation's integer points, summed per sorted height tuple, and each
-tuple is expanded once with integer Taylor weights (``_taylor_weights``)
-over heights scaled to integers, so a Fraction is built only for each
-coefficient a tuple adds.  The result is certified by V(s_0) =
-vol_n(argmin u), computed separately from the sublevel set, and continuity
-of V at every breakpoint.
+sum runs on Python ints: the simplex weights are integer determinants of
+the triangulation's integer points, summed per sorted height tuple, and
+each tuple is expanded once with integer Taylor weights
+(``_taylor_weights``) over heights scaled to integers, into integer
+numerators over one denominator per level.  V is taken to powers of t over
+one common denominator, and a Fraction is built only for each coefficient
+returned.  The result is certified, in ints, by V(s_0) = vol_n(argmin u),
+computed separately from the sublevel set, and continuity of V at every
+breakpoint.
 
 The integral valuation is then the layer-cake sum
 
@@ -38,8 +40,8 @@ from typing import Callable, Sequence
 
 from .errors import CertificateFailed, NotCoercive, UnboundedPolyhedron
 from .functions import PWAConvex, cone_function, indicator_function
-from .growth import (GrowthFunction, Poly, integral_against, padd, pdiff, peval,
-                     poly_nonneg_on)
+from .growth import (GrowthFunction, Poly, integral_against, pdiff, peval, poly_nonneg_on,
+                     ptrim)
 from .polyhedra import Polyhedron, _integer_simplices, cut_by, volume
 
 
@@ -129,22 +131,26 @@ def _profile(u: PWAConvex) -> LevelVolumeProfile:
     # cap: sum_z sum_{m < mu} series_z[mu - 1 - m] f^(m)(z) / m!.  For t in
     # (s_i, s_{i+1}) the kernel f is (t - x)^d near z <= s_i and 0 near the
     # higher heights.  So on that interval W is, up to a constant that W'
-    # drops, the sum over levels z <= s_i of sum_j shifted[z][j] (t - z)^j.
-    # Heights are taken as integers times 1/H, H the lcm of the level
-    # denominators (``shifted`` is keyed by them), so series_z[l] is
-    # H^(d + 1 - mu + l) a[l] / (q p^l) with (a, q, p) from _taylor_weights.
+    # drops, (-1)^d / (d! L^d) times the sum over levels z <= s_i of
+    # sum_j shifted[z][j] / den[z] (t - z)^j.  Heights are taken as integers
+    # times 1/H, H the lcm of the level denominators (``shifted`` and ``den``
+    # are keyed by them), so series_z[l] is H^(d + 1 - mu + l) a[l] / (q p^l)
+    # with (a, q, p) from _taylor_weights.
     top = levels[-1] + 1
     scale_h = math.lcm(*(z.denominator for z in levels))
     hlevels = [z.numerator * (scale_h // z.denominator) for z in levels]
     up = tuple(Fraction(0) for _ in range(n)) + (Fraction(1),)
     capped, _ = next(cut_by(u.epigraph, [[(up, top)]]))
-    shifted = {z: [Fraction(0)] * (d + 1) for z in hlevels}
+    shifted = {z: [0] * (d + 1) for z in hlevels}
+    den = dict.fromkeys(hlevels, 1)
+    scale = 1  # with no simplex every sum stays 0
     if capped.is_full_dimensional:
         pts, scale, simplices = _integer_simplices(capped)
         heights = [pt[n] * scale_h // scale for pt in pts]
         weights: Counter[tuple[int, ...]] = Counter()
         for simplex, det in simplices:
             weights[tuple(sorted(heights[i] for i in simplex))] += det
+        del pts, simplices, heights  # free the triangulation before the sums grow
         cap = hlevels[-1] + scale_h
         for key, weight in weights.items():
             mult = Counter(key)
@@ -152,29 +158,54 @@ def _profile(u: PWAConvex) -> LevelVolumeProfile:
                 if z == cap:
                     continue
                 series, q, p = _taylor_weights(z, mult)
+                # The tuple's terms at z share the denominator q p^(mu - 1),
+                # which may be negative: den[z] grows to the (positive) lcm,
+                # and new // div carries the sign.
+                div = q * p ** (mu - 1)
+                old = den[z]
+                new = den[z] = math.lcm(old, div)
+                if new != old:
+                    shifted[z] = [c * (new // old) for c in shifted[z]]
+                w = weight * (new // div)
                 for m in range(mu):  # f^(m)(z) / m! = C(d, m) (-1)^m (t - z)^(d - m)
                     l = mu - 1 - m
-                    shifted[z][d - m] += Fraction(
-                        (-1) ** m * math.comb(d, m) * weight * series[l]
-                        * scale_h ** (d + 1 - mu + l), q * p ** l)
-        sign = Fraction((-1) ** d, math.factorial(d) * scale ** d)
-        shifted = {z: [sign * c for c in cs] for z, cs in shifted.items()}
-    polys: list[Poly] = []  # V = W' on [s_i, s_{i+1}], and on [s_p, inf) last
-    acc: Poly = ()
-    for z, hz in zip(levels, hlevels):
-        c = shifted[hz]  # d/dt sum_j c_j (t - z)^j, in powers of t
-        acc = padd(acc, tuple(sum(j * c[j] * math.comb(j - 1, i) * (-z) ** (j - 1 - i)
-                                  for j in range(i + 1, d + 1)) for i in range(d)))
-        polys.append(acc)
+                    shifted[z][d - m] += ((-1) ** m * math.comb(d, m) * w * series[l]
+                                          * scale_h ** (d + 1 - mu + l) * p ** m)
+    for z in hlevels:  # the lcms leave large common factors in each level's sums
+        g = math.gcd(den[z], *shifted[z])
+        den[z] //= g
+        shifted[z] = [c // g for c in shifted[z]]
+    # V on [s_i, s_{i+1}] in powers of t is acc / common, acc the running sum
+    # over levels z <= s_i of d/dt sum_j shifted[z][j] / den[z] (t - z)^j with
+    # z = hz / H, each (-z)^k written as (-hz)^k H^(d - 1 - k) / H^(d - 1).
+    lcm_den = math.lcm(*den.values())
+    common = lcm_den * math.factorial(d) * scale ** d * scale_h ** (d - 1)
+    hpow = [scale_h ** k for k in range(d)]
+    accs: list[list[int]] = []  # V = W' on [s_i, s_{i+1}], and on [s_p, inf) last
+    acc = [0] * d
+    for hz in hlevels:
+        c, w = shifted[hz], (-1) ** d * (lcm_den // den[hz])
+        zpow = [(-hz) ** k for k in range(d)]
+        acc = [acc[i] + w * sum(j * c[j] * math.comb(j - 1, i) * zpow[j - 1 - i]
+                                * hpow[d - j + i] for j in range(i + 1, d + 1))
+               for i in range(d)]
+        accs.append(acc)
 
-    left = atom  # V is right-continuous at the minimum level
-    for i, p in enumerate(polys):
-        right = peval(p, levels[i])
-        if right != left:
-            raise CertificateFailed(
-                f"volume profile discontinuous at level {levels[i]}: {left} -> {right}")
-        if i + 1 < len(levels):
-            left = peval(p, levels[i + 1])
+    # Certificate, for the polynomials returned: V(s_0) = atom (V is
+    # right-continuous at the minimum level) and p_(i-1)(s_i) = p_i(s_i),
+    # where p_i(hz / H) = at(accs[i], hz) / base in ints.
+    def at(acc, hz):
+        return sum(c * hz ** i * hpow[d - 1 - i] for i, c in enumerate(acc))
+
+    base = common * hpow[d - 1]
+    lefts = [(atom.numerator * base, atom.denominator)]  # V(s_i-) = left / (base q)
+    lefts += [(at(acc, hz), 1) for acc, hz in zip(accs, hlevels[1:])]
+    for z, hz, acc, (left, q) in zip(levels, hlevels, accs, lefts):
+        right = at(acc, hz)
+        if right * q != left:
+            raise CertificateFailed(f"volume profile discontinuous at level {z}: "
+                                    f"{Fraction(left, base * q)} -> {Fraction(right, base)}")
+    polys = [ptrim(Fraction(c, common) for c in acc) for acc in accs]
     return LevelVolumeProfile(n, t_min, atom, tuple(levels), tuple(polys[:-1]), polys[-1])
 
 

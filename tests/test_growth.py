@@ -9,15 +9,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convval.functions import make
+from convval.laws import generate_pair_with_convex_min
 from convval.growth import (GrowthFunction, NumericPsi, _kernel_partial,
                             check_derivative_relation,
                             check_moment_finiteness_of_derivative,
-                            check_psi_vanishes, make_growth, moment, padd, peval,
-                            pint, pmul, poly_nonneg_on, pscale, psi_from_zeta,
+                            check_psi_vanishes, integral_against, make_growth, moment,
+                            padd, pantider, peval, pmul, poly_nonneg_on, pscale, psi_from_zeta,
                             ptrim, tail_integral, zero_growth)
 from convval.polyhedra import Polyhedron
 from convval.valuation import (combined_valuation, integral_valuation,
                                level_volume_profile, min_valuation, tail_mass)
+
+
+def pint(c, a, b):
+    """Integral_a^b of the polynomial c, the Fraction route of the oracles below."""
+    q = pantider(c)
+    return peval(q, b) - peval(q, a)
 
 
 def hat():
@@ -272,8 +279,9 @@ class TestEvalArrayEdges:
 # ---------------------------------------------------------------------------
 # The oracles are the earlier routes, copied in: ``moment`` walking zeta's
 # regions itself, psi_n summing the fixed-limit integrals piece by piece
-# (``_kernel_full``), and the valuations adding exact and float parts by
-# their own isinstance branches over the interval-by-interval layer cake.
+# (``_kernel_full``), the valuations adding exact and float parts by their
+# own isinstance branches, and ``integral_against`` summing one Fraction per
+# interval.
 
 def _kernel_full(p, c, d, n):
     out = ()
@@ -314,16 +322,15 @@ def oracle_psi(zeta, n):
     return GrowthFunction(b, tuple(pieces), pscale(n, left), None, False)
 
 
-def oracle_layer_cake(zeta, prof, start):
-    cuts = sorted({c for c in prof.breakpoints + zeta.breakpoints if c > start})
+def oracle_integral_against(zeta, breaks, polys, start):
+    cuts = sorted({c for c in breaks + zeta.breakpoints if c > start})
     cuts = [start] + cuts
-    derivs, bps = prof._derivatives, prof.breakpoints
     exact, fl, has_float = F(0), 0.0, False
     i = 0
     for a, b in zip(cuts, cuts[1:]):
-        while i + 1 < len(bps) and bps[i + 1] < b:
+        while i + 1 < len(breaks) and breaks[i + 1] < b:
             i += 1
-        vp = derivs[i]
+        vp = polys[i]
         kind, payload = zeta.region_at((a + b) / 2)
         if kind in ("left", "piece") and payload and vp:
             exact += pint(pmul(payload, vp), a, b)
@@ -332,7 +339,7 @@ def oracle_layer_cake(zeta, prof, start):
             fl += (tail_integral(lam, pmul(coeffs, vp), a)
                    - tail_integral(lam, pmul(coeffs, vp), b))
             has_float = True
-    vp = derivs[-1]
+    vp = polys[-1]
     if zeta.tail is not None and vp:
         lam, coeffs = zeta.tail
         fl += tail_integral(lam, pmul(coeffs, vp), cuts[-1])
@@ -343,7 +350,7 @@ def oracle_layer_cake(zeta, prof, start):
 def oracle_integral_valuation(zeta, u):
     prof = level_volume_profile(u)
     atom_term = zeta.eval(prof.t_min) * prof.atom
-    rest = oracle_layer_cake(zeta, prof, prof.t_min)
+    rest = oracle_integral_against(zeta, prof.breakpoints, prof._derivatives, prof.t_min)
     if isinstance(atom_term, F) and isinstance(rest, F):
         return atom_term + rest
     return float(atom_term) + float(rest)
@@ -417,7 +424,9 @@ class TestOneWeightedIntegral:
                         oracle_combined_valuation(zeta0, zeta, u))
             prof = level_volume_profile(u)
             for start in (*prof.breakpoints, prof.breakpoints[-1] + F(1, 2)):
-                assert_same(tail_mass(zeta, u, start), oracle_layer_cake(zeta, prof, start))
+                assert_same(tail_mass(zeta, u, start),
+                            oracle_integral_against(zeta, prof.breakpoints, prof._derivatives,
+                                                    start))
 
     def test_the_weights_reach_every_branch(self):
         tailed = make_growth([-1, 1], [[1, -1]], left_constant=2, tail=(1, [1]))
@@ -429,3 +438,42 @@ class TestOneWeightedIntegral:
                             oracle_combined_valuation(step, zeta, u))
                 assert_same(combined_valuation(box01(), zeta, u),
                             oracle_combined_valuation(box01(), zeta, u))
+
+
+@lru_cache(maxsize=None)
+def pair_profiles():
+    profs = []
+    for n in (2, 3):
+        pair = generate_pair_with_convex_min(0, n)
+        profs += [level_volume_profile(u) for u in (pair.u, pair.v, *pair.lattice())]
+    return tuple(profs)
+
+
+@st.composite
+def piecewise_polys(draw):
+    """(breaks, polys): a piecewise polynomial with mixed denominators, zero
+    on some intervals."""
+    breaks = tuple(sorted(set(draw(st.lists(st.fractions(-3, 4, max_denominator=12),
+                                            min_size=1, max_size=4)))))
+    coeffs = st.fractions(-5, 5, max_denominator=97)
+    polys = tuple(ptrim(draw(st.lists(coeffs, max_size=4))) for _ in breaks)
+    return breaks, polys
+
+
+class TestIntegralAgainstFractionSums:
+    @settings(max_examples=150, deadline=None)
+    @given(weights(), piecewise_polys(), st.fractions(-4, 5, max_denominator=6))
+    def test_piecewise_polynomials(self, zeta, f, start):
+        breaks, polys = f
+        for s in (start, breaks[0], breaks[-1], breaks[-1] + F(1, 3)):
+            assert_same(integral_against(zeta, breaks, polys, s),
+                        oracle_integral_against(zeta, breaks, polys, s))
+
+    @settings(max_examples=40, deadline=None)
+    @given(weights())
+    def test_profiles(self, zeta):
+        for prof in pair_profiles():
+            for start in (prof.t_min, prof.breakpoints[-1], prof.breakpoints[-1] + F(1, 2)):
+                assert_same(integral_against(zeta, prof.breakpoints, prof._derivatives, start),
+                            oracle_integral_against(zeta, prof.breakpoints,
+                                                    prof._derivatives, start))

@@ -1,22 +1,30 @@
 """The conjugacy layer's integer routes against the ``Fraction`` routes they
-replaced: ``PWAConvex.eval``, ``HRep.satisfies`` and ``ConeBound.holds_for``.
+replaced: ``PWAConvex.eval``, ``HRep.satisfies`` and ``ConeBound.holds_for``;
+and ``cone_bound`` reading its slope off the epigraph's rays against the
+route through the conjugate.
 
 The oracles below are copied from the routes before the change, which took
 ``Fraction`` dot products over the domain rows, the pieces and the V-rep of
-the epigraph.  Every comparison is an exact ``==``.
+the epigraph, and built ``conjugate(u)`` and the facets of its epigraph for
+the cone bound.  Every comparison is an exact ``==``.
 """
 
 from fractions import Fraction as F
 from functools import lru_cache
 from math import inf, isqrt
 
+from itertools import product
+
 from hypothesis import given, settings, strategies as st
 
-from convval.conjugacy import ConeBound, cone_bound, conjugate
+from convval import conjugacy, polyhedra
+from convval.conjugacy import ConeBound, _rational_sqrt_lower, cone_bound, conjugate
+from convval.errors import CertificateFailed, NotCoercive
 from convval.functions import cone_function, indicator_function, make
-from convval.laws import generate_pair_with_convex_min
+from convval.laws import generate_pair_with_convex_min, random_body, smoothing_sequence
 from convval.linalg import dot
 from convval.polyhedra import HRep, Polyhedron
+from counting import counted
 
 # ---------------------------------------------------------------------------
 # Oracles: the Fraction routes
@@ -50,6 +58,33 @@ def oracle_holds_for(bound, u):
         if s <= 0 or s * s <= bound.a * bound.a * dot(rx, rx):
             return False
     return True
+
+
+def oracle_cone_bound(u):
+    if not u.coercive:
+        raise NotCoercive("cone_bound requires a coercive function")
+    n = u.n
+    star = conjugate(u)
+    rows = star.epigraph.canonical_hrep.halfspaces
+    radius_sq = None
+    for w, c in rows:
+        if w[n] != 0:
+            continue
+        cc = dot(w[:n], w[:n])
+        if cc == 0:
+            continue
+        cand = c * c / (4 * cc)
+        if radius_sq is None or cand < radius_sq:
+            radius_sq = cand
+    a = F(1) if radius_sq is None else _rational_sqrt_lower(radius_sq)
+    if a <= 0:
+        raise NotCoercive("failed to certify a positive cone slope")
+    verts = u.epigraph.vrep.vertices
+    m = max(2 * a * sum(abs(f) for f in v[:n]) - v[n] for v in verts)
+    bound = ConeBound(a, -m - 1)
+    if not bound.holds_for(u):
+        raise CertificateFailed(f"cone bound {bound} fails its exact re-check")
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -224,3 +259,54 @@ class TestHoldsFor:
         below = ConeBound(a, F(1, 2) - 5 * a - F(1, 10 ** 40))
         assert at.holds_for(u) is False is oracle_holds_for(at, u)
         assert below.holds_for(u) is True is oracle_holds_for(below, u)
+
+
+@st.composite
+def coercive_functions(draw):
+    """Maxima of pieces with one slope per sign orthant and their smoothing
+    sequences, lattice pairs, cone functions, box and segment indicators,
+    and a function on a line in the plane."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["pieces", "smoothed", "pair", "cone", "box", "segment",
+                                 "flat"]))
+    slope = st.fractions(F(1, 2), 4, max_denominator=2)
+    offset = st.fractions(-3, 3, max_denominator=3)
+    if kind in ("pieces", "smoothed"):
+        pieces = [(tuple(s * draw(slope) for s in signs), draw(offset))
+                  for signs in product((1, -1), repeat=n)]
+        pieces += [(tuple(draw(coords) for _ in range(n)), draw(offset))
+                   for _ in range(draw(st.integers(0, 2)))]
+        u = make(pieces, n=n)
+        if kind == "pieces":
+            return u
+        return smoothing_sequence(u, Polyhedron.box([(-1, 1)] * n), 2 ** draw(st.integers(0, 3)))
+    if kind == "pair":
+        return draw(st.sampled_from(generate_pair_with_convex_min(draw(st.integers(0, 50)),
+                                                                  n).lattice()))
+    if kind == "cone":
+        return cone_function(random_body(draw(st.integers(0, 10 ** 6)), n), draw(offset))
+    if kind == "box":
+        return indicator_function(Polyhedron.box([(-1, draw(slope))] * n), draw(offset))
+    if kind == "segment":
+        ends = [tuple(draw(coords) for _ in range(n)) for _ in range(2)]
+        return indicator_function(Polyhedron.from_generators(n, ends), draw(offset))
+    c = draw(offset)  # |x_1| + x_2 on the line x_2 = c in R^2
+    return make([((1, 1), 0), ((-1, 1), 0)], HRep.make(2, [((0, 1), c), ((0, -1), -c)]))
+
+
+class TestConeBound:
+    @settings(max_examples=100, deadline=None)
+    @given(coercive_functions())
+    def test_matches_the_conjugate_route(self, u):
+        assert cone_bound(u) == oracle_cone_bound(u)
+
+    def test_builds_no_conjugate(self):
+        for n in (1, 2, 3):
+            for u in bound_cases(n):
+                if not u.coercive:
+                    continue
+                u.epigraph.vrep
+                with counted(polyhedra, "vrep_to_hrep") as polars, \
+                        counted(conjugacy, "conjugate") as conjugates:
+                    cone_bound(u)
+                assert polars == [] and conjugates == []

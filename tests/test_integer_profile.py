@@ -1,16 +1,19 @@
 """Integer profile sums and integer simplex volumes against the Fraction
-route they replaced.
+routes they replaced.
 
 The oracles below are the ``level_volume_profile`` and ``volume`` that
 ``valuation`` and ``polyhedra`` used before: the epigraph capped by a fresh
 ``intersect``, one ``Fraction`` determinant per simplex and one
 ``Fraction`` divided-difference expansion (``oracle_local_series``) per
-simplex; and the triangulation that found the facets of a face by an
-``echelon`` rank test per candidate (``oracle_face_simplices``).  Every
-comparison is an exact ``==`` on ``LevelVolumeProfile``, on the volume or
-on the simplex list, in order.  The count guards make a determinant, a
-fresh double description for the cap, a per-simplex expansion or a
-per-simplex lattice determinant fail a test, not only a benchmark run.
+simplex; the integer weights summed as one ``Fraction`` per term, with the
+power basis and the certificate in ``Fraction`` arithmetic
+(``oracle_fraction_sums``); and the triangulation that found the facets of
+a face by an ``echelon`` rank test per candidate (``oracle_face_simplices``).
+Every comparison is an exact ``==`` on ``LevelVolumeProfile``, on the
+volume or on the simplex list, in order.  The count guards make a
+determinant, a fresh double description for the cap or the atom, a
+per-simplex expansion or a per-simplex lattice determinant fail a test, not
+only a benchmark run.
 """
 
 import math
@@ -19,6 +22,7 @@ from fractions import Fraction as F
 from itertools import product
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from convval import linalg, polyhedra, valuation
@@ -28,7 +32,7 @@ from convval.growth import padd, peval
 from convval.laws import generate_pair_with_convex_min, random_body
 from convval.linalg import determinant, echelon, vec_sub
 from convval.polyhedra import HRep, Polyhedron, cut_by, intersect, triangulate, volume
-from convval.valuation import LevelVolumeProfile, level_volume_profile
+from convval.valuation import LevelVolumeProfile, _taylor_weights, level_volume_profile
 from counting import counted
 
 # ---------------------------------------------------------------------------
@@ -97,6 +101,59 @@ def oracle_profile(u):
     for i, p in enumerate(polys):
         if peval(p, levels[i]) != left:
             raise CertificateFailed(f"volume profile discontinuous at level {levels[i]}")
+        if i + 1 < len(levels):
+            left = peval(p, levels[i + 1])
+    return LevelVolumeProfile(n, t_min, atom, tuple(levels), tuple(polys[:-1]), polys[-1])
+
+
+def oracle_fraction_sums(u):
+    """The profile with the integer weights summed as one Fraction per term,
+    the power basis and the certificate in Fractions, and the atom from a
+    fresh sublevel set; reads no cache and writes none."""
+    n = u.n
+    d = n + 1
+    levels = sorted({v[n] for v in u.epigraph.vrep.vertices})
+    t_min = levels[0]
+    atom = volume(u.sublevel(t_min))
+    top = levels[-1] + 1
+    scale_h = math.lcm(*(z.denominator for z in levels))
+    hlevels = [z.numerator * (scale_h // z.denominator) for z in levels]
+    up = tuple(F(0) for _ in range(n)) + (F(1),)
+    capped, _ = next(cut_by(u.epigraph, [[(up, top)]]))
+    shifted = {z: [F(0)] * (d + 1) for z in hlevels}
+    if capped.is_full_dimensional:
+        pts, scale, simplices = polyhedra._integer_simplices(capped)
+        heights = [pt[n] * scale_h // scale for pt in pts]
+        weights = Counter()
+        for simplex, det in simplices:
+            weights[tuple(sorted(heights[i] for i in simplex))] += det
+        cap = hlevels[-1] + scale_h
+        for key, weight in weights.items():
+            mult = Counter(key)
+            for z, mu in mult.items():
+                if z == cap:
+                    continue
+                series, q, p = _taylor_weights(z, mult)
+                for m in range(mu):
+                    l = mu - 1 - m
+                    shifted[z][d - m] += F(
+                        (-1) ** m * math.comb(d, m) * weight * series[l]
+                        * scale_h ** (d + 1 - mu + l), q * p ** l)
+        sign = F((-1) ** d, math.factorial(d) * scale ** d)
+        shifted = {z: [sign * c for c in cs] for z, cs in shifted.items()}
+    polys = []
+    acc = ()
+    for z, hz in zip(levels, hlevels):
+        c = shifted[hz]
+        acc = padd(acc, tuple(sum(j * c[j] * math.comb(j - 1, i) * (-z) ** (j - 1 - i)
+                                  for j in range(i + 1, d + 1)) for i in range(d)))
+        polys.append(acc)
+    left = atom
+    for i, p in enumerate(polys):
+        right = peval(p, levels[i])
+        if right != left:
+            raise CertificateFailed(
+                f"volume profile discontinuous at level {levels[i]}: {left} -> {right}")
         if i + 1 < len(levels):
             left = peval(p, levels[i + 1])
     return LevelVolumeProfile(n, t_min, atom, tuple(levels), tuple(polys[:-1]), polys[-1])
@@ -194,6 +251,19 @@ def pair_functions(draw, n):
     return [pair.u, pair.v, wedge, vee]
 
 
+@st.composite
+def mixed_denominator_norms(draw, n):
+    """One piece per sign orthant, each with its own large denominators, so
+    that the levels have large, mixed denominators."""
+    dens = st.sampled_from([1, 7, 97, 1009, 65537, 999983, 2 ** 31 - 1])
+    pieces = []
+    for signs in product((1, -1), repeat=n):
+        q, e = draw(dens), draw(dens)
+        pieces.append((tuple(s * F(draw(st.integers(q, 4 * q)), q) for s in signs),
+                       F(draw(st.integers(-3 * e, 3 * e)), e)))
+    return make(pieces, n=n)
+
+
 def mixed_denominator_points(d):
     """Rational points, each with its own large denominator, so that the
     scale of the integer points is their lcm and every edge shares a factor."""
@@ -234,6 +304,58 @@ class TestProfileAgainstFractionRoute:
         segment = Polyhedron.from_generators(2, [(0, 0), (F(3, 2), F(1, 3))])
         prof = same_profile(indicator_function(segment, 2))
         assert prof.atom == 0 and prof.final_poly == ()
+
+
+def same_as_fraction_sums(u):
+    got, want = level_volume_profile(u), oracle_fraction_sums(u)
+    assert got == want and repr(got) == repr(want)  # repr: the same types too
+
+
+def l1_on_square():
+    """|x|_1 on [-1, 1]^2: two of its height tuples have three heights at
+    level 1, whose jump terms cancel in V."""
+    return make([(s, 0) for s in product((1, -1), repeat=2)], Polyhedron.box([(-1, 1)] * 2))
+
+
+class TestProfileAgainstFractionSums:
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(1, 4).flatmap(pair_functions))
+    def test_lattice_pairs(self, functions):
+        for u in functions:
+            same_as_fraction_sums(u)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.one_of(
+        l1_norms(n), box_indicators(n), cone_functions(n), mixed_denominator_norms(n))))
+    def test_norms_boxes_cones_and_mixed_denominators(self, u):
+        same_as_fraction_sums(u)
+
+    def test_segment_indicator_and_flat_levels(self):
+        segment = Polyhedron.from_generators(2, [(0, 0), (F(3, 2), F(1, 3))])
+        for u in (indicator_function(segment, 2), l1_on_square()):
+            same_as_fraction_sums(u)
+
+    @pytest.mark.parametrize("u, level", [
+        (indicator_function(Polyhedron.box([(0, 1), (F(-1, 3), 2)]), F(-2, 7)), F(-2, 7)),
+        (l1_on_square(), 1)])
+    def test_a_perturbed_jump_term_fails_the_certificate(self, u, level):
+        """Double the (t - z)^1 term of W, V's jump at z, of the first
+        expansion at a height of multiplicity n + 1: V(s_0) = atom fails for
+        the flat minimum of the box, continuity at level 1 for the square."""
+        real = valuation._taylor_weights
+        perturbed = []
+
+        def broken(z, mult):
+            series, q, p = real(z, mult)
+            if mult[z] == u.n + 1 and not perturbed:
+                perturbed.append(z)
+                series = [2 * series[0]] + series[1:]
+            return series, q, p
+
+        with mock.patch.object(valuation, "_taylor_weights", broken), \
+                pytest.raises(CertificateFailed, match=f"discontinuous at level {level}:"):
+            valuation._profile(u)
+        assert len(perturbed) == 1
 
 
 class TestVolumeAgainstFractionRoute:

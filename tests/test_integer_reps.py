@@ -25,7 +25,8 @@ from convval import conjugacy, functions, linalg, polyhedra
 from convval.conjugacy import conjugate
 from convval.errors import ConvvalError, EmptyDomain, NotCoercive
 from convval.functions import cone_function, from_epigraph, inf_if_convex, make, pwa_equal
-from convval.growth import integral_against, make_growth, pdiff, pint, pmul, tail_integral
+from convval.growth import (integral_against, make_growth, pantider, pdiff, peval, pmul,
+                            tail_integral)
 from convval.laws import generate_pair_with_convex_min, random_body
 from convval.linalg import dot, invert, rank, scale_to_int, vec_add, vec_scale, vec_sub
 from convval.polyhedra import (HRep, Polyhedron, VRep, _fracvec, apply_linear, cut_by,
@@ -183,6 +184,12 @@ def dot_pruning():
     with mock.patch.object(functions, "_build", oracle_build_pruned), \
             mock.patch.object(conjugacy, "_build", oracle_build_pruned):
         yield
+
+
+def pint(c, a, b):
+    """Integral_a^b of the polynomial c in Fractions."""
+    q = pantider(c)
+    return peval(q, b) - peval(q, a)
 
 
 def oracle_layer_cake(zeta, prof, start):
