@@ -40,8 +40,8 @@ from .errors import (
     EmptyPolyhedron,
 )
 from .linalg import determinant, dot, invert, vec_scale, vec_sub
-from .polyhedra import (HRep, Polyhedron, _affine_image, _fracvec, _int_point, _within,
-                        cut_by)
+from .polyhedra import (HRep, Polyhedron, _affine_image, _fracvec, _Generators, _generators,
+                        _int_point, _within, cut_by, vrep_to_hrep)
 
 Piece = tuple[tuple[Fraction, ...], Fraction]
 INF = math.inf
@@ -281,10 +281,11 @@ def cone_function(k: Polyhedron, t=0) -> PWAConvex:
             raise OriginNotInBody("cone function needs the origin inside the body")
         if not k.is_bounded:
             raise ValueError("cone function needs a bounded body")
-        epi = Polyhedron.from_generators(
-            n + 1, [origin + (Fraction(0),)],
-            rays=[tuple(v) + (Fraction(1),) for v in k.vrep.vertices],
-        )
+        # pos(K x {1}): the apex (0, 0) and a ray (x, x0) per vertex generator
+        # (x, x0) of K, homogenized in R^(n+2) as (0, 0, 1) and (x, x0, 0)
+        kc = k._integer()
+        epi = Polyhedron(vrep_to_hrep(_Generators(
+            n + 1, [(0,) * (n + 1) + (1,)], [g + (0,) for g in kc.gens[:kc.nverts]], [])))
         k._cone_function = from_epigraph(epi, coercive=True)
     u = k._cone_function
     return u.translate_graph(t) if Fraction(t) != 0 else u
@@ -335,7 +336,9 @@ def inf_if_convex(u: PWAConvex, v: PWAConvex) -> PWAConvex:
     """Pointwise minimum, provided it is convex.
 
     The minimum is convex exactly when conv(epi u  U  epi v) equals the union
-    of the epigraphs.  The check is exact: for every facet pair (g of epi u,
+    of the epigraphs.  The hull is the polar double description of both
+    epigraphs' integer generators (``_generators``), as in ``minkowski_sum``.
+    The check is exact: for every facet pair (g of epi u,
     h of epi v), the hull restricted to the outside of both facets must be
     empty up to faces: empty, or tight on g or on h throughout.  These
     restrictions come from ``cut_by``, which continues the hull's double
@@ -356,13 +359,9 @@ def inf_if_convex(u: PWAConvex, v: PWAConvex) -> PWAConvex:
         raise DimensionMismatch("dimension mismatch in inf")
     n = u.n
     eu, ev = u.epigraph, v.epigraph
-    gu, gv = eu.vrep, ev.vrep
-    hull = Polyhedron.from_generators(
-        n + 1,
-        tuple(gu.vertices) + tuple(gv.vertices),
-        tuple(gu.rays) + tuple(gv.rays),
-        tuple(gu.lines) + tuple(gv.lines),
-    )
+    gu, gv = _generators(eu), _generators(ev)
+    hull = Polyhedron(vrep_to_hrep(_Generators(n + 1, gu.verts + gv.verts, gu.rays + gv.rays,
+                                               gu.lines + gv.lines)))
 
     def open_outsides(epi: Polyhedron) -> list:
         outsides = [(tuple(-x for x in g), -cg) for g, cg in epi.canonical_hrep.halfspaces]

@@ -474,11 +474,3 @@ def check_psi_vanishes(zeta: GrowthFunction, n: int) -> LawReport:
     return LawReport(name, inputs, ok, witness=witness,
                      details={"sup_support": s})
 
-
-def check_moment_finiteness_of_derivative(psi: GrowthFunction, n: int) -> LawReport:
-    """Integral_0^inf t^(n-1) ((-1)^n/n!) psi^{(n)}(t) dt computed exactly."""
-    name = "derivative_moment_finite"
-    rec = psi.derivative_pieces(n).scaled(Fraction((-1) ** n, factorial(n)))
-    value = moment(rec, n - 1)
-    return LawReport(name, f"psi bp={psi.breakpoints} n={n}", True,
-                     left=value, right=value, details={"moment": value})

@@ -739,31 +739,25 @@ def random_unimodular(seed: int, n: int, steps: int) -> tuple[Vec, ...]:
     return tuple(tuple(row) for row in m)
 
 
-def is_implicit(p: Polyhedron, a: Sequence, b) -> bool:
-    """True iff the row <a, x> <= b holds with equality on all of p."""
-    v = p.vrep
-    return (all(dot(a, q) == b for q in v.vertices)
-            and all(dot(a, r) == 0 for r in v.rays)
-            and all(dot(a, l) == 0 for l in v.lines))
-
-
 def relative_interior_contains(p: Polyhedron, x: Sequence) -> bool:
     """True iff x lies in the relative interior of p.
 
-    Strict inequality is required on every constraint that is not implicit
-    (i.e. not tight on all of p).
+    Equality is required on every implicit row (tight on all of p) and strict
+    inequality on every other one.  The rows are those of ``p._integer()``,
+    tested on the homogeneous integer point of x; the implicit ones are the
+    AND of the generators' incidence masks.  Any H-rep of p will do: a valid
+    row that is tight at a relative interior point is tight on all of p.
     """
     if p.is_empty:
         raise EmptyPolyhedron("relative interior of the empty set")
-    x = _fracvec(x)
-    if len(x) != p.d:
+    y = _int_point(x)
+    if len(y) != p.d + 1:
         raise DimensionMismatch("point dimension mismatch")
-    for a, b in p.canonical_hrep.halfspaces:
-        val = dot(a, x)
-        if is_implicit(p, a, b):
-            if val != b:
-                return False
-        elif val >= b:
+    cone = p._integer()
+    implicit = reduce(and_, cone.masks)
+    for i, row in enumerate(cone.rows):
+        val = sum(map(mul, row, y))
+        if val > 0 or (val == 0) != bool(implicit >> i & 1):
             return False
     return True
 

@@ -16,8 +16,9 @@ each tuple is expanded once with integer Taylor weights
 numerators over one denominator per level.  V is taken to powers of t over
 one common denominator, and a Fraction is built only for each coefficient
 returned.  The result is certified, in ints, by V(s_0) = vol_n(argmin u),
-computed separately from the sublevel set, and continuity of V at every
-breakpoint.
+computed separately from the sublevel set, continuity of V at every
+breakpoint, and Integral_{s_0}^{s_p + 1} V dt = the volume of the capped
+epigraph, which sees every term of V and not only its jumps.
 
 The integral valuation is then the layer-cake sum
 
@@ -143,13 +144,14 @@ def _profile(u: PWAConvex) -> LevelVolumeProfile:
     capped, _ = next(cut_by(u.epigraph, [[(up, top)]]))
     shifted = {z: [0] * (d + 1) for z in hlevels}
     den = dict.fromkeys(hlevels, 1)
-    scale = 1  # with no simplex every sum stays 0
+    scale, total = 1, 0  # with no simplex every sum stays 0
     if capped.is_full_dimensional:
         pts, scale, simplices = _integer_simplices(capped)
         heights = [pt[n] * scale_h // scale for pt in pts]
         weights: Counter[tuple[int, ...]] = Counter()
         for simplex, det in simplices:
             weights[tuple(sorted(heights[i] for i in simplex))] += det
+        total = sum(weights.values())  # W(top) = total / (d! L^d)
         del pts, simplices, heights  # free the triangulation before the sums grow
         cap = hlevels[-1] + scale_h
         for key, weight in weights.items():
@@ -205,6 +207,20 @@ def _profile(u: PWAConvex) -> LevelVolumeProfile:
         if right * q != left:
             raise CertificateFailed(f"volume profile discontinuous at level {z}: "
                                     f"{Fraction(left, base * q)} -> {Fraction(right, base)}")
+    # Continuity sees only V's jumps: a wrong higher term of W keeps V
+    # continuous.  So also check int_{s_0}^{top} V dt = W(top): with
+    # V = sum_k acc[k] t^k / common on [ha / H, hb / H], d! H^d common times
+    # the integral is sum_k acc[k] (d! / (k + 1)) (hb^(k+1) - ha^(k+1)) H^(d-1-k).
+    ends = hlevels + [hlevels[-1] + scale_h]
+    integral = sum(c * (math.factorial(d) // (k + 1)) * (hb ** (k + 1) - ha ** (k + 1))
+                   * hpow[d - 1 - k]
+                   for acc, ha, hb in zip(accs, ends, ends[1:]) for k, c in enumerate(acc))
+    if integral * scale ** d != total * scale_h ** d * common:
+        raise CertificateFailed(
+            f"volume profile integrates to "
+            f"{Fraction(integral, math.factorial(d) * scale_h ** d * common)} up to level "
+            f"{top}, not to the capped epigraph's volume "
+            f"{Fraction(total, math.factorial(d) * scale ** d)}")
     polys = [ptrim(Fraction(c, common) for c in acc) for acc in accs]
     return LevelVolumeProfile(n, t_min, atom, tuple(levels), tuple(polys[:-1]), polys[-1])
 

@@ -3,14 +3,10 @@
 import csv
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction as F
 
 import pytest
 
-import convval
 from convval.cli import main
 from convval.documents import (DocumentError, function_from_doc,
                                function_to_doc, growth_from_doc, growth_to_doc,
@@ -18,6 +14,7 @@ from convval.documents import (DocumentError, function_from_doc,
 from convval.functions import make, pwa_equal
 from convval.growth import make_growth
 from convval.laws import SUITES
+from oracles import python_stdout
 
 
 @pytest.fixture
@@ -359,8 +356,5 @@ def test_import_and_growth_leave_sympy_and_mpmath_unloaded(tmp_path):
         f"assert main(['growth', {str(doc)!r}, '--n', '3']) == 0\n"
         "print(loaded())\n"
     )
-    src = os.path.dirname(os.path.dirname(convval.__file__))
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[0] == "[]" and out.stdout.splitlines()[-1] == "[]"
+    lines = python_stdout(code).splitlines()
+    assert lines[0] == "[]" and lines[-1] == "[]"

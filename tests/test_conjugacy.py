@@ -1,9 +1,6 @@
 """Conjugation, infimal convolution, epi-scaling, Moreau envelopes, cone bounds."""
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +13,7 @@ from convval.errors import CertificateFailed, NotCoercive
 from convval.functions import cone_function, indicator_function, make, pwa_equal
 from convval.laws import generate_pair_with_convex_min
 from convval.polyhedra import Polyhedron
+from oracles import python_stdout
 
 
 def l1_ball(n):
@@ -238,7 +236,6 @@ class TestConeBounds:
             uniform_cone_bound([absx])
 
     def test_failed_certificates_raise_under_optimize(self):
-        import convval
         code = (
             "from fractions import Fraction\n"
             "import convval.conjugacy as conjugacy\n"
@@ -259,9 +256,5 @@ class TestConeBounds:
             "except CertificateFailed:\n"
             "    print('uniform_cone_bound raised')\n"
         )
-        src = os.path.dirname(os.path.dirname(convval.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.split("\n")[:2] == ["cone_bound raised", "uniform_cone_bound raised"]
+        assert python_stdout(code, "-O").split("\n")[:2] == ["cone_bound raised",
+                                                           "uniform_cone_bound raised"]

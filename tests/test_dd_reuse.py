@@ -1,15 +1,12 @@
 """Routes that reuse a double description already computed, against the
-per-piece and per-pair routes they replaced.
-
-The oracles below are the pruning by one cell polyhedron per piece and the
-``inf_if_convex`` with one fresh ``hrep_to_vrep`` per facet pair that
-``functions`` used before, and the cone function built afresh on every
-call, steepened by a fresh ``make``.  Every comparison is an exact ``==`` on
-pieces, domains and both representations of the epigraph (in order), or on
-the ``NotConvexMin`` witness.  The count guards make a per-piece or per-pair
-double description, a check of a facet pair that cannot fail, or a cone
-function built again for the same body, fail a test, not only a benchmark
-run.
+per-piece and per-pair routes they replaced (``oracles.py``): pruning by one
+cell polyhedron per piece, ``inf_if_convex`` with a fresh double description
+per facet pair, and the cone function built afresh on every call.  Every
+comparison is an exact ``==`` on pieces, domains and both representations
+of the epigraph (in order), or on the ``NotConvexMin`` witness.  The count
+guards make a per-piece or per-pair double description, a check of a facet
+pair that cannot fail, or a cone function built again for the same body,
+fail a test, not only a benchmark run.
 """
 
 import sys
@@ -21,96 +18,19 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convval import conjugacy, functions, polyhedra
+from convval import functions, polyhedra
 from convval.conjugacy import conjugate, inf_convolution
 from convval.documents import function_to_doc
-from convval.errors import ConvvalError, EmptyDomain, NotCoercive, NotConvexMin
+from convval.errors import ConvvalError
 from convval.functions import (cone_function, from_epigraph, inf_if_convex, make,
                                pwa_equal, scale_values, sup)
 from convval.laws import generate_pair_with_convex_min, random_body, smoothing_sequence
-from convval.linalg import dot, vec_sub
-from convval.polyhedra import HRep, Polyhedron, cut_by, is_implicit
+from convval.linalg import dot
+from convval.polyhedra import HRep, Polyhedron, cut_by
 from counting import counted
-
-# ---------------------------------------------------------------------------
-# Oracles: one double description per piece and per facet pair
-# ---------------------------------------------------------------------------
-
-
-def oracle_active_cells(n, pieces, domain):
-    pieces = list(dict.fromkeys(pieces))
-    if len(pieces) == 1:
-        return ((pieces[0], Polyhedron(hrep=domain)),)
-    cells = []
-    for i, (ai, bi) in enumerate(pieces):
-        rows = domain.halfspaces + tuple((vec_sub(aj, ai), bi - bj)
-                                         for j, (aj, bj) in enumerate(pieces) if j != i)
-        cell = Polyhedron(hrep=HRep(n, rows))
-        if not cell.is_empty:
-            cells.append(((ai, bi), cell))
-    return tuple(cells)
-
-
-def plain_build(n, pieces, domain, coercive):
-    """The builder that kept every piece it was given."""
-    pieces = tuple((polyhedra._fracvec(a), F(b)) for a, b in pieces)
-    epi = functions._epigraph_of(n, pieces, domain)
-    if epi.is_empty:
-        raise EmptyDomain("empty domain: the function is improper")
-    if coercive and not functions._check_coercive(epi, n):
-        raise NotCoercive("some sublevel set is unbounded")
-    return functions.PWAConvex(n, pieces, domain, epi, coercive)
-
-
-def oracle_build_pruned(n, pieces, domain, coercive):
-    pieces = [(polyhedra._fracvec(a), F(b)) for a, b in pieces]
-    cells = oracle_active_cells(n, pieces, domain)
-    return plain_build(n, tuple(p for p, _ in cells), domain, coercive)
-
-
-@contextmanager
-def per_piece_pruning():
-    with mock.patch.object(functions, "_build", oracle_build_pruned), \
-            mock.patch.object(conjugacy, "_build", oracle_build_pruned):
-        yield
-
-
-def oracle_inf_if_convex(u, v):
-    n = u.n
-    eu, ev = u.epigraph, v.epigraph
-    gu, gv = eu.vrep, ev.vrep
-    hull = Polyhedron.from_generators(
-        n + 1,
-        tuple(gu.vertices) + tuple(gv.vertices),
-        tuple(gu.rays) + tuple(gv.rays),
-        tuple(gu.lines) + tuple(gv.lines),
-    )
-    for g, cg in eu.canonical_hrep.halfspaces:
-        for h, ch in ev.canonical_hrep.halfspaces:
-            rows = list(hull.hrep.halfspaces)
-            rows.append((tuple(-x for x in g), -cg))
-            rows.append((tuple(-x for x in h), -ch))
-            q = Polyhedron(hrep=HRep(n + 1, tuple(rows)))
-            if q.is_empty:
-                continue
-            if not is_implicit(q, g, cg) and not is_implicit(q, h, ch):
-                raise NotConvexMin(q.relint_point()[:n])
-    return from_epigraph(hull, coercive=u.coercive and v.coercive)
-
-
-def fresh_cone_function(k, t=0):
-    """``cone_function`` as it was: built afresh on every call."""
-    origin = tuple(F(0) for _ in range(k.d))
-    epi = Polyhedron.from_generators(k.d + 1, [origin + (F(0),)],
-                                     rays=[tuple(v) + (F(1),) for v in k.vrep.vertices])
-    u = from_epigraph(epi, coercive=True)
-    return u.translate_graph(t) if F(t) != 0 else u
-
-
-def hull_of(u, v):
-    gu, gv = u.epigraph.vrep, v.epigraph.vrep
-    return Polyhedron.from_generators(u.n + 1, gu.vertices + gv.vertices,
-                                      gu.rays + gv.rays, gu.lines + gv.lines)
+from oracles import (SLOPES_12, building_by, coords, functions_in, hull_of, is_implicit,
+                     oracle_build_pruned_by_cells, oracle_cone_function, oracle_inf_if_convex,
+                     outcome)
 
 
 def open_facets(u, v):
@@ -138,71 +58,6 @@ def cut_by_steps():
         yield calls
 
 
-def outcome(fn, *args, **kwargs):
-    """Everything observable about a constructed function, or the error."""
-    try:
-        u = fn(*args, **kwargs)
-    except NotConvexMin as exc:
-        return ("NotConvexMin", exc.witness)
-    except (ConvvalError, ValueError) as exc:
-        return (type(exc).__name__,)
-    return (u.pieces, u.domain, u.coercive, u.epigraph.hrep, u.epigraph.vrep)
-
-
-# ---------------------------------------------------------------------------
-# Strategies
-# ---------------------------------------------------------------------------
-
-coords = st.one_of(st.integers(-3, 3), st.fractions(min_value=-2, max_value=2,
-                                                    max_denominator=3))
-
-
-@st.composite
-def piece_sets(draw, n):
-    """Pieces with duplicates, pieces active at one point only (the 0 of
-    max(x, -x, 0)) and, when ``flat``, no dependence on the last coordinate,
-    which gives the epigraph a line."""
-    flat = draw(st.booleans())
-    pieces = []
-    for _ in range(draw(st.integers(1, 5))):
-        a = draw(st.lists(coords, min_size=n, max_size=n))
-        if flat:
-            a[-1] = 0
-        pieces.append((tuple(a), draw(coords)))
-    if draw(st.booleans()):  # max(x_1, -x_1, 0): the 0 piece is active at x_1 = 0
-        e = tuple(int(i == 0) for i in range(n))
-        pieces += [(e, 0), (tuple(-x for x in e), 0), ((0,) * n, 0)]
-    if draw(st.booleans()):
-        pieces += pieces[:2]
-    return pieces, flat
-
-
-@st.composite
-def domains(draw, n):
-    kind = draw(st.sampled_from(["all", "box", "flat", "point"]))
-    if kind == "all":
-        return HRep(n, ())
-    box = Polyhedron.box([(-draw(st.integers(0, 2)), draw(st.integers(0, 2)))
-                          for _ in range(n)]).hrep
-    if kind == "box":
-        return box
-    e = tuple(F(int(i == 0)) for i in range(n))
-    c = draw(coords)
-    flat = box.halfspaces + ((e, c), (tuple(-x for x in e), -c))
-    if kind == "point":  # a single point: every coordinate pinned
-        flat = tuple((tuple(F(s * int(i == j)) for i in range(n)), F(s) * c)
-                     for j in range(n) for s in (1, -1))
-    return HRep(n, flat)
-
-
-@st.composite
-def functions_in(draw, n):
-    pieces, flat = draw(piece_sets(n))
-    domain = draw(domains(n))
-    coercive = not flat and draw(st.booleans())
-    return pieces, domain, coercive
-
-
 # ---------------------------------------------------------------------------
 # Pruning from the epigraph's vertices
 # ---------------------------------------------------------------------------
@@ -215,7 +70,7 @@ class TestPruningAgainstPerPieceCells:
         pieces, domain, coercive = case
         n = domain.d
         got = outcome(make, pieces, domain, n=n, coercive=coercive)
-        with per_piece_pruning():
+        with building_by(oracle_build_pruned_by_cells):
             want = outcome(make, pieces, domain, n=n, coercive=coercive)
         assert got == want
 
@@ -229,7 +84,7 @@ class TestPruningAgainstPerPieceCells:
             return
         got = [outcome(conjugate, u), outcome(from_epigraph, u.epigraph, coercive=False),
                outcome(inf_convolution, u, u)]
-        with per_piece_pruning():
+        with building_by(oracle_build_pruned_by_cells):
             want = [outcome(conjugate, u),
                     outcome(from_epigraph, u.epigraph, coercive=False),
                     outcome(inf_convolution, u, u)]
@@ -310,7 +165,12 @@ class TestInfIfConvexAgainstPerPairRoute:
         if pair is None:
             return
         u, v = pair
-        assert outcome(inf_if_convex, u, v) == outcome(oracle_inf_if_convex, u, v)
+        with counted(functions, "from_epigraph") as built:
+            got = outcome(inf_if_convex, u, v)
+        assert got == outcome(oracle_inf_if_convex, u, v)
+        for hull, *_ in built:  # the hull from integer generators, int_rows in order
+            want = hull_of(u, v).hrep
+            assert hull.hrep == want and hull.hrep.int_rows == want.int_rows
 
     def test_hull_with_lines(self):
         u = make([((1,), 0)], coercive=False)
@@ -348,8 +208,6 @@ class TestInfIfConvexAgainstPerPairRoute:
 
 
 SLOPES_4 = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-SLOPES_12 = [(4, 1), (4, -1), (-4, 1), (-4, -1), (1, 4), (1, -4), (-1, 4), (-1, -4),
-             (3, 3), (3, -3), (-3, 3), (-3, -3)]
 
 
 class TestDoubleDescriptionCounts:
@@ -455,7 +313,7 @@ class TestSteepenedConeFunction:
             u = cone_function(body)
             assert cone_function(body) is u
             for t in (0, F(1, 3), -2, 5):
-                got, want = cone_function(body, t), fresh_cone_function(Polyhedron(body.hrep), t)
+                got, want = cone_function(body, t), oracle_cone_function(Polyhedron(body.hrep), t)
                 assert got.pieces == want.pieces and got.domain == want.domain
                 assert got.epigraph._integer() == want.epigraph._integer()
 

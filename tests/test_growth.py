@@ -9,32 +9,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convval.functions import make
-from convval.laws import generate_pair_with_convex_min
-from convval.growth import (GrowthFunction, NumericPsi, _kernel_partial,
-                            check_derivative_relation,
-                            check_moment_finiteness_of_derivative,
-                            check_psi_vanishes, integral_against, make_growth, moment,
-                            padd, pantider, peval, pmul, poly_nonneg_on, pscale, psi_from_zeta,
-                            ptrim, tail_integral, zero_growth)
+from convval.growth import (NumericPsi, check_derivative_relation, check_psi_vanishes,
+                            integral_against, make_growth, moment, peval, pmul,
+                            poly_nonneg_on, psi_from_zeta, ptrim, tail_integral, zero_growth)
 from convval.polyhedra import Polyhedron
 from convval.valuation import (combined_valuation, integral_valuation,
-                               level_volume_profile, min_valuation, tail_mass)
-
-
-def pint(c, a, b):
-    """Integral_a^b of the polynomial c, the Fraction route of the oracles below."""
-    q = pantider(c)
-    return peval(q, b) - peval(q, a)
+                               level_volume_profile, tail_mass)
+from oracles import (box01, oracle_combined_valuation, oracle_integral_against,
+                     oracle_integral_valuation, oracle_moment, oracle_nonneg_on, oracle_psi,
+                     pint, profiles, weights)
 
 
 def hat():
     """1 - |t| on [-1, 1]."""
     return make_growth([-1, 0, 1], [[1, 1], [1, -1]], require_nonnegative=True)
-
-
-def box01():
-    """1 on [0, 1]."""
-    return make_growth([0, 1], [[1]], require_nonnegative=True)
 
 
 def exp_tail():
@@ -137,28 +125,7 @@ class TestPolyNonneg:
         b = data.draw(st.none() | st.just(a) | ends, label="b")
         if b is not None and b < a:
             a, b = b, a
-        assert poly_nonneg_on(p, a, b) == sympy_nonneg_on(sympy, p, a, b)
-
-
-def sympy_nonneg_on(sympy, c, a, b) -> bool:
-    """The certificate by sympy's real roots of p' (the route Sturm replaced)."""
-    c = ptrim(c)
-    if not c:
-        return True
-    t = sympy.Symbol("t")
-    p = sympy.Poly(sum(sympy.Rational(x) * t ** i for i, x in enumerate(c)), t)
-    lo = sympy.Rational(a)
-    hi = sympy.oo if b is None else sympy.Rational(b)
-    candidates = [lo] if b is None else [lo, hi]
-    for r in sympy.Poly(p.diff(t), t).real_roots():
-        if lo <= r and (b is None or r <= hi):
-            candidates.append(r)
-    if b is None:
-        if len(c) == 1:
-            return c[0] >= 0
-        if c[-1] < 0:
-            return False
-    return all(p.eval(r) >= 0 for r in candidates)
+        assert poly_nonneg_on(p, a, b) == oracle_nonneg_on(sympy, p, a, b)
 
 
 class TestMoments:
@@ -244,11 +211,6 @@ class TestPsi:
         for t in (0.0, 0.5, 2.0):
             assert psi.eval(t) == pytest.approx(math.exp(-t), rel=1e-8)
 
-    def test_moment_finiteness_report(self):
-        psi = psi_from_zeta(box01(), 2)
-        rep = check_moment_finiteness_of_derivative(psi, 2)
-        assert rep.passed and rep.details["moment"] == moment(box01(), 1)
-
 
 class TestZeroGrowth:
     def test_identically_zero(self):
@@ -277,92 +239,10 @@ class TestEvalArrayEdges:
 # ---------------------------------------------------------------------------
 # One weighted integral against the per-site routes it replaced
 # ---------------------------------------------------------------------------
-# The oracles are the earlier routes, copied in: ``moment`` walking zeta's
-# regions itself, psi_n summing the fixed-limit integrals piece by piece
-# (``_kernel_full``), the valuations adding exact and float parts by their
-# own isinstance branches, and ``integral_against`` summing one Fraction per
-# interval.
-
-def _kernel_full(p, c, d, n):
-    out = ()
-    for a in range(n):
-        coef = F(math.comb(n - 1, a) * (-1) ** (n - 1 - a))
-        val = pint(pmul((F(0),) * a + (F(1),), p), c, d)
-        out = padd(out, (F(0),) * (n - 1 - a) + (coef * val,))
-    return out
-
-
-def oracle_moment(zeta, k):
-    tk = (F(0),) * k + (F(1),)
-    total = F(0)
-    b = zeta.breakpoints
-    if b[0] > 0 and zeta.left:
-        total += pint(pmul(tk, zeta.left), 0, b[0])
-    for i, p in enumerate(zeta.pieces):
-        lo, hi = max(b[i], F(0)), b[i + 1]
-        if hi > 0 and p:
-            total += pint(pmul(tk, p), max(lo, F(0)), hi)
-    if zeta.tail is None:
-        return total
-    lam, coeffs = zeta.tail
-    return float(total) + tail_integral(lam, pmul(tk, coeffs), max(b[-1], F(0)))
-
-
-def oracle_psi(zeta, n):
-    b, m = zeta.breakpoints, len(zeta.pieces)
-    pieces = []
-    for j in range(m):
-        acc = _kernel_partial(zeta.pieces[j], b[j + 1], n)
-        for i in range(j + 1, m):
-            acc = padd(acc, _kernel_full(zeta.pieces[i], b[i], b[i + 1], n))
-        pieces.append(pscale(n, acc))
-    left = _kernel_partial(zeta.left, b[0], n)
-    for i in range(m):
-        left = padd(left, _kernel_full(zeta.pieces[i], b[i], b[i + 1], n))
-    return GrowthFunction(b, tuple(pieces), pscale(n, left), None, False)
-
-
-def oracle_integral_against(zeta, breaks, polys, start):
-    cuts = sorted({c for c in breaks + zeta.breakpoints if c > start})
-    cuts = [start] + cuts
-    exact, fl, has_float = F(0), 0.0, False
-    i = 0
-    for a, b in zip(cuts, cuts[1:]):
-        while i + 1 < len(breaks) and breaks[i + 1] < b:
-            i += 1
-        vp = polys[i]
-        kind, payload = zeta.region_at((a + b) / 2)
-        if kind in ("left", "piece") and payload and vp:
-            exact += pint(pmul(payload, vp), a, b)
-        elif kind == "tail" and vp:
-            lam, coeffs = payload
-            fl += (tail_integral(lam, pmul(coeffs, vp), a)
-                   - tail_integral(lam, pmul(coeffs, vp), b))
-            has_float = True
-    vp = polys[-1]
-    if zeta.tail is not None and vp:
-        lam, coeffs = zeta.tail
-        fl += tail_integral(lam, pmul(coeffs, vp), cuts[-1])
-        has_float = True
-    return float(exact) + fl if has_float else exact
-
-
-def oracle_integral_valuation(zeta, u):
-    prof = level_volume_profile(u)
-    atom_term = zeta.eval(prof.t_min) * prof.atom
-    rest = oracle_integral_against(zeta, prof.breakpoints, prof._derivatives, prof.t_min)
-    if isinstance(atom_term, F) and isinstance(rest, F):
-        return atom_term + rest
-    return float(atom_term) + float(rest)
-
-
-def oracle_combined_valuation(zeta0, zetan, u):
-    a = min_valuation(zeta0, u)
-    b = oracle_integral_valuation(zetan, u)
-    if isinstance(a, F) and isinstance(b, F):
-        return a + b
-    return float(a) + float(b)
-
+# The oracles (``oracles.py``) are the earlier routes: ``moment`` walking
+# zeta's regions itself, psi_n summing the fixed-limit integrals piece by
+# piece, the valuations adding exact and float parts by their own isinstance
+# branches, and ``integral_against`` summing one Fraction per interval.
 
 def assert_same(got, want):
     """Equal Fractions, or floats with the same repr."""
@@ -378,31 +258,6 @@ def valued_functions():
             make([((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)], n=2),
             make([((1, 1), -2), ((-1, 0), -1), ((0, -1), 0)], n=2),
             make([((0, 0), F(-1, 2))], Polyhedron.box([(0, 1), (0, 2)])))
-
-
-small = st.fractions(-3, 3, max_denominator=3)
-
-
-@st.composite
-def weights(draw):
-    """Polynomial, tailed and pieceless-step weights, breakpoints on both
-    sides of 0."""
-    kind = draw(st.sampled_from(["polynomial", "tailed", "step", "tailed step"]))
-    bps = sorted(set(draw(st.lists(st.fractions(-3, 4, max_denominator=4),
-                                   min_size=1, max_size=4))))
-    tail = None
-    if "tailed" in kind:
-        tail = (draw(st.fractions(F(1, 2), 3, max_denominator=4)),
-                draw(st.lists(small, min_size=1, max_size=3)))
-    left = draw(small)
-    if "step" in kind:
-        return make_growth(bps[:1], [], left_constant=left, tail=tail)
-    pieces, value = [], left
-    for a, b in zip(bps, bps[1:]):
-        s, r = draw(small), draw(small)  # value + s (t - a) + r (t - a)^2
-        pieces.append([value - s * a + r * a * a, s - 2 * r * a, r])
-        value += s * (b - a) + r * (b - a) ** 2
-    return make_growth(bps, pieces, left_constant=left, tail=tail)
 
 
 class TestOneWeightedIntegral:
@@ -440,15 +295,6 @@ class TestOneWeightedIntegral:
                             oracle_combined_valuation(box01(), zeta, u))
 
 
-@lru_cache(maxsize=None)
-def pair_profiles():
-    profs = []
-    for n in (2, 3):
-        pair = generate_pair_with_convex_min(0, n)
-        profs += [level_volume_profile(u) for u in (pair.u, pair.v, *pair.lattice())]
-    return tuple(profs)
-
-
 @st.composite
 def piecewise_polys(draw):
     """(breaks, polys): a piecewise polynomial with mixed denominators, zero
@@ -472,7 +318,7 @@ class TestIntegralAgainstFractionSums:
     @settings(max_examples=40, deadline=None)
     @given(weights())
     def test_profiles(self, zeta):
-        for prof in pair_profiles():
+        for prof in profiles():
             for start in (prof.t_min, prof.breakpoints[-1], prof.breakpoints[-1] + F(1, 2)):
                 assert_same(integral_against(zeta, prof.breakpoints, prof._derivatives, start),
                             oracle_integral_against(zeta, prof.breakpoints,

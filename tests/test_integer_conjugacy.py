@@ -3,7 +3,7 @@ replaced: ``PWAConvex.eval``, ``HRep.satisfies`` and ``ConeBound.holds_for``;
 and ``cone_bound`` reading its slope off the epigraph's rays against the
 route through the conjugate.
 
-The oracles below are copied from the routes before the change, which took
+The oracles (``oracles.py``) are the routes before the change, which took
 ``Fraction`` dot products over the domain rows, the pieces and the V-rep of
 the epigraph, and built ``conjugate(u)`` and the facets of its epigraph for
 the cone bound.  Every comparison is an exact ``==``.
@@ -11,105 +11,23 @@ the cone bound.  Every comparison is an exact ``==``.
 
 from fractions import Fraction as F
 from functools import lru_cache
-from math import inf, isqrt
-
 from itertools import product
+from math import inf, isqrt
 
 from hypothesis import given, settings, strategies as st
 
 from convval import conjugacy, polyhedra
-from convval.conjugacy import ConeBound, _rational_sqrt_lower, cone_bound, conjugate
-from convval.errors import CertificateFailed, NotCoercive
+from convval.conjugacy import ConeBound, cone_bound, conjugate
 from convval.functions import cone_function, indicator_function, make
 from convval.laws import generate_pair_with_convex_min, random_body, smoothing_sequence
 from convval.linalg import dot
 from convval.polyhedra import HRep, Polyhedron
 from counting import counted
+from oracles import (function_cases, hull_point, oracle_cone_bound, oracle_eval, oracle_holds_for,
+                     oracle_satisfies, rationals)
 
-# ---------------------------------------------------------------------------
-# Oracles: the Fraction routes
-# ---------------------------------------------------------------------------
-
-
-def oracle_satisfies(h, x):
-    x = tuple(F(c) for c in x)
-    return all(dot(a, x) <= b for a, b in h.halfspaces)
-
-
-def oracle_eval(u, x):
-    x = tuple(F(c) for c in x)
-    if not oracle_satisfies(u.domain, x):
-        return inf
-    return max(dot(a, x) + b for a, b in u.pieces)
-
-
-def oracle_holds_for(bound, u):
-    n = u.n
-    g = u.epigraph.vrep
-    if g.lines:
-        return False
-    for v in g.vertices:
-        xv, tv = v[:n], v[n]
-        gap = tv - bound.b
-        if gap <= 0 or gap * gap <= bound.a * bound.a * dot(xv, xv):
-            return False
-    for r in g.rays:
-        rx, s = r[:n], r[n]
-        if s <= 0 or s * s <= bound.a * bound.a * dot(rx, rx):
-            return False
-    return True
-
-
-def oracle_cone_bound(u):
-    if not u.coercive:
-        raise NotCoercive("cone_bound requires a coercive function")
-    n = u.n
-    star = conjugate(u)
-    rows = star.epigraph.canonical_hrep.halfspaces
-    radius_sq = None
-    for w, c in rows:
-        if w[n] != 0:
-            continue
-        cc = dot(w[:n], w[:n])
-        if cc == 0:
-            continue
-        cand = c * c / (4 * cc)
-        if radius_sq is None or cand < radius_sq:
-            radius_sq = cand
-    a = F(1) if radius_sq is None else _rational_sqrt_lower(radius_sq)
-    if a <= 0:
-        raise NotCoercive("failed to certify a positive cone slope")
-    verts = u.epigraph.vrep.vertices
-    m = max(2 * a * sum(abs(f) for f in v[:n]) - v[n] for v in verts)
-    bound = ConeBound(a, -m - 1)
-    if not bound.holds_for(u):
-        raise CertificateFailed(f"cone bound {bound} fails its exact re-check")
-    return bound
-
-
-# ---------------------------------------------------------------------------
-# Cases
-# ---------------------------------------------------------------------------
-
-coords = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4,
-                                                    max_denominator=6))
+coords = rationals(4, 4, 6)
 PRIME = 10 ** 9 + 7
-
-
-@lru_cache(maxsize=None)
-def function_cases(n):
-    """Pair functions and their conjugates (not coercive, with domain rows),
-    a box indicator and a max of pieces on a cut domain."""
-    fns = []
-    for seed in range(3):
-        pair = generate_pair_with_convex_min(seed, n)
-        fns += [pair.u, pair.v, conjugate(pair.u), conjugate(pair.v)]
-    box = Polyhedron.box([(F(-1, 3), 2)] * n)
-    fns.append(indicator_function(box, F(-2, 7)))
-    slopes = [tuple(s * int(i == j) for i in range(n)) for j in range(n) for s in (1, -1)]
-    cut = HRep.make(n, [((1,) * n, F(3, 2)), ((-1,) + (0,) * (n - 1), 1)])
-    fns.append(make([(a, F(j, 3)) for j, a in enumerate(slopes)], cut, coercive=False))
-    return tuple(fns)
 
 
 def points_near(u, data):
@@ -121,11 +39,7 @@ def points_near(u, data):
     where = data.draw(st.sampled_from(["inside", "vertex", "row", "beyond", "fine", "any"]))
     rows = u.domain.halfspaces
     if where == "inside":
-        pts = verts + epi
-        weights = data.draw(st.lists(st.integers(0, 3), min_size=len(pts),
-                                     max_size=len(pts)).filter(any))
-        return tuple(sum(w * p[i] for w, p in zip(weights, pts)) / sum(weights)
-                     for i in range(n))
+        return hull_point(data, verts + epi)
     if where == "vertex":
         return data.draw(st.sampled_from(verts + epi))
     if where in ("row", "beyond") and rows:

@@ -1,23 +1,18 @@
 """Integer profile sums and integer simplex volumes against the Fraction
-routes they replaced.
+routes they replaced, and the profile against fresh sublevel volumes.
 
-The oracles below are the ``level_volume_profile`` and ``volume`` that
-``valuation`` and ``polyhedra`` used before: the epigraph capped by a fresh
-``intersect``, one ``Fraction`` determinant per simplex and one
-``Fraction`` divided-difference expansion (``oracle_local_series``) per
-simplex; the integer weights summed as one ``Fraction`` per term, with the
-power basis and the certificate in ``Fraction`` arithmetic
-(``oracle_fraction_sums``); and the triangulation that found the facets of
-a face by an ``echelon`` rank test per candidate (``oracle_face_simplices``).
-Every comparison is an exact ``==`` on ``LevelVolumeProfile``, on the
-volume or on the simplex list, in order.  The count guards make a
-determinant, a fresh double description for the cap or the atom, a
-per-simplex expansion or a per-simplex lattice determinant fail a test, not
-only a benchmark run.
+The oracles (``oracles.py``) are the ``level_volume_profile`` and
+``volume`` of the ``Fraction`` route (``oracle_profile``), the profile with
+its integer weights summed as one ``Fraction`` per term
+(``oracle_fraction_sums``), the triangulation that found the facets of a
+face by a rank test per candidate (``oracle_simplices``), and V
+interpolated from fresh sublevel volumes, which shares no code with the
+expansion (``oracle_interpolated_profile``).  Every comparison is an exact
+``==``, in order.  The count guards make a determinant, a fresh double
+description for the cap or the atom, a per-simplex expansion or a
+per-simplex lattice determinant fail a test, not only a benchmark run.
 """
 
-import math
-from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 from unittest import mock
@@ -28,178 +23,12 @@ from hypothesis import given, settings, strategies as st
 from convval import linalg, polyhedra, valuation
 from convval.errors import CertificateFailed
 from convval.functions import cone_function, indicator_function, make
-from convval.growth import padd, peval
 from convval.laws import generate_pair_with_convex_min, random_body
-from convval.linalg import determinant, echelon, vec_sub
-from convval.polyhedra import HRep, Polyhedron, cut_by, intersect, triangulate, volume
-from convval.valuation import LevelVolumeProfile, _taylor_weights, level_volume_profile
+from convval.polyhedra import Polyhedron, volume
+from convval.valuation import level_volume_profile
 from counting import counted
-
-# ---------------------------------------------------------------------------
-# Oracles: the Fraction route
-# ---------------------------------------------------------------------------
-
-
-def oracle_local_series(z, mult):
-    order = mult[z]
-    series = [F(1)] + [F(0)] * (order - 1)
-    for w, mu in mult.items():
-        if w == z:
-            continue
-        r = 1 / (z - w)  # (x - w)^-mu = r^mu (1 + r (x - z))^-mu
-        factor = [r ** mu * math.comb(mu + l - 1, l) * (-r) ** l for l in range(order)]
-        series = [sum(series[i] * factor[l - i] for i in range(l + 1)) for l in range(order)]
-    return series
-
-
-def oracle_volume(p):
-    if p.is_empty:
-        return F(0)
-    d = p.d
-    if p.dim < d:
-        return F(0)
-    if d == 1:
-        xs = [v[0] for v in p.vrep.vertices]
-        return max(xs) - min(xs)
-    total = F(0)
-    for simplex in triangulate(p):
-        total += abs(determinant([vec_sub(q, simplex[0]) for q in simplex[1:]]))
-    return total / math.factorial(d)
-
-
-def oracle_profile(u):
-    """The profile by the Fraction route; reads no cache and writes none."""
-    n = u.n
-    d = n + 1
-    levels = sorted({v[n] for v in u.epigraph.vrep.vertices})
-    t_min = levels[0]
-    atom = oracle_volume(u.sublevel(t_min))
-    top = levels[-1] + 1
-    up = tuple(F(0) for _ in range(n)) + (F(1),)
-    capped = intersect(u.epigraph, HRep(d, ((up, top),)))
-    shifted = {z: [F(0)] * (d + 1) for z in levels}
-    if capped.is_full_dimensional:
-        sign = F((-1) ** d, math.factorial(d))
-        for simplex in triangulate(capped):
-            base = simplex[0]
-            weight = sign * abs(determinant([vec_sub(q, base) for q in simplex[1:]]))
-            mult = Counter(q[n] for q in simplex)
-            for z, mu in mult.items():
-                if z == top:
-                    continue
-                series = oracle_local_series(z, mult)
-                for m in range(mu):
-                    shifted[z][d - m] += weight * series[mu - 1 - m] * math.comb(d, m) * (-1) ** m
-    polys = []
-    acc = ()
-    for z in levels:
-        c = shifted[z]
-        acc = padd(acc, tuple(sum(j * c[j] * math.comb(j - 1, i) * (-z) ** (j - 1 - i)
-                                  for j in range(i + 1, d + 1)) for i in range(d)))
-        polys.append(acc)
-    left = atom
-    for i, p in enumerate(polys):
-        if peval(p, levels[i]) != left:
-            raise CertificateFailed(f"volume profile discontinuous at level {levels[i]}")
-        if i + 1 < len(levels):
-            left = peval(p, levels[i + 1])
-    return LevelVolumeProfile(n, t_min, atom, tuple(levels), tuple(polys[:-1]), polys[-1])
-
-
-def oracle_fraction_sums(u):
-    """The profile with the integer weights summed as one Fraction per term,
-    the power basis and the certificate in Fractions, and the atom from a
-    fresh sublevel set; reads no cache and writes none."""
-    n = u.n
-    d = n + 1
-    levels = sorted({v[n] for v in u.epigraph.vrep.vertices})
-    t_min = levels[0]
-    atom = volume(u.sublevel(t_min))
-    top = levels[-1] + 1
-    scale_h = math.lcm(*(z.denominator for z in levels))
-    hlevels = [z.numerator * (scale_h // z.denominator) for z in levels]
-    up = tuple(F(0) for _ in range(n)) + (F(1),)
-    capped, _ = next(cut_by(u.epigraph, [[(up, top)]]))
-    shifted = {z: [F(0)] * (d + 1) for z in hlevels}
-    if capped.is_full_dimensional:
-        pts, scale, simplices = polyhedra._integer_simplices(capped)
-        heights = [pt[n] * scale_h // scale for pt in pts]
-        weights = Counter()
-        for simplex, det in simplices:
-            weights[tuple(sorted(heights[i] for i in simplex))] += det
-        cap = hlevels[-1] + scale_h
-        for key, weight in weights.items():
-            mult = Counter(key)
-            for z, mu in mult.items():
-                if z == cap:
-                    continue
-                series, q, p = _taylor_weights(z, mult)
-                for m in range(mu):
-                    l = mu - 1 - m
-                    shifted[z][d - m] += F(
-                        (-1) ** m * math.comb(d, m) * weight * series[l]
-                        * scale_h ** (d + 1 - mu + l), q * p ** l)
-        sign = F((-1) ** d, math.factorial(d) * scale ** d)
-        shifted = {z: [sign * c for c in cs] for z, cs in shifted.items()}
-    polys = []
-    acc = ()
-    for z, hz in zip(levels, hlevels):
-        c = shifted[hz]
-        acc = padd(acc, tuple(sum(j * c[j] * math.comb(j - 1, i) * (-z) ** (j - 1 - i)
-                                  for j in range(i + 1, d + 1)) for i in range(d)))
-        polys.append(acc)
-    left = atom
-    for i, p in enumerate(polys):
-        right = peval(p, levels[i])
-        if right != left:
-            raise CertificateFailed(
-                f"volume profile discontinuous at level {levels[i]}: {left} -> {right}")
-        if i + 1 < len(levels):
-            left = peval(p, levels[i + 1])
-    return LevelVolumeProfile(n, t_min, atom, tuple(levels), tuple(polys[:-1]), polys[-1])
-
-
-def oracle_face_simplices(face, fdim, tight_masks, pts):
-    """The facets of a face by one ``echelon`` rank test per candidate."""
-    idx = [i for i in range(len(pts)) if face >> i & 1]
-    if fdim == 2:
-        return [tuple(idx[k] for k in t)
-                for t, _ in polyhedra._polygon_fan([pts[i] for i in idx])]
-    v0 = face & -face
-    seen = set()
-    simplices = []
-    for mask in tight_masks:
-        tight = face & mask
-        if not tight or tight & v0 or tight in seen:
-            continue
-        seen.add(tight)
-        sub = [p for i, p in enumerate(pts) if tight >> i & 1]
-        if len(echelon([vec_sub(p, sub[0]) for p in sub[1:]])[1]) != fdim - 1:
-            continue
-        for s in oracle_face_simplices(tight, fdim - 1, tight_masks, pts):
-            simplices.append((idx[0],) + s)
-    return simplices
-
-
-def oracle_simplices(p):
-    """The simplex list of ``p`` by the rank-test route, from the same points
-    and tight masks as ``_integer_simplices``."""
-    d = p.d
-    cone = p._integer()
-    gens, masks = cone.gens[:cone.nverts], cone.masks[:cone.nverts]
-    if len(gens) == d + 1:
-        return [tuple(range(d + 1))]
-    scale = math.lcm(*(g[d] for g in gens))
-    pts = [tuple(x * (scale // g[d]) for x in g[:d]) for g in gens]
-    tight_masks = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1)
-                   for i in range(len(cone.rows))]
-    return oracle_face_simplices((1 << len(pts)) - 1, d, tight_masks, pts)
-
-
-def capped_epigraph(u):
-    top = max(v[-1] for v in u.epigraph.vrep.vertices) + 1
-    up = (F(0),) * u.n + (F(1),)
-    return next(cut_by(u.epigraph, [[(up, top)]]))[0]
+from oracles import (capped_epigraph, oracle_fraction_sums, oracle_interpolated_profile,
+                     oracle_profile, oracle_simplices, oracle_volume, rationals)
 
 
 def same_profile(u):
@@ -212,8 +41,7 @@ def same_profile(u):
 # Strategies
 # ---------------------------------------------------------------------------
 
-rationals = st.one_of(st.integers(-4, 4),
-                      st.fractions(min_value=-3, max_value=3, max_denominator=7))
+coords = rationals(4, 3, 7)
 weights = st.fractions(min_value=F(1, 5), max_value=4, max_denominator=5)
 
 
@@ -221,8 +49,8 @@ weights = st.fractions(min_value=F(1, 5), max_value=4, max_denominator=5)
 def l1_norms(draw, n):
     """A weighted l1 norm, moved by a rational translation and shift."""
     w = [draw(weights) for _ in range(n)]
-    tau = [draw(rationals) for _ in range(n)]
-    c = draw(rationals)
+    tau = [draw(coords) for _ in range(n)]
+    c = draw(coords)
     return make([(tuple(s * wi for s, wi in zip(signs, w)),
                   c - sum(s * wi * ti for s, wi, ti in zip(signs, w, tau)))
                  for signs in product((1, -1), repeat=n)], n=n)
@@ -232,16 +60,16 @@ def l1_norms(draw, n):
 def box_indicators(draw, n):
     bounds = []
     for _ in range(n):
-        lo = draw(rationals)
+        lo = draw(coords)
         bounds.append((lo, lo + draw(st.fractions(min_value=0, max_value=3,
                                                   max_denominator=4))))
-    return indicator_function(Polyhedron.box(bounds), draw(rationals))
+    return indicator_function(Polyhedron.box(bounds), draw(coords))
 
 
 @st.composite
 def cone_functions(draw, n):
     body = random_body(draw(st.integers(0, 10 ** 6)), n, draw(st.integers(0, 3)))
-    return cone_function(body, draw(rationals))
+    return cone_function(body, draw(coords))
 
 
 @st.composite
@@ -262,6 +90,10 @@ def mixed_denominator_norms(draw, n):
         pieces.append((tuple(s * F(draw(st.integers(q, 4 * q)), q) for s in signs),
                        F(draw(st.integers(-3 * e, 3 * e)), e)))
     return make(pieces, n=n)
+
+
+def norms_boxes_cones_and_mixed_denominators(n):
+    return st.one_of(l1_norms(n), box_indicators(n), cone_functions(n), mixed_denominator_norms(n))
 
 
 def mixed_denominator_points(d):
@@ -325,8 +157,7 @@ class TestProfileAgainstFractionSums:
             same_as_fraction_sums(u)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 3).flatmap(lambda n: st.one_of(
-        l1_norms(n), box_indicators(n), cone_functions(n), mixed_denominator_norms(n))))
+    @given(st.integers(1, 3).flatmap(norms_boxes_cones_and_mixed_denominators))
     def test_norms_boxes_cones_and_mixed_denominators(self, u):
         same_as_fraction_sums(u)
 
@@ -356,6 +187,46 @@ class TestProfileAgainstFractionSums:
                 pytest.raises(CertificateFailed, match=f"discontinuous at level {level}:"):
             valuation._profile(u)
         assert len(perturbed) == 1
+
+    def test_a_perturbed_higher_term_fails_the_integral(self):
+        """Doubling the highest (t - z)^d term of the first expansion keeps V
+        continuous, so only int V = W(top) catches it."""
+        u = generate_pair_with_convex_min(0, 2).u
+        real = valuation._taylor_weights
+        perturbed = []
+
+        def broken(z, mult):
+            series, q, p = real(z, mult)
+            if not perturbed:
+                perturbed.append(z)
+                series = series[:-1] + [2 * series[-1]]
+            return series, q, p
+
+        with mock.patch.object(valuation, "_taylor_weights", broken), \
+                pytest.raises(CertificateFailed, match="integrates to"):
+            valuation._profile(u)
+        assert len(perturbed) == 1
+
+
+class TestProfileAgainstFreshVolumes:
+    """``oracle_interpolated_profile`` on the inputs of the class above, at
+    n = 1-3."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(1, 3).flatmap(pair_functions))
+    def test_lattice_pairs(self, functions):
+        for u in functions:
+            assert level_volume_profile(u) == oracle_interpolated_profile(u)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 3).flatmap(norms_boxes_cones_and_mixed_denominators))
+    def test_norms_boxes_cones_and_mixed_denominators(self, u):
+        assert level_volume_profile(u) == oracle_interpolated_profile(u)
+
+    def test_segment_indicator_and_flat_levels(self):
+        segment = Polyhedron.from_generators(2, [(0, 0), (F(3, 2), F(1, 3))])
+        for u in (indicator_function(segment, 2), l1_on_square()):
+            assert level_volume_profile(u) == oracle_interpolated_profile(u)
 
 
 class TestVolumeAgainstFractionRoute:

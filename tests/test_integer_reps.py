@@ -1,157 +1,34 @@
 """The double description's integer data, kept and read, against the
-``Fraction`` routes it replaced.
-
-The oracles below are the earlier routes, copied in: new-ray incidence masks
-recomputed by dot products in ``_dd_step``, the eager ``Fraction`` V-rep of
-every ``cut_by`` restriction, ``contains_polyhedron``, ``dim`` and the
-triangulation's integer points and tight masks taken from the ``Fraction``
-representations, pruning by ``Fraction`` dots of each piece against each
-epigraph vertex, and the layer cake finding V' by ``poly_at`` and
-``pdiff`` on every interval.  Every comparison is an exact ``==``, in order
-where the result is ordered.  The count guards make a return to those
-routes fail a test, not only a benchmark run.
+``Fraction`` routes it replaced (``oracles.py``): masks recomputed by dot
+products, eager ``Fraction`` V-reps of restrictions and images,
+``contains_polyhedron``, ``dim``, ``relative_interior_contains`` and the
+triangulation's points read off the ``Fraction`` representations, pruning
+by ``Fraction`` dots, and the layer cake summed by one ``Fraction`` per
+interval.  Every comparison is an exact ``==``, in order where the result
+is ordered.  The count guards make a return to those routes fail a test.
 """
 
-import math
-from contextlib import contextmanager
 from fractions import Fraction as F
-from functools import lru_cache
-from operator import mul
 from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
-from convval import conjugacy, functions, linalg, polyhedra
+from convval import linalg, polyhedra
 from convval.conjugacy import conjugate
-from convval.errors import ConvvalError, EmptyDomain, NotCoercive
+from convval.errors import ConvvalError
 from convval.functions import cone_function, from_epigraph, inf_if_convex, make, pwa_equal
-from convval.growth import (integral_against, make_growth, pantider, pdiff, peval, pmul,
-                            tail_integral)
+from convval.growth import integral_against, make_growth
 from convval.laws import generate_pair_with_convex_min, random_body
-from convval.linalg import dot, invert, rank, scale_to_int, vec_add, vec_scale, vec_sub
-from convval.polyhedra import (HRep, Polyhedron, VRep, _fracvec, apply_linear, cut_by,
-                               is_implicit, translate, volume, vrep_to_hrep)
-from convval.valuation import level_volume_profile
+from convval.linalg import invert, vec_add, vec_scale, vec_sub
+from convval.polyhedra import (HRep, Polyhedron, apply_linear, cut_by, relative_interior_contains,
+                               translate, volume, vrep_to_hrep)
 from counting import counted
-
-# ---------------------------------------------------------------------------
-# Oracles: the Fraction routes and recomputed masks
-# ---------------------------------------------------------------------------
-
-
-def oracle_incidence(rows, mask, ray):
-    return sum(1 << i for i, row in enumerate(rows)
-               if mask >> i & 1 and sum(map(mul, row, ray)) == 0)
-
-
-def oracle_dd_step(rows, idx, raylist, processed, d):
-    bit = 1 << idx
-    c = rows[idx]
-    vals = [sum(map(mul, c, r)) for r, _ in raylist]
-    pos = [i for i, v in enumerate(vals) if v > 0]
-    if not pos:
-        return [((r, a | bit) if v == 0 else (r, a)) for (r, a), v in zip(raylist, vals)]
-    neg = [i for i, v in enumerate(vals) if v < 0]
-    zero = [i for i, v in enumerate(vals) if v == 0]
-    new_rays = []
-    for ip in pos:
-        rp, ap = raylist[ip]
-        for ineg in neg:
-            rn, an = raylist[ineg]
-            common = ap & an
-            if common.bit_count() < d - 2:
-                continue
-            if any(k != ip and k != ineg and common & ak == common
-                   for k, (_, ak) in enumerate(raylist)):
-                continue
-            combo = tuple(vals[ip] * x - vals[ineg] * y for x, y in zip(rn, rp))
-            new_rays.append(scale_to_int(combo))
-    kept = {}
-    for i in neg + zero:
-        r, a = raylist[i]
-        kept[r] = a | bit if vals[i] == 0 else a
-    for nr in new_rays:
-        if nr not in kept:
-            kept[nr] = oracle_incidence(rows, processed | bit, nr)
-    return list(kept.items())
-
-
-def oracle_dehomogenize(rays, lines, d):
-    vertices, rec_rays = [], []
-    for r in rays:
-        if r[d] > 0:
-            vertices.append(tuple(x / r[d] for x in r[:d]))
-        else:
-            rec_rays.append(r[:d])
-    if not vertices:
-        return VRep.empty(d)
-    return VRep(d, tuple(vertices), tuple(rec_rays), tuple(l[:d] for l in lines))
-
-
-def oracle_cut_by(p, row_sets):
-    """The pointed route with an eager Fraction V-rep per restriction."""
-    d = p.d
-    base = p.hrep.halfspaces
-    v = p.vrep
-    rows = [scale_to_int(tuple(a) + (-b,)) for a, b in base]
-    rows.append((0,) * d + (-1,))
-    gens = [scale_to_int(tuple(x) + (1,)) for x in v.vertices]
-    gens += [scale_to_int(tuple(r) + (0,)) for r in v.rays]
-    processed = (1 << len(rows)) - 1
-    start = [(g, oracle_incidence(rows, processed, g)) for g in gens]
-    for extra in row_sets:
-        extra = tuple((_fracvec(a), F(b)) for a, b in extra)
-        cut_rows = rows + [scale_to_int(a + (-b,)) for a, b in extra]
-        raylist, mask = start, processed
-        for idx in range(len(rows), len(cut_rows)):
-            raylist = oracle_dd_step(cut_rows, idx, raylist, mask, d + 1)
-            mask |= 1 << idx
-        q = oracle_dehomogenize([_fracvec(r) for r, _ in raylist], (), d)
-        common = mask
-        if not q.is_empty:
-            for _, a in raylist:
-                common &= a
-        yield q, tuple(bool(common >> idx & 1) for idx in range(len(rows), len(cut_rows)))
-
-
-def oracle_contains(p, q):
-    if q.vrep.is_empty:
-        return True
-    if p.vrep.is_empty:
-        return False
-    ov = q.vrep
-    for a, b in p.hrep.halfspaces:
-        if any(dot(a, x) > b for x in ov.vertices):
-            return False
-        if any(dot(a, r) > 0 for r in ov.rays):
-            return False
-        if any(dot(a, l) != 0 for l in ov.lines):
-            return False
-    return True
-
-
-def oracle_dim(p):
-    v = p.vrep
-    if v.is_empty:
-        return -1
-    vecs = [vec_sub(x, v.vertices[0]) for x in v.vertices[1:]]
-    vecs += list(v.rays) + list(v.lines)
-    return rank(vecs) if vecs else 0
-
-
-def oracle_integer_simplices(p):
-    d = p.d
-    verts = p.vrep.vertices
-    scale = math.lcm(*(x.denominator for v in verts for x in v))
-    pts = [tuple(x.numerator * (scale // x.denominator) for x in v) for v in verts]
-    if len(verts) == d + 1:
-        return pts, scale, [tuple(range(d + 1))]
-    rows = [scale_to_int(tuple(a) + (b,)) for a, b in p.hrep.halfspaces]
-    tight_masks = [sum(1 << i for i, q in enumerate(pts)
-                       if sum(map(mul, row[:d], q)) == row[d] * scale)
-                   for row in rows]
-    return pts, scale, [s for s, _ in polyhedra._face_simplices((1 << len(verts)) - 1, d,
-                                                                tight_masks, pts)]
+from oracles import (SLOPES_12, building_by, capped_epigraph, coords, functions_in,
+                     oracle_apply_linear, oracle_build_pruned_by_dots, oracle_contains,
+                     oracle_cut_by, oracle_dd_step, oracle_dim, oracle_image, oracle_incidence,
+                     oracle_integer_simplices, oracle_integral_against,
+                     oracle_relative_interior_contains, oracle_restrictions, oracle_scale,
+                     oracle_translate, outcome, profiles, weights)
 
 
 def simplex_indices(pts, scale, simplices):
@@ -159,72 +36,9 @@ def simplex_indices(pts, scale, simplices):
     return pts, scale, [s for s, _ in simplices]
 
 
-def plain_checked(n, pieces, domain, epi, coercive):
-    """The function of ``pieces`` with the given epigraph, after the builder's checks."""
-    if epi.is_empty:
-        raise EmptyDomain("empty domain: the function is improper")
-    if coercive and not functions._check_coercive(epi, n):
-        raise NotCoercive("some sublevel set is unbounded")
-    return functions.PWAConvex(n, pieces, domain, epi, coercive)
-
-
-def oracle_build_pruned(n, pieces, domain, coercive):
-    pieces = tuple(dict.fromkeys((_fracvec(a), F(b)) for a, b in pieces))
-    epi = functions._epigraph_of(n, pieces, domain)
-    verts = epi.vrep.vertices
-    active = tuple((a, b) for a, b in pieces
-                   if any(dot(a, v[:n]) + b == v[n] for v in verts))
-    if 0 < len(active) < len(pieces):
-        pieces, epi = active, functions._epigraph_of(n, active, domain)
-    return plain_checked(n, pieces, domain, epi, coercive)
-
-
-@contextmanager
-def dot_pruning():
-    with mock.patch.object(functions, "_build", oracle_build_pruned), \
-            mock.patch.object(conjugacy, "_build", oracle_build_pruned):
-        yield
-
-
-def pint(c, a, b):
-    """Integral_a^b of the polynomial c in Fractions."""
-    q = pantider(c)
-    return peval(q, b) - peval(q, a)
-
-
-def oracle_layer_cake(zeta, prof, start):
-    cuts = sorted({c for c in prof.breakpoints + zeta.breakpoints if c > start})
-    cuts = [start] + cuts
-    exact = F(0)
-    fl = 0.0
-    has_float = False
-    for a, b in zip(cuts, cuts[1:]):
-        mid = (a + b) / 2
-        vp = pdiff(prof.poly_at(mid))
-        kind, payload = zeta.region_at(mid)
-        if kind in ("left", "piece") and payload and vp:
-            exact += pint(pmul(payload, vp), a, b)
-        elif kind == "tail" and vp:
-            lam, coeffs = payload
-            fl += (tail_integral(lam, pmul(coeffs, vp), a)
-                   - tail_integral(lam, pmul(coeffs, vp), b))
-            has_float = True
-    a = cuts[-1]
-    vp = pdiff(prof.final_poly)
-    if zeta.tail is not None and vp:
-        lam, coeffs = zeta.tail
-        fl += tail_integral(lam, pmul(coeffs, vp), a)
-        has_float = True
-    return float(exact) + fl if has_float else exact
-
-
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
-
-coords = st.one_of(st.integers(-3, 3), st.fractions(min_value=-2, max_value=2,
-                                                    max_denominator=3))
-
 
 @st.composite
 def polyhedra_in(draw, d):
@@ -407,78 +221,52 @@ class TestAgainstFractionRoutes:
         for seed in range(3):
             pair = generate_pair_with_convex_min(seed, 3)
             for u in (pair.u, pair.v, *pair.lattice(), cone_function(random_body(seed, 3))):
-                top = max(v[-1] for v in u.epigraph.vrep.vertices) + 1
-                capped, _ = next(cut_by(u.epigraph, [[((F(0),) * 3 + (F(1),), top)]]))
+                capped = capped_epigraph(u)
                 assert capped.is_full_dimensional
                 assert (simplex_indices(*polyhedra._integer_simplices(capped))
                         == oracle_integer_simplices(capped))
 
 
+def points_around(p, x):
+    """Points in, on and off ``p``: x, and for a nonempty p a relative
+    interior point m, m + t (q - m) for each vertex q and t = 1/2, 1, 2, and
+    the first vertex moved along each ray and line."""
+    if p.is_empty:
+        return [x]
+    v = p.vrep
+    m = p.relint_point()
+    pts = [x, m] + [vec_add(m, vec_scale(t, vec_sub(q, m)))
+                    for q in v.vertices for t in (F(1, 2), 1, 2)]
+    q = v.vertices[0]
+    return pts + [vec_add(q, r) for r in v.rays + v.lines] + [vec_sub(q, r) for r in v.rays]
+
+
+class TestRelativeInteriorFromMasks:
+    """Implicit rows read off the generators' masks, against strictness on
+    the canonical H-rep's rows that ``is_implicit`` does not flag."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+        polyhedra_in(d), st.lists(coords, min_size=d, max_size=d))))
+    def test_pointed_unbounded_lineality_flat_and_empty(self, case):
+        p, x = case
+        for y in points_around(p, tuple(x)) + [(0,) * (p.d + 1)]:
+            assert (outcome(relative_interior_contains, p, y)
+                    == outcome(oracle_relative_interior_contains, p, y))
+
+    def test_pair_epigraphs(self):
+        for n in (1, 2, 3):
+            pair = generate_pair_with_convex_min(0, n)
+            for p in (pair.u.epigraph, pair.v.epigraph, conjugate(pair.u).epigraph):
+                pts = points_around(p, (F(1, 3),) * (n + 1))
+                inside = [relative_interior_contains(p, y) for y in pts]
+                assert inside == [oracle_relative_interior_contains(p, y) for y in pts]
+                assert True in inside and False in inside
+
+
 # ---------------------------------------------------------------------------
 # Affine images carry the mapped cone
 # ---------------------------------------------------------------------------
-
-
-def oracle_translate(p, v):
-    v = _fracvec(v)
-    vr = p.vrep
-    if vr.is_empty:
-        return HRep.infeasible(p.d), VRep.empty(p.d)
-    return (HRep(p.d, tuple((a, b + dot(a, v)) for a, b in p.hrep.halfspaces)),
-            VRep(p.d, tuple(vec_add(x, v) for x in vr.vertices), vr.rays, vr.lines))
-
-
-def oracle_apply_linear(p, m):
-    mat = [_fracvec(row) for row in m]
-    minv = invert(mat)
-    vr = p.vrep
-    if vr.is_empty:
-        return HRep.infeasible(p.d), VRep.empty(p.d)
-
-    def img(x):
-        return tuple(dot(row, x) for row in mat)
-
-    return (HRep(p.d, tuple((tuple(sum(a[i] * minv[i][j] for i in range(p.d))
-                                   for j in range(p.d)), b)
-                            for a, b in p.hrep.halfspaces)),
-            VRep(p.d, tuple(img(x) for x in vr.vertices),
-                 tuple(_fracvec(scale_to_int(img(r))) for r in vr.rays),
-                 tuple(_fracvec(scale_to_int(img(l))) for l in vr.lines)))
-
-
-def oracle_scale(p, t):
-    vr = p.vrep
-    if vr.is_empty:
-        return HRep.infeasible(p.d), VRep.empty(p.d)
-    return (HRep(p.d, tuple((a, t * b) for a, b in p.hrep.halfspaces)),
-            VRep(p.d, tuple(vec_scale(t, x) for x in vr.vertices), vr.rays, vr.lines))
-
-
-def oracle_image(h, v):
-    """The image as it was built from both representations: the V-rep given,
-    and the masks recomputed by dot products on the rows of ``h``."""
-    d = h.d
-    rows = [scale_to_int(tuple(a) + (-b,)) for a, b in h.halfspaces] + [(0,) * d + (-1,)]
-    gens = [scale_to_int(tuple(x) + (1,)) for x in v.vertices]
-    gens += [scale_to_int(tuple(r) + (0,)) for r in v.rays]
-    every = (1 << len(rows)) - 1
-    cone = polyhedra._Cone(rows, gens, [oracle_incidence(rows, every, g) for g in gens],
-                           [scale_to_int(tuple(l) + (0,)) for l in v.lines], len(v.vertices))
-    image = Polyhedron._carrying(h, cone)
-    image._vrep = v
-    return image
-
-
-def oracle_restrictions(image, extras):
-    """``cut_by`` of such an image: the eager pointed route from its given
-    V-rep, or else a fresh double description with ``is_implicit`` flags."""
-    if image.vrep.is_empty or image.vrep.lines:
-        for extra in extras:
-            extra = tuple((_fracvec(a), F(b)) for a, b in extra)
-            q = Polyhedron(HRep(image.d, image.hrep.halfspaces + extra))
-            yield q.vrep, tuple(is_implicit(q, a, b) for a, b in extra)
-    else:
-        yield from oracle_cut_by(image, extras)
 
 
 @st.composite
@@ -526,43 +314,6 @@ class TestAffineImagesAgainstGivenVRep:
 # ---------------------------------------------------------------------------
 
 
-@st.composite
-def functions_in(draw, n):
-    flat = draw(st.booleans())
-    pieces = []
-    for _ in range(draw(st.integers(1, 5))):
-        a = draw(st.lists(coords, min_size=n, max_size=n))
-        if flat:
-            a[-1] = 0
-        pieces.append((tuple(a), draw(coords)))
-    if draw(st.booleans()):  # max(x_1, -x_1, 0): the 0 piece is active at x_1 = 0
-        e = tuple(int(i == 0) for i in range(n))
-        pieces += [(e, 0), (tuple(-x for x in e), 0), ((0,) * n, 0)]
-    if draw(st.booleans()):
-        pieces += pieces[:2]
-    kind = draw(st.sampled_from(["all", "box", "flat", "empty"]))
-    domain = HRep(n, ())
-    if kind != "all":
-        box = [([s * int(i == j) for i in range(n)], draw(st.integers(0, 2)))
-               for j in range(n) for s in (1, -1)]
-        e = [int(i == 0) for i in range(n)]
-        if kind == "flat":
-            c = draw(coords)
-            box += [(e, c), ([-x for x in e], -c)]
-        if kind == "empty":
-            box += [(e, -1), ([-x for x in e], -1)]
-        domain = HRep.make(n, box)
-    return pieces, domain, not flat and draw(st.booleans())
-
-
-def outcome(fn, *args, **kwargs):
-    try:
-        u = fn(*args, **kwargs)
-    except (ConvvalError, ValueError) as exc:
-        return (type(exc).__name__,)
-    return (u.pieces, u.domain, u.coercive, u.epigraph.hrep, u.epigraph.vrep)
-
-
 class TestPruningByMasks:
     @settings(max_examples=120, deadline=None)
     @given(st.integers(1, 3).flatmap(functions_in))
@@ -570,7 +321,7 @@ class TestPruningByMasks:
         pieces, domain, coercive = case
         n = domain.d
         got = outcome(make, pieces, domain, n=n, coercive=coercive)
-        with dot_pruning():
+        with building_by(oracle_build_pruned_by_dots):
             want = outcome(make, pieces, domain, n=n, coercive=coercive)
         assert got == want
 
@@ -583,7 +334,7 @@ class TestPruningByMasks:
         except ConvvalError:
             return
         got = [outcome(from_epigraph, u.epigraph, coercive=False), outcome(conjugate, u)]
-        with dot_pruning():
+        with building_by(oracle_build_pruned_by_dots):
             want = [outcome(from_epigraph, u.epigraph, coercive=False), outcome(conjugate, u)]
         assert got == want
 
@@ -591,43 +342,6 @@ class TestPruningByMasks:
 # ---------------------------------------------------------------------------
 # The layer-cake sum with V' computed once per profile
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def profiles():
-    fns = []
-    for n, seeds in ((1, range(2)), (2, range(2)), (3, range(2))):
-        for seed in seeds:
-            pair = generate_pair_with_convex_min(seed, n)
-            fns += [pair.u, pair.v, *pair.lattice()]
-    fns += [cone_function(random_body(0, 2)), make([((1,), 0), ((-1,), 0)]),
-            make([((0, 0), 2)], Polyhedron.box([(0, 1), (0, 1)]))]  # a constant: one level
-    return tuple(level_volume_profile(u) for u in fns)
-
-
-@st.composite
-def weights(draw):
-    """Continuous piecewise polynomials, with no tail, a tail from the first
-    breakpoint, or a tail joining the last piece at value 0."""
-    bps = sorted(set(draw(st.lists(st.fractions(-2, 6, max_denominator=4),
-                                   min_size=1, max_size=5))))
-    tail_kind = draw(st.sampled_from([None, "direct", "joined"]))
-    lam = draw(st.fractions(F(1, 2), 3, max_denominator=4))
-    if tail_kind == "direct":
-        return make_growth(bps[:1], [], left_constant=draw(coords),
-                           tail=(lam, draw(st.lists(coords, min_size=1, max_size=3))))
-    pieces, value = [], draw(coords)
-    for a, b in zip(bps, bps[1:]):
-        s, r = draw(coords), draw(coords)  # value + s (t - a) + r (t - a)^2
-        pieces.append([value - s * a + r * a * a, s - 2 * r * a, r])
-        value += s * (b - a) + r * (b - a) ** 2
-    tail = None
-    if tail_kind == "joined" and pieces:
-        for piece in pieces:  # the last piece ends at 0, and so starts the tail
-            piece[0] -= value
-        k, t_m = draw(coords), bps[-1]
-        tail = (lam, [-k * t_m, k])
-    return make_growth(bps, pieces, left_constant=draw(coords), tail=tail)
 
 
 class TestLayerCakeAgainstPerIntervalRoute:
@@ -639,7 +353,7 @@ class TestLayerCakeAgainstPerIntervalRoute:
                   prof.t_min + data.draw(st.fractions(0, 4, max_denominator=5))]
         for start in starts:
             got = integral_against(zeta, prof.breakpoints, prof._derivatives, start)
-            want = oracle_layer_cake(zeta, prof, start)
+            want = oracle_integral_against(zeta, prof.breakpoints, prof._derivatives, start)
             assert type(got) is type(want) and got == want
 
     def test_tailed_weights_give_the_same_floats(self):
@@ -649,7 +363,7 @@ class TestLayerCakeAgainstPerIntervalRoute:
         for prof in profiles():
             for z in (zeta, tailed):
                 got = integral_against(z, prof.breakpoints, prof._derivatives, prof.t_min)
-                want = oracle_layer_cake(z, prof, prof.t_min)
+                want = oracle_integral_against(z, prof.breakpoints, prof._derivatives, prof.t_min)
                 assert type(got) is type(want) and got == want
                 floats += isinstance(got, float)
         assert floats >= 2 * (len(profiles()) - 1)  # all but the constant's V' = 0
@@ -658,10 +372,6 @@ class TestLayerCakeAgainstPerIntervalRoute:
 # ---------------------------------------------------------------------------
 # Count guards
 # ---------------------------------------------------------------------------
-
-
-SLOPES_12 = [(4, 1), (4, -1), (-4, 1), (-4, -1), (1, 4), (1, -4), (-1, 4), (-1, -4),
-             (3, 3), (3, -3), (-3, 3), (-3, -3)]
 
 
 class TestIntegerRepCounts:

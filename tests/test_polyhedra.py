@@ -1,10 +1,7 @@
 """Polyhedral kernel: representation conversions, volume, distances."""
 
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +13,7 @@ from convval.linalg import determinant, dot
 from convval.polyhedra import (HRep, Polyhedron, VRep, apply_linear,
                                hausdorff_distance, intersect, minkowski_sum,
                                random_unimodular, translate, triangulate, volume)
+from oracles import python_stdout
 
 
 def box(*bounds):
@@ -273,9 +271,4 @@ class TestCertificates:
             "except CertificateFailed:\n"
             "    print('raised')\n"
         )
-        src = os.path.dirname(os.path.dirname(polyhedra.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "raised"
+        assert python_stdout(code, "-O").strip() == "raised"

@@ -1,9 +1,6 @@
 """Level-volume profiles and the integral valuation (layer-cake) machinery."""
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction as F
 
 import pytest
@@ -19,10 +16,7 @@ from convval.valuation import (combined_valuation, extract_growth,
                                integral_valuation, level_volume_profile,
                                mc_oracle, min_valuation, tail_mass,
                                truncation_level)
-
-
-def box01():
-    return make_growth([0, 1], [[1]], require_nonnegative=True)
+from oracles import box01, python_stdout
 
 
 def hat_pos():
@@ -252,7 +246,6 @@ class TestProfileCertificate:
             level_volume_profile(absn(2))
 
     def test_wrong_atom_raises_under_optimize(self):
-        import convval
         code = (
             "from fractions import Fraction\n"
             "import convval.valuation as valuation\n"
@@ -266,9 +259,4 @@ class TestProfileCertificate:
             "except CertificateFailed:\n"
             "    print('raised')\n"
         )
-        src = os.path.dirname(os.path.dirname(convval.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "raised"
+        assert python_stdout(code, "-O").strip() == "raised"
