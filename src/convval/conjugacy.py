@@ -25,8 +25,14 @@ def conjugate(u: PWAConvex) -> PWAConvex:
     Built from the epigraph generators: each epigraph vertex (x_v, t_v)
     contributes the affine piece <y, x_v> - t_v; each recession ray (r, s)
     contributes the domain halfspace <y, r> <= s; each line contributes the
-    corresponding equality.  Exact.
+    corresponding equality.  Exact.  Worked out once per function and kept
+    with it, so ``biconjugate_check(u)`` after ``conjugate(u)`` builds u*
+    once.
     """
+    return u._derived("conjugate", lambda: _conjugate(u))
+
+
+def _conjugate(u: PWAConvex) -> PWAConvex:
     n = u.n
     g = u.epigraph.vrep
     pieces = [(tuple(v[:n]), -v[n]) for v in g.vertices]
@@ -112,7 +118,7 @@ class ConeBound:
         (G q)^2 > (p e)^2 |X|^2, a ray iff S > 0 and (S q)^2 > p^2 |R|^2.
         """
         n = u.n
-        cone = u.epigraph._integer()
+        cone = u._epigraph_set()._integer()
         if cone.lines:
             return False
         a, b = Fraction(self.a), Fraction(self.b)
@@ -143,13 +149,16 @@ def cone_bound(u: PWAConvex) -> ConeBound:
     (r, s) of epi u with r != 0, so a is read off the rays without building
     u*: a redundant row lies no nearer the origin than the facets, whose
     least distance is the radius of the largest ball at 0 in dom u*.  The
-    returned certificate is re-verified exactly.
+    returned certificate is re-verified exactly.  Both read the epigraph
+    only as a set (``_epigraph_set``), so a function that ``from_epigraph``
+    returned is not built for them.
     """
     if not u.coercive:
         raise NotCoercive("cone_bound requires a coercive function")
     n = u.n
+    epi = u._epigraph_set()
     radius_sq = None
-    for ray in u.epigraph.vrep.rays:
+    for ray in epi.vrep.rays:
         r, s = ray[:n], ray[n]
         rr = dot(r, r)
         if rr == 0:
@@ -161,7 +170,7 @@ def cone_bound(u: PWAConvex) -> ConeBound:
     if a <= 0:
         raise NotCoercive("failed to certify a positive cone slope")
     # max of u* on the 2a-ball, bounded via |<y, x_v>| <= 2a * ||x_v||_1.
-    verts = u.epigraph.vrep.vertices
+    verts = epi.vrep.vertices
     m = max(2 * a * sum(abs(f) for f in v[:n]) - v[n] for v in verts)
     bound = ConeBound(a, -m - 1)
     if not bound.holds_for(u):

@@ -13,12 +13,17 @@ transform goes through one builder, ``_build``: it keeps the distinct
 pieces that are active somewhere, read off the vertices of the epigraph of
 all the pieces (one double description, whose vertex incidence masks say
 which rows are tight where, so no dot product is taken); when none is
-dropped, that epigraph is the function's.  The cells of the domain on which
-each piece attains the maximum are computed by :func:`_active_cells` on
-first use and read as :attr:`PWAConvex.cells`; only the Moreau envelope
-reads them.  Such derived values (the cells, the minimum and the level
-profile) are kept in a module-level weak cache keyed by the function, so a
-function is never written to after construction.
+dropped, that epigraph is the function's.  ``from_epigraph`` defers that
+builder: it checks the polyhedron it is given on that polyhedron's own
+double description and builds the pieces, domain and epigraph the first
+time one of them is read; until then the cone bounds of ``conjugacy``,
+which need the epigraph only as a set, read the given polyhedron.  The
+cells of the domain on which each piece attains the maximum are computed
+by :func:`_active_cells` on first use and read as
+:attr:`PWAConvex.cells`; only the Moreau envelope reads them.  Such
+derived values (the deferred build, the cells, the minimum, the level
+profile and the conjugate) are kept in a module-level weak cache keyed by
+the function, so a function is never written to after construction.
 """
 
 from __future__ import annotations
@@ -46,9 +51,9 @@ from .polyhedra import (HRep, Polyhedron, _affine_image, _fracvec, _Generators, 
 Piece = tuple[tuple[Fraction, ...], Fraction]
 INF = math.inf
 
-# function -> {name: value} for what a function works out on first use (its
-# cells, minimum and level profile); weak, so an entry lives only as long as
-# its function.
+# function -> {name: value} for what a function works out on first use (the
+# build that from_epigraph defers, its cells, minimum, level profile and
+# conjugate); weak, so an entry lives only as long as its function.
 _DERIVED = weakref.WeakKeyDictionary()
 
 
@@ -67,12 +72,29 @@ class PWAConvex:
         self.epigraph = epigraph
         self.coercive = coercive
 
+    def __getattr__(self, name):
+        """``pieces``, ``domain`` and ``epigraph`` of a function that
+        ``from_epigraph`` returned: its build, run on the first read of any
+        of them and kept in ``_DERIVED``.  Only called for a name the
+        function does not hold."""
+        if name not in ("pieces", "domain", "epigraph"):
+            raise AttributeError(f"'PWAConvex' object has no attribute '{name}'")
+        built = self._derived("built", lambda: _build_from_rows(self._given, self.n,
+                                                                self.coercive))
+        return getattr(built, name)
+
     def _derived(self, name: str, compute):
         """``compute()``, worked out once per function and kept in ``_DERIVED``."""
         known = _DERIVED.setdefault(self, {})
         if name not in known:
             known[name] = compute()
         return known[name]
+
+    def _epigraph_set(self) -> Polyhedron:
+        """The epigraph as a set, for readers that need neither the pieces
+        nor an H-rep: the polyhedron ``from_epigraph`` was given, whose
+        double description has run, so reading it builds nothing."""
+        return self.__dict__.get("_given") or self.epigraph
 
     @property
     def cells(self) -> tuple[tuple[Piece, Polyhedron], ...]:
@@ -175,10 +197,10 @@ def _active_cells(n: int, pieces, domain: HRep) -> tuple[tuple[Piece, Polyhedron
 
 
 def _check_coercive(epi: Polyhedron, n: int) -> bool:
-    v = epi.vrep
-    if v.lines:
-        return False
-    return all(r[n] > 0 for r in v.rays)
+    """Whether every sublevel set of the nonempty epigraph ``epi`` is
+    bounded: no line, and every ray rises in t, read off its integer cone."""
+    cone = epi._integer()
+    return not cone.lines and all(g[n] > 0 for g in cone.gens[cone.nverts:])
 
 
 def _build(n: int, pieces, domain: HRep, coercive: bool) -> PWAConvex:
@@ -237,23 +259,41 @@ def from_epigraph(epi: Polyhedron, *, coercive: bool = True) -> PWAConvex:
     """Function whose epigraph is the given polyhedron in R^{n+1}.
 
     The polyhedron must actually be an epigraph: recession direction
-    (0, ..., 0, 1) and bounded below in the last coordinate.
+    (0, ..., 0, 1) and bounded below in the last coordinate.  Both are
+    checked on the rows of its own double description: for a nonempty
+    polyhedron the recession cone is {y : A y <= 0} for any H-rep A, so some
+    row has a positive (or a negative) t-coefficient iff some row of the
+    canonical H-rep has.  The pieces, domain and epigraph are built from the
+    canonical H-rep (``_build_from_rows``) the first time one of them is
+    read.
     """
     n = epi.d - 1
     if epi.is_empty:
         raise EmptyDomain("empty epigraph")
+    rows = epi._integer().rows
+    if any(row[n] > 0 for row in rows):
+        raise ValueError("polyhedron is not an epigraph (violates recession (0,1))")
+    if not any(row[n] < 0 for row in rows):
+        raise ValueError("polyhedron is unbounded below; not the epigraph of a proper function")
+    if coercive and not _check_coercive(epi, n):
+        raise NotCoercive("some sublevel set is unbounded")
+    u = object.__new__(PWAConvex)  # pieces, domain and epigraph come from __getattr__
+    u.n, u.coercive, u._given = n, coercive, epi
+    return u
+
+
+def _build_from_rows(epi: Polyhedron, n: int, coercive: bool) -> PWAConvex:
+    """``_build`` of the pieces (t-coefficient < 0) and domain rows
+    (t-coefficient 0) of the canonical H-rep of the epigraph ``epi``, which
+    ``from_epigraph`` has checked."""
     pieces = []
     dom_rows = []
     for w, c in epi.canonical_hrep.halfspaces:
         a, tc = w[:n], w[n]
         if tc < 0:
             pieces.append((tuple(x / -tc for x in a), c / tc))
-        elif tc == 0:
-            dom_rows.append((a, c))
         else:
-            raise ValueError("polyhedron is not an epigraph (violates recession (0,1))")
-    if not pieces:
-        raise ValueError("polyhedron is unbounded below; not the epigraph of a proper function")
+            dom_rows.append((a, c))
     return _build(n, pieces, HRep(n, tuple(dom_rows)), coercive)
 
 

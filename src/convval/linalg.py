@@ -11,7 +11,8 @@ divide by its common pivot only where a rational result leaves the module;
 The double descriptions in ``polyhedra`` take primitive integer rows and
 hand primitive integer rows on to the next one, so ``scale_to_int`` runs
 once where a rational row enters, and one ``echelon`` of a cone's transposed
-rows gives both its DD basis and whether it is pointed.
+rows next to an identity gives its DD basis, whether it is pointed and the
+basis inverse.
 Fractions remain in ``dot`` and the vector helpers, which callers use on
 rational points outside the hot loops.  The loops over rational points
 themselves run on integers too: ``HRep.satisfies``, ``PWAConvex.eval``,

@@ -10,13 +10,14 @@ homogenization cone.  Its rows and rays are primitive integer vectors, its
 eliminations run on ``linalg.echelon`` (fraction-free), and the incidence
 set of each ray -- the rows it is tight on -- is an int bitmask, so the
 adjacency test is ``&``, ``bit_count`` and one comparison (Fukuda and
-Prodon, "Double description method revisited", 1996).  A new ray is a
-positive combination of two adjacent rays, so its mask is theirs AND-ed
-plus the new row; only the initial basis takes dot products.  ``_dd_step``
-adds one row to a cone and is the only DD loop: ``_pointed_cone_rays`` runs
-it from an initial basis, and ``cut_by`` runs it from the known generators
-of a pointed polyhedron to intersect it with a few extra rows, reading
-which of them are implicit off the incidence masks.
+Prodon, "Double description method revisited", 1996).  No mask is
+computed by dot products: an initial ray is tight on every basis row but
+one, and a new ray is a positive combination of two adjacent rays, so its
+mask is theirs AND-ed plus the new row.  ``_dd_step`` adds one row to a
+cone and is the only DD loop: ``cone_generators`` runs it from an initial
+basis, and ``cut_by`` runs it from the known generators of a pointed
+polyhedron to intersect it with a few extra rows, reading which of them
+are implicit off the incidence masks.
 
 Integer rows go into each DD and come out of it, so one DD hands its rows
 to the next without a ``Fraction`` in between: ``hrep_to_vrep`` reads the
@@ -25,8 +26,9 @@ rows an ``HRep`` keeps (``HRep.int_rows``), and the polar DD
 polyhedron's own ``_Cone``, the vertex sums of a Minkowski sum, or a raw
 V-rep scaled once) and returns an ``HRep`` that already carries its integer
 rows, the primitive polar rays.  In ``cone_generators`` one ``echelon`` of
-the transposed rows both picks the DD basis and says whether the cone is
-pointed; only a cone with lines takes a ``null_space``.
+the transposed rows next to an identity picks the DD basis, says whether
+the cone is pointed and inverts the basis; only a cone with lines takes a
+``null_space``.
 
 A ``Polyhedron`` is built from halfspaces only.  Its generators come from
 its own DD or from one that ``cut_by`` or an affine map carries over, and it
@@ -98,15 +100,27 @@ def _fracvec(v: Sequence) -> Point:
 def _int_point(x: Sequence) -> tuple[int, ...]:
     """Homogeneous integer point (X, q) of a rational point: x = X / q, with q
     the lcm of the denominators of x."""
-    x = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in x]
-    q = math.lcm(*(v.denominator for v in x))
-    return tuple(v.numerator * (q // v.denominator) for v in x) + (q,)
+    vals = []
+    q = 1
+    for v in x:
+        if not isinstance(v, (int, Fraction)):
+            v = Fraction(v)
+        vals.append(v)
+        den = v.denominator
+        if q % den:
+            q = q // math.gcd(q, den) * den
+    out = [v.numerator * (q // v.denominator) for v in vals]
+    out.append(q)
+    return tuple(out)
 
 
 def _within(rows: Iterable[Sequence[int]], y: Sequence[int]) -> bool:
     """True iff the homogeneous integer point y satisfies every integer row
     (a, -b), i.e. row.y <= 0: the one halfspace test of the package."""
-    return all(sum(map(mul, row, y)) <= 0 for row in rows)
+    for row in rows:
+        if sum(map(mul, row, y)) > 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -184,37 +198,6 @@ class VRep:
 # Double description on cones
 # ---------------------------------------------------------------------------
 
-def _pointed_cone_rays(rows: list[tuple[int, ...]], d: int, base_idx: list[int]
-                       ) -> list[tuple[tuple[int, ...], int]]:
-    """Extreme rays of the pointed cone {y : r.y <= 0 for r in rows}, each
-    with its incidence mask: bit i is set iff the ray is tight on ``rows[i]``.
-
-    ``base_idx`` are the d first rows that raise the rank (``cone_generators``
-    reads them off one ``echelon`` of the transpose); they give the initial
-    basis.  Incremental double description with the combinatorial adjacency
-    test.
-    """
-    if d == 0:
-        return []
-    # [B | I] reduces to [D I | D B^-1]; the rays are the columns of -B^-1.
-    aug = [list(rows[i]) + [int(i == j) for j in base_idx] for i in base_idx]
-    red, pivots, det = echelon(aug)
-    if pivots != list(range(d)):
-        raise CertificateFailed("double description basis is singular")
-    s = -1 if det > 0 else 1
-    rays = [scale_to_int(tuple(s * red[j][d + i] for j in range(d))) for i in range(d)]
-
-    processed = sum(1 << i for i in base_idx)
-    raylist: list[tuple[tuple[int, ...], int]] = [
-        (r, _incidence(rows, processed, r)) for r in rays
-    ]
-    for idx in range(len(rows)):
-        if not processed >> idx & 1:
-            raylist = _dd_step(rows, idx, raylist, processed, d)
-            processed |= 1 << idx
-    return raylist
-
-
 def _dd_step(rows: list[tuple[int, ...]], idx: int,
              raylist: list[tuple[tuple[int, ...], int]], processed: int,
              d: int) -> list[tuple[tuple[int, ...], int]]:
@@ -230,11 +213,16 @@ def _dd_step(rows: list[tuple[int, ...]], idx: int,
     bit = 1 << idx
     c = rows[idx]
     vals = [sum(map(mul, c, r)) for r, _ in raylist]
-    pos = [i for i, v in enumerate(vals) if v > 0]
+    pos, neg, zero = [], [], []
+    for i, v in enumerate(vals):
+        if v > 0:
+            pos.append(i)
+        elif v < 0:
+            neg.append(i)
+        else:
+            zero.append(i)
     if not pos:
         return [((r, a | bit) if v == 0 else (r, a)) for (r, a), v in zip(raylist, vals)]
-    neg = [i for i, v in enumerate(vals) if v < 0]
-    zero = [i for i, v in enumerate(vals) if v == 0]
     new_rays: list[tuple[tuple[int, ...], int]] = []
     for ip in pos:
         rp, ap = raylist[ip]
@@ -250,8 +238,9 @@ def _dd_step(rows: list[tuple[int, ...]], idx: int,
                     break
             if not adjacent:
                 continue
-            combo = tuple(vals[ip] * x - vals[ineg] * y for x, y in zip(rn, rp))
-            new_rays.append((scale_to_int(combo), common | bit))
+            combo = [vals[ip] * x - vals[ineg] * y for x, y in zip(rn, rp)]
+            g = math.gcd(*combo)  # nonzero: rn and rp are not parallel
+            new_rays.append((tuple(x // g for x in combo), common | bit))
     kept: dict[tuple[int, ...], int] = {}
     for i in neg + zero:
         r, a = raylist[i]
@@ -259,12 +248,6 @@ def _dd_step(rows: list[tuple[int, ...]], idx: int,
     for nr, a in new_rays:
         kept.setdefault(nr, a)
     return list(kept.items())
-
-
-def _incidence(rows: list[tuple[int, ...]], mask: int, ray: tuple[int, ...]) -> int:
-    """Bitmask of the rows in ``mask`` that are tight on ``ray``."""
-    return sum(1 << i for i, row in enumerate(rows)
-               if mask >> i & 1 and sum(map(mul, row, ray)) == 0)
 
 
 def cone_generators(rows: Sequence[tuple[int, ...]], dim: int
@@ -276,28 +259,51 @@ def cone_generators(rows: Sequence[tuple[int, ...]], dim: int
     the lineality basis come back as primitive integer vectors, and each ray
     with its incidence mask over ``rows`` (bit i for ``rows[i]``).
 
-    One ``echelon`` of the transpose gives the first rows that raise the
-    rank: the DD basis, and the rank that says whether the cone is pointed
-    (rank ``dim``).  Only a cone with lines takes its ``null_space``.
+    One ``echelon`` of [R^T | I] gives the first rows that raise the rank
+    (its pivots among the columns of R^T) and the rank that says whether the
+    cone is pointed (rank ``dim``).  For a pointed cone those rows B are the
+    DD basis, and the last ``dim`` columns hold B^-1, whose negated columns
+    are the initial rays; then incremental double description with the
+    combinatorial adjacency test.  Only a cone with lines takes its
+    ``null_space``.
     """
-    base_idx = echelon(list(zip(*rows)))[1]
-    if len(base_idx) == dim:  # pointed cone: no projection needed
-        return _pointed_cone_rays(rows, dim, base_idx), []
-    lines = null_space(rows, dim)
-    # Project onto the row space, spanned by the reduced rows.  Their common
-    # scale D drops out: negating the basis negates both the projected rows
-    # and the rays of their cone, so each lifted ray y is unchanged.  A row
-    # is tight on y iff its projection is tight on z, so the masks carry over.
-    # The projection is injective on the row space, so the projected rows
-    # raise the rank at the same indices: the basis carries over too.
-    w_basis = echelon(rows)[0]
-    r = len(w_basis)
-    proj = [tuple(dot(row, w) for w in w_basis) for row in rows]
-    rays = []
-    for z, mask in _pointed_cone_rays([scale_to_int(p) for p in proj], r, base_idx):
-        y = tuple(sum(z[j] * w_basis[j][i] for j in range(r)) for i in range(dim))
-        rays.append((scale_to_int(y), mask))
-    return rays, lines
+    m = len(rows)
+    red, pivots, det = echelon([[r[i] for r in rows] + [int(i == j) for j in range(dim)]
+                                for i in range(dim)])
+    base_idx = [c for c in pivots if c < m]
+    if len(base_idx) < dim:
+        lines = null_space(rows, dim)
+        # Project onto the row space, spanned by the reduced rows, where the
+        # cone is pointed.  Their common scale D drops out: negating the basis
+        # negates both the projected rows and the rays of their cone, so each
+        # lifted ray y is unchanged.  A row is tight on y iff its projection
+        # is tight on z, so the masks carry over.  The projection is injective
+        # on the row space, so the projected rows raise the rank at the same
+        # indices: the cone in R^r has the same DD basis.
+        w_basis = echelon(rows)[0]
+        r = len(w_basis)
+        proj = [tuple(dot(row, w) for w in w_basis) for row in rows]
+        rays = []
+        for z, mask in cone_generators([scale_to_int(p) for p in proj], r)[0]:
+            y = tuple(sum(z[j] * w_basis[j][i] for j in range(r)) for i in range(dim))
+            rays.append((scale_to_int(y), mask))
+        return rays, lines
+    # red is M [R^T | I] for an invertible M.  Once pivot column i of red is
+    # det e_i, M B^T = det I, so the last dim columns, M, are det (B^-1)^T:
+    # row i of them is det times column i of B^-1.
+    for i, c in enumerate(base_idx):
+        if any(row[c] != (det if j == i else 0) for j, row in enumerate(red)):
+            raise CertificateFailed("double description basis is singular")
+    s = -1 if det > 0 else 1
+    processed = sum(1 << i for i in base_idx)
+    # ray i has B.ray = -e_i: it is tight on every basis row but base_idx[i]
+    raylist = [(scale_to_int([s * x for x in row[m:]]), processed & ~(1 << c))
+               for row, c in zip(red, base_idx)]
+    for idx in range(m):
+        if not processed >> idx & 1:
+            raylist = _dd_step(rows, idx, raylist, processed, dim)
+            processed |= 1 << idx
+    return raylist, []
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ but not a method carry the method in the name (``oracle_build_pruned_by_*``,
 import functools
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -153,6 +154,58 @@ def function_cases(n):
     fns.append(indicator_function(Polyhedron.box([(F(-1, 3), 2)] * n), F(-2, 7)))
     fns.append(indicator_function(Polyhedron.box([(-1, F(1, 2))] * n), F(1, 3)))
     return tuple(fns)
+
+
+@lru_cache(maxsize=None)
+def conjugacy_corpus():
+    """The (u, v) piece lists of the benchmark's 12 ``conjugacy_n2`` corpus
+    inputs (``perfbench/workloads.py``), drawn the same way: one slope per
+    sign orthant at n = 2, then 0-2 free pieces, for u and then for v."""
+
+    def pieces(rng):
+        def rat(lo, hi, den):
+            return F(rng.randint(lo, hi), rng.randint(1, den))
+
+        extra = rng.randint(0, 2)
+        out = [(tuple(rat(1, 4, 2) * (1 if mask >> k & 1 else -1) for k in range(2)),
+                rat(-3, 3, 3)) for mask in range(4)]
+        return out + [(tuple(rat(-4, 4, 2) for _ in range(2)), rat(-3, 3, 3))
+                      for _ in range(extra)]
+
+    corpus = []
+    for k in range(12):
+        rng = random.Random(f"conjugacy_n2-corpus-{k}")
+        corpus.append((pieces(rng), pieces(rng)))
+    return tuple(corpus)
+
+
+@st.composite
+def epigraph_candidates(draw, n):
+    """Polyhedra in R^(n+1) for ``from_epigraph``: epigraphs of pieces on a
+    box, with a line (no piece depends on x_1), empty, hulls of points with
+    the upward ray, and rows whose t-coefficients have any sign (not an
+    epigraph, unbounded below or empty), in a drawn row order."""
+    kind = draw(st.sampled_from(["pieces", "lines", "empty", "hull", "rows"]))
+    small = st.integers(-3, 3)
+    if kind == "hull":
+        pts = draw(st.lists(st.lists(small, min_size=n + 1, max_size=n + 1),
+                            min_size=1, max_size=5))
+        rays = [(0,) * n + (1,)] + draw(st.lists(
+            st.lists(st.integers(-1, 1), min_size=n + 1, max_size=n + 1), max_size=2))
+        return Polyhedron.from_generators(n + 1, pts, rays)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        a = draw(st.lists(small, min_size=n, max_size=n))
+        if kind == "lines":
+            a[0] = 0
+        tc = draw(st.sampled_from([-1, 0, 1])) if kind == "rows" else -1
+        rows.append((tuple(a) + (tc,), draw(small)))
+    if kind in ("pieces", "empty") and draw(st.booleans()):
+        rows += [(tuple(s * int(i == j) for i in range(n)) + (0,), draw(st.integers(0, 2)))
+                 for j in range(n) for s in (1, -1)]
+    if kind == "empty":
+        rows += [((1,) + (0,) * n, -1), ((-1,) + (0,) * n, -1)]
+    return Polyhedron(HRep.make(n + 1, draw(st.permutations(rows))))
 
 
 @lru_cache(maxsize=None)
@@ -399,7 +452,7 @@ def oracle_two_echelon_cone_generators(rows, dim):
         s = -1 if det > 0 else 1
         rays = [scale_to_int(tuple(s * red[j][d + i] for j in range(d))) for i in range(d)]
         processed = sum(1 << i for i in base_idx)
-        raylist = [(r, polyhedra._incidence(rows, processed, r)) for r in rays]
+        raylist = [(r, oracle_incidence(rows, processed, r)) for r in rays]
         for idx in range(len(rows)):
             if not processed >> idx & 1:
                 raylist = polyhedra._dd_step(rows, idx, raylist, processed, d)
@@ -991,6 +1044,27 @@ def oracle_inf_if_convex(u, v):
             if not is_implicit(q, g, cg) and not is_implicit(q, h, ch):
                 raise NotConvexMin(q.relint_point()[:n])
     return from_epigraph(hull, coercive=u.coercive and v.coercive)
+
+
+def oracle_from_epigraph(epi, *, coercive=True):
+    """``from_epigraph`` as it was: the checks on the canonical H-rep, and
+    the build right away."""
+    n = epi.d - 1
+    if epi.is_empty:
+        raise EmptyDomain("empty epigraph")
+    pieces = []
+    dom_rows = []
+    for w, c in epi.canonical_hrep.halfspaces:
+        a, tc = w[:n], w[n]
+        if tc < 0:
+            pieces.append((tuple(x / -tc for x in a), c / tc))
+        elif tc == 0:
+            dom_rows.append((a, c))
+        else:
+            raise ValueError("polyhedron is not an epigraph (violates recession (0,1))")
+    if not pieces:
+        raise ValueError("polyhedron is unbounded below; not the epigraph of a proper function")
+    return functions._build(n, pieces, HRep(n, tuple(dom_rows)), coercive)
 
 
 def oracle_cone_function(k, t=0):

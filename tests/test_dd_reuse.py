@@ -6,7 +6,11 @@ comparison is an exact ``==`` on pieces, domains and both representations
 of the epigraph (in order), or on the ``NotConvexMin`` witness.  The count
 guards make a per-piece or per-pair double description, a check of a facet
 pair that cannot fail, or a cone function built again for the same body,
-fail a test, not only a benchmark run.
+fail a test, not only a benchmark run.  ``from_epigraph`` checks the
+polyhedron on its own double description and builds on first read; it is
+compared with the route that checked the canonical H-rep and built right
+away, and its count guards make a smoothing element built for a cone
+bound, or a conjugate built twice, fail a test.
 """
 
 import sys
@@ -19,18 +23,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convval import functions, polyhedra
-from convval.conjugacy import conjugate, inf_convolution
+from convval.conjugacy import (ConeBound, biconjugate_check, cone_bound, conjugate,
+                               inf_convolution, uniform_cone_bound)
 from convval.documents import function_to_doc
-from convval.errors import ConvvalError
+from convval.errors import ConvvalError, EmptyDomain, NotCoercive
 from convval.functions import (cone_function, from_epigraph, inf_if_convex, make,
                                pwa_equal, scale_values, sup)
 from convval.laws import generate_pair_with_convex_min, random_body, smoothing_sequence
 from convval.linalg import dot
-from convval.polyhedra import HRep, Polyhedron, cut_by
+from convval.polyhedra import HRep, Polyhedron, cut_by, minkowski_sum
 from counting import counted
-from oracles import (SLOPES_12, building_by, coords, functions_in, hull_of, is_implicit,
-                     oracle_build_pruned_by_cells, oracle_cone_function, oracle_inf_if_convex,
-                     outcome)
+from oracles import (SLOPES_12, building_by, conjugacy_corpus, coords, epigraph_candidates,
+                     functions_in, hull_of, is_implicit, oracle_build_pruned_by_cells,
+                     oracle_cone_bound, oracle_cone_function, oracle_from_epigraph,
+                     oracle_holds_for, oracle_inf_if_convex, outcome)
 
 
 def open_facets(u, v):
@@ -261,7 +267,8 @@ class TestDoubleDescriptionCounts:
         u.epigraph.canonical_hrep  # u's own double descriptions, done first
         with counted(polyhedra, "hrep_to_vrep") as h2v, \
                 counted(polyhedra, "vrep_to_hrep") as v2h:
-            cone_function(Polyhedron.box([(-1, 1), (-1, 2)]))
+            # reading the epigraph runs the build that from_epigraph defers
+            cone_function(Polyhedron.box([(-1, 1), (-1, 2)])).epigraph
         once = [args[0] for args in h2v + v2h]
         assert len(once) >= 4
         body = Polyhedron.box([(-1, 1), (-1, 2)])
@@ -346,3 +353,110 @@ class TestScaleValues:
             assert got.pieces == want.pieces
             assert got.epigraph.vrep == want.epigraph.vrep
             assert function_to_doc(conjugate(got)) == function_to_doc(conjugate(want))
+
+
+def observed(u):
+    """Pieces, domain, coercivity, the epigraph's H-rep with its integer rows
+    and its integer double description."""
+    return (u.pieces, u.domain, u.coercive, u.epigraph.hrep, u.epigraph.hrep.int_rows,
+            u.epigraph._integer())
+
+
+def from_epigraph_outcome(route, epi, coercive):
+    """``observed`` of ``route(epi, coercive=...)``, or the error's type and
+    message."""
+    try:
+        u = route(epi, coercive=coercive)
+    except (ConvvalError, ValueError) as exc:
+        return type(exc), str(exc)
+    return observed(u)
+
+
+def smoothing_inputs():
+    """(u, k) for the ``conjugacy_n2`` corpus inputs, with the pieces in the
+    order drawn and reversed, and the steepnesses of the benchmark."""
+    for pu, pv in conjugacy_corpus():
+        for pieces in (pu, pu[::-1], pv, pv[::-1]):
+            for k in (1, 2, 4, 8):
+                yield make(pieces, n=2), k
+
+
+STEEP = Polyhedron.box([(-1, 1), (-1, 1)])
+
+
+class TestDeferredFromEpigraph:
+    """``from_epigraph`` checks the polyhedron on its own double description
+    and builds the function on the first read, against the route that
+    checked the canonical H-rep and built right away (``oracle_from_epigraph``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(epigraph_candidates), st.booleans())
+    def test_same_function_or_error(self, epi, coercive):
+        fresh = Polyhedron(epi.hrep)
+        assert (from_epigraph_outcome(from_epigraph, epi, coercive)
+                == from_epigraph_outcome(oracle_from_epigraph, fresh, coercive))
+
+    def test_error_cases(self):
+        up = (0, 0, 1)
+        cases = [
+            (Polyhedron.empty(3), EmptyDomain),
+            (Polyhedron.from_generators(3, [(0, 0, 0)], [(0, 0, -1)]), ValueError),  # ray down
+            (Polyhedron.from_generators(3, [(0, 0, 0)], lines=[up]), ValueError),  # vertical line
+            (Polyhedron.from_generators(3, [(0, 0, 0)], [up], [(1, 0, 0)]), NotCoercive),
+            (Polyhedron.from_generators(3, [(0, 0, 0)], [up, (1, 0, 0)]), NotCoercive),
+        ]
+        for epi, error in cases:
+            got = from_epigraph_outcome(from_epigraph, epi, True)
+            assert got[0] is error
+            assert got == from_epigraph_outcome(oracle_from_epigraph, Polyhedron(epi.hrep), True)
+
+    def test_corpus_inf_convolutions_and_smoothing(self):
+        """The results of ``inf_convolution`` and ``smoothing_sequence`` on
+        the benchmark corpus, compared in piece order."""
+        for pu, pv in conjugacy_corpus():
+            for u, v in ((make(pu, n=2), make(pv, n=2)), (make(pu[::-1], n=2), make(pv, n=2))):
+                want = oracle_from_epigraph(minkowski_sum(u.epigraph, v.epigraph))
+                assert observed(inf_convolution(u, v)) == observed(want)
+        for u, k in smoothing_inputs():
+            steep = scale_values(cone_function(STEEP), k)
+            want = oracle_from_epigraph(minkowski_sum(u.epigraph, steep.epigraph))
+            assert observed(smoothing_sequence(u, STEEP, k)) == observed(want)
+
+    def test_cone_bounds_read_the_given_polyhedron(self):
+        """On a result that is not built, ``cone_bound`` and ``holds_for``
+        equal the routes through the built epigraph and the conjugate, and
+        run no polar double description."""
+        for u, k in smoothing_inputs():
+            w = smoothing_sequence(u, STEEP, k)
+            with counted(polyhedra, "vrep_to_hrep") as v2h:
+                bound = cone_bound(w)
+                others = [ConeBound(bound.a, bound.b + 2), ConeBound(4 * bound.a, bound.b)]
+                held = [b.holds_for(w) for b in [bound] + others]
+            assert v2h == []
+            assert "built" not in functions._DERIVED.get(w, {})
+            assert bound == oracle_cone_bound(w)
+            assert held == [oracle_holds_for(b, w) for b in [bound] + others]
+
+
+class TestDeferredCounts:
+    def test_smoothing_element_for_a_cone_bound(self):
+        """Each element that only feeds ``uniform_cone_bound`` runs the polar
+        double description of its Minkowski sum and that sum's own one."""
+        cone_function(STEEP).epigraph  # the body's cone function, built once
+        pu, _ = conjugacy_corpus()[0]
+        u = make(pu, n=2)
+        with counted(polyhedra, "hrep_to_vrep") as h2v, \
+                counted(polyhedra, "vrep_to_hrep") as v2h:
+            seq = [smoothing_sequence(u, STEEP, 2 ** j) for j in range(4)]
+            bound = uniform_cone_bound(seq)
+        assert len(v2h) == len(h2v) == 4
+        assert all(bound.holds_for(w) for w in seq)
+
+    def test_biconjugate_check_after_conjugate_builds_the_conjugate_once(self):
+        pu, _ = conjugacy_corpus()[1]
+        u = make(pu, n=2)
+        star = conjugate(u)
+        with counted(functions, "_build") as builds:
+            assert biconjugate_check(u)
+        assert len(builds) == 1  # u** only
+        assert conjugate(u) is star

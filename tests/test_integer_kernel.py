@@ -267,8 +267,9 @@ class TestDoubleDescriptionAgainstFractionRoute:
 
 
 class TestConeGeneratorsOneElimination:
-    """One ``echelon`` of the transpose picks the DD basis and decides
-    pointedness; only a cone with lines takes a ``null_space``."""
+    """One ``echelon`` of the transpose next to an identity picks the DD
+    basis, decides pointedness and inverts the basis; only a cone with lines
+    takes a ``null_space``."""
 
     @staticmethod
     def assert_same_generators(rows, dim):
@@ -303,9 +304,11 @@ class TestConeGeneratorsOneElimination:
         rows = [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 1), (1, -1, 0)]
         with counted(linalg, "echelon") as calls:
             cone_generators(rows, 3)
-        # the transpose, then the [B | I] of the basis; the DD steps take none
-        assert [len(args[0]) for args in calls] == [3, 3]
-        assert calls[0][0] == list(zip(*rows))
+        # [R^T | I], 3 x (5 + 3), gives the basis and its inverse; the DD
+        # steps take none
+        assert len(calls) == 1
+        assert calls[0][0] == [list(col) + [int(i == j) for j in range(3)]
+                               for i, col in enumerate(zip(*rows))]
 
 
 class TestTriangulateAgainstFractionRoute:

@@ -115,8 +115,8 @@ class TestInheritedMasks:
             return got
 
         with mock.patch.object(polyhedra, "_dd_step", checked):
-            base = linalg.echelon(list(zip(*rows)))[1]  # rows of full rank d
-            raylist = polyhedra._pointed_cone_rays(list(rows), d, base)
+            raylist, lines = polyhedra.cone_generators(list(rows), d)
+        assert lines == []  # rows of full rank d
         every = (1 << len(rows)) - 1
         assert [m for _, m in raylist] == [oracle_incidence(rows, every, r) for r, _ in raylist]
         assert len(steps) == len(rows) - d
@@ -390,19 +390,23 @@ class TestIntegerRepCounts:
         # the positive quadrant cone cut by y_1 <= y_2 gets the new ray (1, 1)
         rows = [(-1, 0), (0, -1), (1, -1)]
         start = [((1, 0), 0b10), ((0, 1), 0b01)]
-        with counted(polyhedra, "_incidence") as calls:
+        with counted(polyhedra, "mul") as products:
             out = polyhedra._dd_step(rows, 2, start, 0b11, 2)
         assert out == [((0, 1), 0b01), ((1, 1), 0b100)]
-        assert calls == []
+        # one dot product per ray, its value on the new row; none for a mask
+        assert len(products) == len(start) * len(rows[2])
 
     def test_cut_by_reads_the_cache(self):
         u = make([(a, 0) for a in SLOPES_12])
         u.epigraph.vrep
         extras = [[((1, 0, -1), 0), ((0, 1, -1), F(1, 2))]] * 5
-        with counted(polyhedra, "_incidence") as incidences, \
+        with counted(polyhedra, "_dd_step") as steps, counted(polyhedra, "mul") as products, \
                 counted(polyhedra, "scale_to_int") as scaled:
             list(cut_by(u.epigraph, extras))
-        assert incidences == []
+        # the only products are each step's values of its rays on the new row
+        assert len(steps) == 10
+        assert len(products) == sum(len(raylist) * len(rows[idx])
+                                    for rows, idx, raylist, *_ in steps)
         # one scale_to_int per extra row; the new rays of the steps add the rest
         with counted(polyhedra, "scale_to_int") as base_scaled:
             list(cut_by(u.epigraph, extras[:1]))
