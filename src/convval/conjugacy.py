@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
+from operator import mul
 from typing import Sequence
 
 from .errors import CertificateFailed, DimensionMismatch, NotCoercive
 from .functions import PWAConvex, _build, _check_coercive, from_epigraph
-from .linalg import dot, vec_sub
-from .polyhedra import HRep, _fracvec, minkowski_sum, nearest_point
+from .polyhedra import HRep, _fracvec, _int_point, _projection, minkowski_sum
 
 
 def conjugate(u: PWAConvex) -> PWAConvex:
@@ -75,9 +75,17 @@ def moreau_eval(u: PWAConvex, t, x: Sequence, *, budget: int = 10 ** 6) -> Fract
 
     On the cell where the piece a.y + b is active (``u.cells``, cached per
     function), min a.y + b + |x - y|^2 / (2t) is attained at the projection
-    of x - t a onto the cell (``nearest_point``); the envelope is the least
-    of these values over the cells.  ``budget`` caps the subsets that one
-    cell's projection examines.
+    of x - t a onto the cell; the envelope is the least of these values over
+    the cells.  ``budget`` caps the subsets that one cell's projection
+    examines.
+
+    Runs on integers: with x = X / q, t = t1 / t2 and each piece the row
+    (A, B) = L (a, b) of ``_integer_pieces``, x - t a is the homogeneous
+    point (t2 L X - q t1 A, q t2 L), made primitive, and ``_projection``
+    onto the cell's canonical rows returns y = Y / E.  The cell's value is
+    then N / (2 t1 q^2 L E^2) with
+    N = 2 t1 q^2 E (A.Y + B E) + t2 L |E X - q Y|^2; the values are compared
+    by cross-multiplication, and the least becomes one ``Fraction``.
     """
     t = Fraction(t)
     if t <= 0:
@@ -85,16 +93,26 @@ def moreau_eval(u: PWAConvex, t, x: Sequence, *, budget: int = 10 ** 6) -> Fract
     x = _fracvec(x)
     if len(x) != u.n:
         raise DimensionMismatch("point dimension mismatch")
+    *xs, q = _int_point(x)
+    t1, t2 = t.numerator, t.denominator
+    scale, prows = u._derived("integer pieces", u._integer_pieces)
+    den = 2 * t1 * q * q * scale  # each value is N / (den E^2)
+    rows = zip(u.pieces, prows)
     best = None
-    for (a, b), cell in u.cells:
-        y = nearest_point(cell, vec_sub(x, tuple(t * ai for ai in a)), budget)
-        diff = vec_sub(x, y)
-        val = dot(a, y) + b + dot(diff, diff) / (2 * t)
-        if best is None or val < best:
-            best = val
+    for piece, cell in u.cells:
+        row = next(r for p, r in rows if p == piece)  # the cells follow the pieces
+        z = [v * t2 * scale - q * t1 * a for v, a in zip(xs, row)]
+        z.append(q * t2 * scale)
+        g = gcd(*z)
+        *y, e = _projection(cell.canonical_hrep.int_rows, [v // g for v in z], budget)
+        lin = sum(map(mul, row, y)) + row[-1] * e  # A.Y + B E
+        dist = sum((v * e - q * w) ** 2 for v, w in zip(xs, y))
+        num, sq = 2 * t1 * q * q * e * lin + t2 * scale * dist, e * e
+        if best is None or num * best[1] < best[0] * sq:
+            best = (num, sq)
     if best is None:
         raise NotCoercive("moreau_eval found no feasible cell (improper function)")
-    return best
+    return Fraction(best[0], den * best[1])
 
 
 # ---------------------------------------------------------------------------
@@ -152,27 +170,35 @@ def cone_bound(u: PWAConvex) -> ConeBound:
     returned certificate is re-verified exactly.  Both read the epigraph
     only as a set (``_epigraph_set``), so a function that ``from_epigraph``
     returned is not built for them.
+
+    Both maxima run on the integer generators of the epigraph: the least
+    S^2 / (4 |R|^2) over the rays (R, S, 0), and, with a = p / q, the
+    greatest (2 p |X|_1 - q T) / (q x0) over the vertices (X, T, x0), each
+    compared by cross-multiplication and made one ``Fraction`` at the end.
     """
     if not u.coercive:
         raise NotCoercive("cone_bound requires a coercive function")
     n = u.n
-    epi = u._epigraph_set()
-    radius_sq = None
-    for ray in epi.vrep.rays:
-        r, s = ray[:n], ray[n]
-        rr = dot(r, r)
+    cone = u._epigraph_set()._integer()
+    least = None  # (S^2, |R|^2)
+    for g in cone.gens[cone.nverts:]:
+        rr = sum(v * v for v in g[:n])
         if rr == 0:
             continue
-        cand = s * s / (4 * rr)  # (2a)^2 * |r|^2 <= s^2
-        if radius_sq is None or cand < radius_sq:
-            radius_sq = cand
-    a = Fraction(1) if radius_sq is None else _rational_sqrt_lower(radius_sq)
+        ss = g[n] * g[n]
+        if least is None or ss * least[1] < least[0] * rr:  # (2a)^2 |r|^2 <= s^2
+            least = (ss, rr)
+    a = Fraction(1) if least is None else _rational_sqrt_lower(Fraction(least[0], 4 * least[1]))
     if a <= 0:
         raise NotCoercive("failed to certify a positive cone slope")
     # max of u* on the 2a-ball, bounded via |<y, x_v>| <= 2a * ||x_v||_1.
-    verts = epi.vrep.vertices
-    m = max(2 * a * sum(abs(f) for f in v[:n]) - v[n] for v in verts)
-    bound = ConeBound(a, -m - 1)
+    p, q = a.numerator, a.denominator
+    top = None  # (2 p |X|_1 - q T, q x0)
+    for g in cone.gens[:cone.nverts]:
+        val, vden = 2 * p * sum(map(abs, g[:n])) - q * g[n], q * g[n + 1]
+        if top is None or val * top[1] > top[0] * vden:
+            top = (val, vden)
+    bound = ConeBound(a, Fraction(-top[0] - top[1], top[1]))  # -m - 1
     if not bound.holds_for(u):
         raise CertificateFailed(f"cone bound {bound} fails its exact re-check")
     return bound

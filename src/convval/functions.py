@@ -20,7 +20,11 @@ time one of them is read; until then the cone bounds of ``conjugacy``,
 which need the epigraph only as a set, read the given polyhedron.  The
 cells of the domain on which each piece attains the maximum are computed
 by :func:`_active_cells` on first use and read as
-:attr:`PWAConvex.cells`; only the Moreau envelope reads them.  Such
+:attr:`PWAConvex.cells`; only the Moreau envelope reads them.  A cell is
+the face of the epigraph where its piece's row is tight, projected by
+dropping t, so it is read off the epigraph's double description: the
+generators tight on that row, without t and made primitive, with their
+masks remapped to the cell's rows; no cell runs a double description.  Such
 derived values (the deferred build, the cells, the minimum, the level
 profile and the conjugate) are kept in a module-level weak cache keyed by
 the function, so a function is never written to after construction.
@@ -45,8 +49,8 @@ from .errors import (
     EmptyPolyhedron,
 )
 from .linalg import determinant, dot, invert, vec_scale, vec_sub
-from .polyhedra import (HRep, Polyhedron, _affine_image, _fracvec, _Generators, _generators,
-                        _int_point, _within, cut_by, vrep_to_hrep)
+from .polyhedra import (HRep, Polyhedron, _affine_image, _Cone, _diag, _fracvec, _Generators,
+                        _generators, _int_point, _within, cut_by, vrep_to_hrep)
 
 Piece = tuple[tuple[Fraction, ...], Fraction]
 INF = math.inf
@@ -85,7 +89,9 @@ class PWAConvex:
 
     def _derived(self, name: str, compute):
         """``compute()``, worked out once per function and kept in ``_DERIVED``."""
-        known = _DERIVED.setdefault(self, {})
+        known = _DERIVED.get(self)
+        if known is None:
+            known = _DERIVED[self] = {}
         if name not in known:
             known[name] = compute()
         return known[name]
@@ -100,7 +106,7 @@ class PWAConvex:
     def cells(self) -> tuple[tuple[Piece, Polyhedron], ...]:
         """(piece, cell) per piece, in piece order: the cell is the nonempty
         part of the domain where that piece attains the maximum."""
-        return self._derived("cells", lambda: _active_cells(self.n, self.pieces, self.domain))
+        return self._derived("cells", lambda: _active_cells(self))
 
     # -- basic queries -------------------------------------------------------
 
@@ -175,24 +181,58 @@ def _epigraph_of(n: int, pieces: tuple[Piece, ...], domain: HRep) -> Polyhedron:
     return Polyhedron(hrep=HRep(n + 1, _epigraph_rows(pieces, domain)))
 
 
-def _active_cells(n: int, pieces, domain: HRep) -> tuple[tuple[Piece, Polyhedron], ...]:
-    """(piece, cell) for every distinct piece whose active set is nonempty.
+def _active_cells(u: PWAConvex) -> tuple[tuple[Piece, Polyhedron], ...]:
+    """(piece, cell) for every piece of ``u`` whose active set is nonempty.
 
     The cell of piece i is {x in D : piece i >= every other piece}.  It may be
-    lower-dimensional (the 0 piece of max(x, -x, 0) is active at x = 0 only);
-    keeping exactly the pieces returned here never changes the function.  A
-    lone piece is active on all of D, whose emptiness ``_build`` checks.
+    lower-dimensional (the 0 piece of max(x, -x, 0) is active at x = 0 only).
+    It is the image of the face of epi u where epigraph row i is tight under
+    (x, t) -> x, which is an affine bijection there (t = a_i.x + b_i).  So its
+    integer double description is read off the epigraph's, with no double
+    description of its own: its generators are the epigraph generators tight
+    on row i with t dropped, made primitive, and so are its lines; it is
+    empty iff no vertex is tight on row i.  Its rows are the domain rows,
+    then piece j - piece i <= 0 for every j != i in piece order, then the
+    homogenizing row, and each is tight where its epigraph row is: domain
+    row k is epigraph row m + k (m pieces), difference row j is epigraph
+    row j, and the homogenizing rows match.  A lone piece's cell is the
+    domain.
     """
-    pieces = list(dict.fromkeys(pieces))
-    if len(pieces) == 1:
-        return ((pieces[0], Polyhedron(hrep=domain)),)
+    n, pieces, domain = u.n, u.pieces, u.domain
+    cone = u.epigraph._integer()
+    m, k = len(pieces), len(domain.halfspaces)
+    rows = cone.rows
+    dom_rows = [r[:n] + r[n + 1:] for r in rows[m:m + k]]
+    home = (0,) * n + (-1,)
+    dom_bits = (1 << k) - 1
+
+    def drop_t(g):
+        g = g[:n] + g[n + 1:]
+        c = math.gcd(*g)
+        return tuple(x // c for x in g)
+
     cells = []
     for i, (ai, bi) in enumerate(pieces):
-        rows = domain.halfspaces + tuple((vec_sub(aj, ai), bi - bj)
-                                         for j, (aj, bj) in enumerate(pieces) if j != i)
-        cell = Polyhedron(hrep=HRep(n, rows))
-        if not cell.is_empty:
-            cells.append(((ai, bi), cell))
+        bit = 1 << i
+        tight = [(drop_t(g), mask) for g, mask in zip(cone.gens, cone.masks) if mask & bit]
+        nverts = sum(g[n] > 0 for g, _ in tight)
+        if not nverts:
+            continue
+        # piece j - piece i as an integer row: rows[j] = s_j (a_j, -1, b_j)
+        ri, si = rows[i], -rows[i][n]
+        diffs = []
+        for j in range(m):
+            if j != i:
+                rj, sj = rows[j], -rows[j][n]
+                diffs.append(drop_t(tuple(si * x - sj * y for x, y in zip(rj, ri))))
+        low, high = bit - 1, (1 << (m - i - 1)) - 1
+        masks = [(mask >> m & dom_bits) | (mask & low) << k | (mask >> (i + 1) & high) << (k + i)
+                 | (mask >> (m + k) & 1) << (k + m - 1) for _, mask in tight]
+        cell_cone = _Cone(dom_rows + diffs + [home], [g for g, _ in tight], masks,
+                          [drop_t(l) for l in cone.lines], nverts)
+        hrep = HRep(n, domain.halfspaces + tuple((vec_sub(aj, ai), bi - bj)
+                                                 for j, (aj, bj) in enumerate(pieces) if j != i))
+        cells.append(((ai, bi), Polyhedron._carrying(hrep, cell_cone)))
     return tuple(cells)
 
 
@@ -337,12 +377,13 @@ def scale_values(u: PWAConvex, k) -> PWAConvex:
     Equal to ``make`` of those pieces.  When u's epigraph is pointed, that is
     without a double description: the epigraph is the image of u's under
     (x, t) -> (x, k t), a positive diagonal map, so it carries u's
-    (``_affine_image``).  Such a map keeps the sign of every row value on
-    every generator, so the carried cone is the one a fresh double
-    description of the scaled rows would give, and every piece stays active
-    where it was.  An epigraph with lines is built afresh: its line basis and
-    ray representatives are read off an echelon form, which the map does not
-    carry over.
+    (``_affine_image``; with k = p / q, generators map by
+    diag(q, ..., q, p, q) and rows by diag(p, ..., p, q, p)).  Such a map
+    keeps the sign of every row value on every generator, so the carried
+    cone is the one a fresh double description of the scaled rows would
+    give, and every piece stays active where it was.  An epigraph with lines
+    is built afresh: its line basis and ray representatives are read off an
+    echelon form, which the map does not carry over.
     """
     k = Fraction(k)
     if k <= 0:
@@ -351,8 +392,8 @@ def scale_values(u: PWAConvex, k) -> PWAConvex:
     pieces = tuple((vec_scale(k, a), k * b) for a, b in u.pieces)
     if u.epigraph._integer().lines:
         return _build(n, pieces, u.domain, u.coercive)
-    epi = _affine_image(u.epigraph, lambda x: x[:n] + (k * x[n],),
-                        lambda a: a[:n] + (a[n] / k,), (Fraction(0),) * (n + 1),
+    p, q = k.numerator, k.denominator
+    epi = _affine_image(u.epigraph, _diag([q] * n + [p, q]), _diag([p] * n + [q, p]),
                         _epigraph_rows(pieces, u.domain))
     return PWAConvex(n, pieces, u.domain, epi, u.coercive)
 

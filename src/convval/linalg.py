@@ -13,13 +13,18 @@ hand primitive integer rows on to the next one, so ``scale_to_int`` runs
 once where a rational row enters, and one ``echelon`` of a cone's transposed
 rows next to an identity gives its DD basis, whether it is pointed and the
 basis inverse.
-Fractions remain in ``dot`` and the vector helpers, which callers use on
-rational points outside the hot loops.  The loops over rational points
-themselves run on integers too: ``HRep.satisfies``, ``PWAConvex.eval``,
-``polyhedra.nearest_point`` and ``ConeBound.holds_for`` scale a point to
-one homogeneous integer vector (``polyhedra._int_point``) and test it
-against primitive integer rows, and build a ``Fraction`` only for the value
-they return.  Sizes are tiny (d <= 7), so no attempt is made at asymptotic
+Fractions remain in ``dot`` and the vector helpers, which callers use to
+write the ``Fraction`` H-reps of affine images, transforms and cells,
+outside the hot loops.  The loops over rational points themselves run on
+integers too: ``HRep.satisfies``, ``PWAConvex.eval``, the projection loop
+behind ``polyhedra.nearest_point``, ``hausdorff_distance`` and
+``moreau_eval``, ``ConeBound.holds_for`` and ``cone_bound`` scale a point to
+one homogeneous integer vector (``polyhedra._int_point``) or read the
+integer generators of a double description, test them against primitive
+integer rows and compare values by cross-multiplication, and build a
+``Fraction`` only for the value they return.  The affine images
+(``polyhedra._affine_image``) map integer generators and rows by integer
+matrices.  Sizes are tiny (d <= 7), so no attempt is made at asymptotic
 cleverness.
 """
 

@@ -31,8 +31,9 @@ the cone is pointed and inverts the basis; only a cone with lines takes a
 ``null_space``.
 
 A ``Polyhedron`` is built from halfspaces only.  Its generators come from
-its own DD or from one that ``cut_by`` or an affine map carries over, and it
-keeps that integer data (a ``_Cone``: rows, generators, masks, lines);
+its own DD or from one that ``cut_by`` or an affine map carries over (the
+map as two integer matrices, on generators and on rows), and it keeps that
+integer data (a ``_Cone``: rows, generators, masks, lines);
 containment, emptiness, dimension, ``cut_by`` and triangulation read it,
 and a carried cone becomes a ``Fraction`` V-rep only when that is read.
 Volumes are exact rationals from a pulling triangulation (De Loera, Rambau
@@ -48,9 +49,10 @@ homogeneous integer point (X, q) with x = X / q (``_int_point``), and
 ``_within`` tests it against primitive integer rows (a, -b); that is the one
 halfspace test, behind ``HRep.satisfies`` (on the rows ``HRep.int_rows``
 keeps), ``Polyhedron.contains`` and ``PWAConvex.eval``.  The Euclidean
-projection onto a polyhedron (``nearest_point``, which the Moreau envelope
-and the Hausdorff distance share) is exact and runs on the same integer rows:
-one ``echelon`` per candidate active set, and one division when it returns.
+projection onto a polyhedron is exact and runs on the same integer rows: one
+loop (``_projection``, behind ``nearest_point``, the Hausdorff distance and
+the Moreau envelope) takes one ``echelon`` per candidate active set and
+returns a homogeneous integer point, which ``nearest_point`` divides once.
 Only distances leave the rational world, via a single square root at the
 end.
 
@@ -81,12 +83,10 @@ from .linalg import (
     Vec,
     dot,
     echelon,
-    invert,
     null_space,
     rank,
     scale_to_int,
     vec_add,
-    vec_scale,
     vec_sub,
 )
 
@@ -669,55 +669,76 @@ def minkowski_sum(a: VRep | Polyhedron, b: VRep | Polyhedron) -> Polyhedron:
     return Polyhedron(vrep_to_hrep(_Generators(d, sums, ga.rays + gb.rays, ga.lines + gb.lines)))
 
 
-def _affine_image(p: Polyhedron, point, normal, v: Point,
-                  halfspaces: Iterable[tuple[Point, Fraction]]) -> Polyhedron:
-    """Image of ``p`` under a bijection x -> m x + v, whose H-rep is ``halfspaces``;
-    ``point`` maps x to m x and ``normal`` maps a to a m^-1.
+def _mapped(mat: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
+    """The integer matrix ``mat`` applied to ``v``, made primitive."""
+    w = [sum(map(mul, row, v)) for row in mat]
+    g = math.gcd(*w) or 1  # a zero row stays zero
+    return tuple(x // g for x in w)
 
-    The image carries the mapped integer double description of ``p``: a
-    generator (x, x0) goes to (m x + x0 v, x0) and a row (a, c) to
-    (a m^-1, c - a m^-1 v), each made primitive.  Every row value of every
-    generator keeps its sign, so the masks and ``nverts`` carry over.
+
+def _diag(entries: Sequence[int]) -> list[list[int]]:
+    return [[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)]
+
+
+def _affine_image(p: Polyhedron, gmat: Sequence[Sequence[int]], rmat: Sequence[Sequence[int]],
+                  halfspaces: Iterable[tuple[Point, Fraction]]) -> Polyhedron:
+    """Image of ``p`` under an affine bijection whose H-rep is ``halfspaces``.
+
+    ``gmat`` and ``rmat`` are integer (d+1) x (d+1) matrices, positive
+    multiples of the bijection on homogeneous points (x, x0) and of its
+    action on rows (a, c), which keeps every row value a.x + c x0: for
+    x -> m x + v, those are (x, x0) -> (m x + x0 v, x0) and
+    (a, c) -> (a m^-1, c - a m^-1 v).  The image carries the mapped
+    integer double description of ``p``: each generator and line is
+    ``gmat`` times it and each row ``rmat`` times it, made primitive, so
+    no ``Fraction`` is built.  Every row value of every generator keeps its
+    sign, so the masks and ``nverts`` carry over.
     """
     d = p.d
     if p.is_empty:
         return Polyhedron.empty(d)
     cone = p._integer()
-
-    def gen(g):
-        return scale_to_int(vec_add(point(g[:d]), vec_scale(g[d], v)) + (g[d],))
-
-    def row(r):
-        a = normal(r[:d])
-        return scale_to_int(a + (r[d] - dot(a, v),))
-
-    image = _Cone([row(r) for r in cone.rows], [gen(g) for g in cone.gens], cone.masks,
-                  [gen(l) for l in cone.lines], cone.nverts)
+    image = _Cone([_mapped(rmat, r) for r in cone.rows], [_mapped(gmat, g) for g in cone.gens],
+                  cone.masks, [_mapped(gmat, l) for l in cone.lines], cone.nverts)
     return Polyhedron._carrying(HRep(d, tuple(halfspaces)), image)
 
 
 def translate(p: Polyhedron, v: Sequence) -> Polyhedron:
     v = _fracvec(v)
-    if len(v) != p.d:
+    d = p.d
+    if len(v) != d:
         raise DimensionMismatch("translation vector dimension mismatch")
-    return _affine_image(p, lambda x: x, lambda a: a, v,
-                         ((a, b + dot(a, v)) for a, b in p.hrep.halfspaces))
+    *vs, s = _int_point(v)  # v = vs / s
+    gmat = [[s * (i == j) for j in range(d)] + [vs[i]] for i in range(d)] + [[0] * d + [s]]
+    rmat = [[s * (i == j) for j in range(d + 1)] for i in range(d)] + [[-x for x in vs] + [s]]
+    return _affine_image(p, gmat, rmat, ((a, b + dot(a, v)) for a, b in p.hrep.halfspaces))
 
 
 def apply_linear(p: Polyhedron, m: Sequence[Sequence]) -> Polyhedron:
-    """Image of p under an invertible linear map m (rows of m)."""
+    """Image of p under an invertible linear map m (rows of m).
+
+    With M = L m the integer matrix, L the lcm of the denominators of m, one
+    ``echelon`` of [M | I] gives N = D M^-1: generators map by M and rows by
+    sign(D) L N^T, with |D| on the constant.
+    """
     mat = [_fracvec(row) for row in m]
-    if len(mat) != p.d or any(len(r) != p.d for r in mat):
+    d = p.d
+    if len(mat) != d or any(len(r) != d for r in mat):
         raise DimensionMismatch("matrix shape does not match ambient dimension")
-    minv = invert(mat)
-    if minv is None:
+    scale = math.lcm(*(x.denominator for row in mat for x in row))
+    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in mat]
+    red, pivots, det = echelon([row + [int(i == j) for j in range(d)]
+                                for i, row in enumerate(ints)])
+    if pivots[:d] != list(range(d)):
         raise SingularMatrix("linear image needs an invertible matrix")
-
-    def normal(a):  # normals transform by the inverse-transpose: a . m^{-1} y <= b
-        return tuple(dot(a, col) for col in zip(*minv))
-
-    return _affine_image(p, lambda x: tuple(dot(row, x) for row in mat), normal,
-                         (Fraction(0),) * p.d, ((normal(a), b) for a, b in p.hrep.halfspaces))
+    s = 1 if det > 0 else -1
+    # m^-1 = L N / D; normals transform by it: a . m^{-1} y <= b
+    minv_cols = [[Fraction(scale * row[d + j], det) for row in red] for j in range(d)]
+    gmat = [row + [0] for row in ints] + [[0] * d + [scale]]
+    rmat = ([[s * scale * row[d + j] for row in red] + [0] for j in range(d)]
+            + [[0] * d + [abs(det)]])
+    return _affine_image(p, gmat, rmat, ((tuple(dot(a, col) for col in minv_cols), b)
+                                         for a, b in p.hrep.halfspaces))
 
 
 def scale(p: Polyhedron, t) -> Polyhedron:
@@ -725,8 +746,9 @@ def scale(p: Polyhedron, t) -> Polyhedron:
     t = Fraction(t)
     if t <= 0:
         raise ValueError("scale factor must be positive")
-    return _affine_image(p, lambda x: vec_scale(t, x), lambda a: vec_scale(1 / t, a),
-                         (Fraction(0),) * p.d, ((a, t * b) for a, b in p.hrep.halfspaces))
+    num, den, d = t.numerator, t.denominator, p.d
+    return _affine_image(p, _diag([num] * d + [den]), _diag([den] * d + [num]),
+                         ((a, t * b) for a, b in p.hrep.halfspaces))
 
 
 def random_unimodular(seed: int, n: int, steps: int) -> tuple[Vec, ...]:
@@ -941,42 +963,38 @@ def volume(p: Polyhedron) -> Fraction:
 # Distances
 # ---------------------------------------------------------------------------
 
-def nearest_point(p: Polyhedron, x: Sequence, budget: int = 10 ** 6) -> Point:
-    """The point of the nonempty polyhedron ``p`` nearest to ``x``, exactly.
+def _projection(rows: Sequence[tuple[int, ...]], y0: Sequence[int], budget: int
+                ) -> tuple[int, ...]:
+    """The projection of the homogeneous integer point ``y0`` = (X, q) onto
+    the nonempty polyhedron of the primitive integer rows ``rows``, as a
+    homogeneous integer point (Y, E): the loop behind ``nearest_point``.
 
-    KKT active-set enumeration over the rows of ``p.canonical_hrep``: for
-    k = 0, 1, ..., min(d, rows), each k-subset with independent normals G
-    gives the projection y = x - G^T lam of x onto {G y = c}, lam solving the
-    Gram system G G^T lam = G x - c.  The first y with lam >= 0 that lies in
-    ``p`` is a KKT point of a convex problem, hence its minimum, and some
-    independent active set yields it (conic Caratheodory).  A point of ``p``
-    is its own answer, with no elimination.  More than ``budget`` subsets
-    raise :class:`BudgetExceeded`; if no subset works, :class:`CertificateFailed`.
+    KKT active-set enumeration: for k = 0, 1, ..., min(d, rows), each
+    k-subset with independent normals G gives the projection y = x - G^T lam
+    of x = X / q onto {G y = c}, lam solving the Gram system
+    G G^T lam = G x - c.  The first y with lam >= 0 that lies in the
+    polyhedron is a KKT point of a convex problem, hence its minimum, and
+    some independent active set yields it (conic Caratheodory).  A point of
+    the polyhedron is its own answer, with no elimination.  More than
+    ``budget`` subsets raise :class:`BudgetExceeded`; if no subset works,
+    :class:`CertificateFailed`.
 
-    The loop runs on integers: the rows are the primitive rows (a, -c) of
-    ``HRep.int_rows`` and x is the homogeneous point (X, q) of ``_int_point``.
     One ``echelon`` of [G G^T | G X - q c] per subset is both the rank test
     (its pivots are the first k columns iff G has rank k) and the solve: its
     pivot D is then det(G G^T) > 0, a Gram determinant, and its last column
     is M = D q lam, so lam >= 0 is read off the signs of M, Y = D X - G^T M
     is the projection times D q, and a.Y <= c D q is the membership test.
-    The answer is the one division by D q.
     """
-    if p.is_empty:
-        raise EmptyPolyhedron("nearest point in the empty set")
-    rows = p.canonical_hrep.int_rows
-    y0 = _int_point(x)
-    if len(y0) != p.d + 1:
-        raise DimensionMismatch(f"point of length {len(y0) - 1} in R^{p.d}")
     xs, q = y0[:-1], y0[-1]
     subsets = itertools.chain.from_iterable(
-        itertools.combinations(range(len(rows)), k) for k in range(min(p.d, len(rows)) + 1))
+        itertools.combinations(range(len(rows)), k)
+        for k in range(min(len(xs), len(rows)) + 1))
     for used, subset in enumerate(subsets, 1):
         if used > budget:
             raise BudgetExceeded(f"nearest_point exceeded the {budget}-subset budget")
         if not subset:
             if _within(rows, y0):
-                return tuple(Fraction(v, q) for v in xs)
+                return tuple(y0)
             normals = [row[:-1] for row in rows]
             gram = [[sum(map(mul, a, b)) for b in normals] for a in normals]
             rhs = [sum(map(mul, row, y0)) for row in rows]  # a.X - q c
@@ -993,18 +1011,39 @@ def nearest_point(p: Polyhedron, x: Sequence, budget: int = 10 ** 6) -> Point:
             y = [v - coeff * a for v, a in zip(y, normals[i])]
         y.append(det * q)
         if _within(rows, y):
-            return tuple(Fraction(v, y[-1]) for v in y[:-1])
+            return tuple(y)
     raise CertificateFailed("no face projection of the point lies in the polyhedron")
+
+
+def nearest_point(p: Polyhedron, x: Sequence, budget: int = 10 ** 6) -> Point:
+    """The point of the nonempty polyhedron ``p`` nearest to ``x``, exactly.
+
+    ``_projection`` over the rows of ``p.canonical_hrep`` (its primitive
+    ``HRep.int_rows``), from the homogeneous point (X, q) of ``_int_point``;
+    the answer is its one division.  More than ``budget`` subsets raise
+    :class:`BudgetExceeded`; if no subset works, :class:`CertificateFailed`.
+    """
+    if p.is_empty:
+        raise EmptyPolyhedron("nearest point in the empty set")
+    rows = p.canonical_hrep.int_rows
+    y0 = _int_point(x)
+    if len(y0) != p.d + 1:
+        raise DimensionMismatch(f"point of length {len(y0) - 1} in R^{p.d}")
+    *y, e = _projection(rows, y0, budget)
+    return tuple(Fraction(v, e) for v in y)
 
 
 def hausdorff_distance(k: Polyhedron, l: Polyhedron) -> float:
     """Hausdorff distance between two bounded polytopes.
 
     Exact up to the final square root (absolute accuracy ~1e-15): the
-    largest squared distance from a vertex of one body to its
-    ``nearest_point`` in the other.  Two empty bodies are at distance 0 and
-    an empty body is at distance inf from a nonempty one, the convention for
-    empty sublevel sets.
+    largest squared distance from a vertex of one body to its projection
+    onto the other (``_projection``, as in ``nearest_point``).  Each vertex
+    (X, x0) of ``_integer()`` and its projection (Y, E) are at squared
+    distance |x0 Y - E X|^2 / (E x0)^2; the largest is kept as that pair of
+    integers and becomes one ``Fraction`` before the root.  Two empty bodies
+    are at distance 0 and an empty body is at distance inf from a nonempty
+    one, the convention for empty sublevel sets.
     """
     if k.d != l.d:
         raise DimensionMismatch("ambient dimensions differ")
@@ -1012,9 +1051,15 @@ def hausdorff_distance(k: Polyhedron, l: Polyhedron) -> float:
         return 0.0 if k.is_empty and l.is_empty else math.inf
     if not (k.is_bounded and l.is_bounded):
         raise UnboundedPolyhedron("Hausdorff distance needs bounded bodies")
-    worst2 = Fraction(0)
+    num, den = 0, 1
     for a, b in ((k, l), (l, k)):
-        for v in a.vrep.vertices:
-            gap = vec_sub(nearest_point(b, v), v)
-            worst2 = max(worst2, dot(gap, gap))
-    return math.sqrt(worst2)
+        rows = b.canonical_hrep.int_rows
+        cone = a._integer()
+        for v in cone.gens[:cone.nverts]:
+            *y, e = _projection(rows, v, 10 ** 6)
+            x0 = v[-1]
+            gap = sum((x0 * s - e * r) ** 2 for s, r in zip(y, v))
+            gden = (e * x0) ** 2
+            if gap * den > num * gden:
+                num, den = gap, gden
+    return math.sqrt(Fraction(num, den))

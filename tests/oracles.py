@@ -8,7 +8,7 @@ in here too.  Where a test compares an order (``_dd_step``,
 ``vrep_to_hrep``, ``nearest_point``), the oracle is the parent route itself,
 since no brute-force route reproduces an order.  Routes that share a name
 but not a method carry the method in the name (``oracle_build_pruned_by_*``,
-``oracle_face_simplices_over_*``).  ``tests/test_oracles.py`` keeps every
+``oracle_face_simplices_over_*``, ``oracle_cone_bound_by_*``).  ``tests/test_oracles.py`` keeps every
 ``oracle_*`` defined here, and only here, once.
 """
 
@@ -33,7 +33,8 @@ import convval
 from convval import conjugacy, functions, linalg, polyhedra
 from convval.conjugacy import ConeBound, _rational_sqrt_lower, conjugate
 from convval.errors import (BudgetExceeded, CertificateFailed, ConvvalError, DimensionMismatch,
-                            EmptyDomain, EmptyPolyhedron, NotCoercive, NotConvexMin)
+                            EmptyDomain, EmptyPolyhedron, NotCoercive, NotConvexMin,
+                            UnboundedPolyhedron)
 from convval.functions import cone_function, from_epigraph, indicator_function, make
 from convval.growth import (GrowthFunction, _kernel_partial, make_growth, padd, pantider,
                             peval, pmul, pscale, ptrim, tail_integral)
@@ -158,9 +159,10 @@ def function_cases(n):
 
 @lru_cache(maxsize=None)
 def conjugacy_corpus():
-    """The (u, v) piece lists of the benchmark's 12 ``conjugacy_n2`` corpus
-    inputs (``perfbench/workloads.py``), drawn the same way: one slope per
-    sign orthant at n = 2, then 0-2 free pieces, for u and then for v."""
+    """The (u, v, x) of the benchmark's 12 ``conjugacy_n2`` corpus inputs
+    (``perfbench/workloads.py``), drawn the same way: piece lists with one
+    slope per sign orthant at n = 2, then 0-2 free pieces, for u and then
+    for v, and then the Moreau point x."""
 
     def pieces(rng):
         def rat(lo, hi, den):
@@ -175,7 +177,8 @@ def conjugacy_corpus():
     corpus = []
     for k in range(12):
         rng = random.Random(f"conjugacy_n2-corpus-{k}")
-        corpus.append((pieces(rng), pieces(rng)))
+        pu, pv = pieces(rng), pieces(rng)
+        corpus.append((pu, pv, tuple(F(rng.randint(-6, 6), 2) for _ in range(2))))
     return tuple(corpus)
 
 
@@ -698,6 +701,62 @@ def oracle_restrictions(image, extras):
         yield from oracle_cut_by(image, extras)
 
 
+def oracle_affine_image_by_fractions(p, point, normal, v, halfspaces):
+    """The affine image as it was: ``point`` maps x to m x and ``normal``
+    maps a to a m^-1, on ``Fraction`` vectors, and each mapped generator and
+    row is scaled back to integers."""
+    d = p.d
+    if p.is_empty:
+        return Polyhedron.empty(d)
+    cone = p._integer()
+
+    def gen(g):
+        return scale_to_int(vec_add(point(g[:d]), vec_scale(g[d], v)) + (g[d],))
+
+    def row(r):
+        a = normal(r[:d])
+        return scale_to_int(a + (r[d] - dot(a, v),))
+
+    image = polyhedra._Cone([row(r) for r in cone.rows], [gen(g) for g in cone.gens],
+                            cone.masks, [gen(l) for l in cone.lines], cone.nverts)
+    return Polyhedron._carrying(HRep(d, tuple(halfspaces)), image)
+
+
+def images_by_fractions(p, v, m, t):
+    """``translate``, ``apply_linear`` and ``scale`` as they were, through
+    ``oracle_affine_image_by_fractions``."""
+    d = p.d
+    v, t = _fracvec(v), F(t)
+    mat = [_fracvec(row) for row in m]
+    minv = invert(mat)
+
+    def normal(a):
+        return tuple(dot(a, col) for col in zip(*minv))
+
+    zero = (F(0),) * d
+    return [oracle_affine_image_by_fractions(p, lambda x: x, lambda a: a, v,
+                                             ((a, b + dot(a, v)) for a, b in p.hrep.halfspaces)),
+            oracle_affine_image_by_fractions(p, lambda x: tuple(dot(row, x) for row in mat),
+                                             normal, zero,
+                                             ((normal(a), b) for a, b in p.hrep.halfspaces)),
+            oracle_affine_image_by_fractions(p, lambda x: vec_scale(t, x),
+                                             lambda a: vec_scale(1 / t, a), zero,
+                                             ((a, t * b) for a, b in p.hrep.halfspaces))]
+
+
+def scale_values_by_fractions(u, k):
+    """``scale_values`` as it was, through ``oracle_affine_image_by_fractions``."""
+    k = F(k)
+    n = u.n
+    pieces = tuple((vec_scale(k, a), k * b) for a, b in u.pieces)
+    if u.epigraph._integer().lines:
+        return functions._build(n, pieces, u.domain, u.coercive)
+    epi = oracle_affine_image_by_fractions(u.epigraph, lambda x: x[:n] + (k * x[n],),
+                                           lambda a: a[:n] + (a[n] / k,), (F(0),) * (n + 1),
+                                           functions._epigraph_rows(pieces, u.domain))
+    return functions.PWAConvex(n, pieces, u.domain, epi, u.coercive)
+
+
 # ---------------------------------------------------------------------------
 # Triangulation and volume
 # ---------------------------------------------------------------------------
@@ -1106,7 +1165,7 @@ def oracle_holds_for(bound, u):
     return True
 
 
-def oracle_cone_bound(u):
+def oracle_cone_bound_by_conjugate(u):
     """The slope from the facets of the conjugate's epigraph."""
     if not u.coercive:
         raise NotCoercive("cone_bound requires a coercive function")
@@ -1127,6 +1186,32 @@ def oracle_cone_bound(u):
     if a <= 0:
         raise NotCoercive("failed to certify a positive cone slope")
     verts = u.epigraph.vrep.vertices
+    m = max(2 * a * sum(abs(f) for f in v[:n]) - v[n] for v in verts)
+    bound = ConeBound(a, -m - 1)
+    if not bound.holds_for(u):
+        raise CertificateFailed(f"cone bound {bound} fails its exact re-check")
+    return bound
+
+
+def oracle_cone_bound_by_fractions(u):
+    """The slope and offset from the ``Fraction`` V-rep of the epigraph."""
+    if not u.coercive:
+        raise NotCoercive("cone_bound requires a coercive function")
+    n = u.n
+    epi = u._epigraph_set()
+    radius_sq = None
+    for ray in epi.vrep.rays:
+        r, s = ray[:n], ray[n]
+        rr = dot(r, r)
+        if rr == 0:
+            continue
+        cand = s * s / (4 * rr)
+        if radius_sq is None or cand < radius_sq:
+            radius_sq = cand
+    a = F(1) if radius_sq is None else _rational_sqrt_lower(radius_sq)
+    if a <= 0:
+        raise NotCoercive("failed to certify a positive cone slope")
+    verts = epi.vrep.vertices
     m = max(2 * a * sum(abs(f) for f in v[:n]) - v[n] for v in verts)
     bound = ConeBound(a, -m - 1)
     if not bound.holds_for(u):
@@ -1222,6 +1307,44 @@ def oracle_nearest_point(p, x, budget=10 ** 6):
             if all(dot(a, y) <= c for a, c in rows):
                 return y
     raise AssertionError("no face projection of the point lies in the polyhedron")
+
+
+def oracle_moreau_eval_by_fractions(u, t, x, budget=10 ** 6):
+    """``moreau_eval`` as it was: one ``nearest_point`` per cell of its own
+    double description, and the values in ``Fraction``s."""
+    t = F(t)
+    if t <= 0:
+        raise ValueError("moreau_eval requires t > 0")
+    x = _fracvec(x)
+    if len(x) != u.n:
+        raise DimensionMismatch("point dimension mismatch")
+    best = None
+    for (a, b), cell in oracle_active_cells(u.n, u.pieces, u.domain):
+        y = oracle_nearest_point(cell, vec_sub(x, tuple(t * ai for ai in a)), budget)
+        diff = vec_sub(x, y)
+        val = dot(a, y) + b + dot(diff, diff) / (2 * t)
+        if best is None or val < best:
+            best = val
+    if best is None:
+        raise NotCoercive("moreau_eval found no feasible cell (improper function)")
+    return best
+
+
+def oracle_hausdorff_distance(k, l):
+    """The largest squared distance from a ``Fraction`` vertex of one body
+    to its nearest point in the other, in ``Fraction``s."""
+    if k.d != l.d:
+        raise DimensionMismatch("ambient dimensions differ")
+    if k.is_empty or l.is_empty:
+        return 0.0 if k.is_empty and l.is_empty else inf
+    if not (k.is_bounded and l.is_bounded):
+        raise UnboundedPolyhedron("Hausdorff distance needs bounded bodies")
+    worst2 = F(0)
+    for a, b in ((k, l), (l, k)):
+        for v in a.vrep.vertices:
+            gap = vec_sub(oracle_nearest_point(b, v), v)
+            worst2 = max(worst2, dot(gap, gap))
+    return math.sqrt(worst2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Routes that reuse a double description already computed, against the
 per-piece and per-pair routes they replaced (``oracles.py``): pruning by one
-cell polyhedron per piece, ``inf_if_convex`` with a fresh double description
-per facet pair, and the cone function built afresh on every call.  Every
-comparison is an exact ``==`` on pieces, domains and both representations
-of the epigraph (in order), or on the ``NotConvexMin`` witness.  The count
-guards make a per-piece or per-pair double description, a check of a facet
-pair that cannot fail, or a cone function built again for the same body,
-fail a test, not only a benchmark run.  ``from_epigraph`` checks the
+cell polyhedron per piece, the cells read off the epigraph against one
+double description per cell, ``inf_if_convex`` with a fresh double
+description per facet pair, and the cone function built afresh on every
+call.  Every comparison is an exact ``==`` on pieces, domains and both
+representations of the epigraph (in order), or on the ``NotConvexMin``
+witness.  The count guards make a per-piece, per-cell or per-pair double
+description, a check of a facet pair that cannot fail, or a cone function
+built again for the same body, fail a test, not only a benchmark run.  ``from_epigraph`` checks the
 polyhedron on its own double description and builds on first read; it is
 compared with the route that checked the canonical H-rep and built right
 away, and its count guards make a smoothing element built for a cone
@@ -34,9 +35,10 @@ from convval.linalg import dot
 from convval.polyhedra import HRep, Polyhedron, cut_by, minkowski_sum
 from counting import counted
 from oracles import (SLOPES_12, building_by, conjugacy_corpus, coords, epigraph_candidates,
-                     functions_in, hull_of, is_implicit, oracle_build_pruned_by_cells,
-                     oracle_cone_bound, oracle_cone_function, oracle_from_epigraph,
-                     oracle_holds_for, oracle_inf_if_convex, outcome)
+                     function_cases, functions_in, hull_of, is_implicit, oracle_active_cells,
+                     oracle_build_pruned_by_cells, oracle_cone_bound_by_conjugate,
+                     oracle_cone_function, oracle_from_epigraph, oracle_holds_for,
+                     oracle_incidence, oracle_inf_if_convex, outcome)
 
 
 def open_facets(u, v):
@@ -101,6 +103,56 @@ class TestPruningAgainstPerPieceCells:
         assert u.pieces == (((F(1),), F(0)), ((F(-1),), F(0)), ((F(0),), F(0)))
         assert [p for p, _ in u.cells] == list(u.pieces)
         assert [cell.dim for _, cell in u.cells] == [1, 1, 0]
+
+
+class TestCellsFromTheEpigraph:
+    """``u.cells`` read off the epigraph's double description, against one
+    double description per cell (``oracle_active_cells``): the same pieces
+    in order, each cell the same set with the same H-rep, rows, dimension
+    and emptiness, and its carried masks the incidences recomputed on its
+    rows."""
+
+    @staticmethod
+    def assert_same_cells(u):
+        got, want = u.cells, oracle_active_cells(u.n, u.pieces, u.domain)
+        assert [p for p, _ in got] == [p for p, _ in want]
+        for (_, cell), (_, ref) in zip(got, want):
+            assert cell == ref
+            assert cell.hrep == ref.hrep
+            assert (cell.dim, cell.is_empty) == (ref.dim, ref.is_empty)
+            cone = cell._integer()
+            assert cone.rows == ref._integer().rows
+            every = (1 << len(cone.rows)) - 1
+            assert cone.masks == [oracle_incidence(cone.rows, every, g) for g in cone.gens]
+            assert all(g[-1] > 0 for g in cone.gens[:cone.nverts])
+            assert all(g[-1] == 0 for g in cone.gens[cone.nverts:])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(functions_in))
+    def test_lines_flat_domains_and_one_piece(self, case):
+        pieces, domain, _ = case
+        try:
+            u = make(pieces, domain, n=domain.d, coercive=False)
+        except ConvvalError:
+            return
+        self.assert_same_cells(u)
+        self.assert_same_cells(conjugate(u))
+
+    def test_function_cases(self):
+        for n in (1, 2, 3):
+            for u in function_cases(n):
+                self.assert_same_cells(u)
+
+    def test_no_double_description_once_the_epigraph_is_built(self):
+        for n in (1, 2, 3):
+            for case in function_cases(n):
+                u = make(case.pieces, case.domain, n=n, coercive=False)
+                u.epigraph._integer()
+                with counted(polyhedra, "hrep_to_vrep") as h2v, \
+                        counted(polyhedra, "vrep_to_hrep") as v2h:
+                    cells = u.cells
+                assert h2v == [] and v2h == []
+                assert len(cells) == len(u.pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +427,7 @@ def from_epigraph_outcome(route, epi, coercive):
 def smoothing_inputs():
     """(u, k) for the ``conjugacy_n2`` corpus inputs, with the pieces in the
     order drawn and reversed, and the steepnesses of the benchmark."""
-    for pu, pv in conjugacy_corpus():
+    for pu, pv, _ in conjugacy_corpus():
         for pieces in (pu, pu[::-1], pv, pv[::-1]):
             for k in (1, 2, 4, 8):
                 yield make(pieces, n=2), k
@@ -413,7 +465,7 @@ class TestDeferredFromEpigraph:
     def test_corpus_inf_convolutions_and_smoothing(self):
         """The results of ``inf_convolution`` and ``smoothing_sequence`` on
         the benchmark corpus, compared in piece order."""
-        for pu, pv in conjugacy_corpus():
+        for pu, pv, _ in conjugacy_corpus():
             for u, v in ((make(pu, n=2), make(pv, n=2)), (make(pu[::-1], n=2), make(pv, n=2))):
                 want = oracle_from_epigraph(minkowski_sum(u.epigraph, v.epigraph))
                 assert observed(inf_convolution(u, v)) == observed(want)
@@ -434,7 +486,7 @@ class TestDeferredFromEpigraph:
                 held = [b.holds_for(w) for b in [bound] + others]
             assert v2h == []
             assert "built" not in functions._DERIVED.get(w, {})
-            assert bound == oracle_cone_bound(w)
+            assert bound == oracle_cone_bound_by_conjugate(w)
             assert held == [oracle_holds_for(b, w) for b in [bound] + others]
 
 
@@ -443,7 +495,7 @@ class TestDeferredCounts:
         """Each element that only feeds ``uniform_cone_bound`` runs the polar
         double description of its Minkowski sum and that sum's own one."""
         cone_function(STEEP).epigraph  # the body's cone function, built once
-        pu, _ = conjugacy_corpus()[0]
+        pu, _, _ = conjugacy_corpus()[0]
         u = make(pu, n=2)
         with counted(polyhedra, "hrep_to_vrep") as h2v, \
                 counted(polyhedra, "vrep_to_hrep") as v2h:
@@ -453,7 +505,7 @@ class TestDeferredCounts:
         assert all(bound.holds_for(w) for w in seq)
 
     def test_biconjugate_check_after_conjugate_builds_the_conjugate_once(self):
-        pu, _ = conjugacy_corpus()[1]
+        pu, _, _ = conjugacy_corpus()[1]
         u = make(pu, n=2)
         star = conjugate(u)
         with counted(functions, "_build") as builds:

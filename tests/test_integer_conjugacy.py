@@ -1,12 +1,14 @@
 """The conjugacy layer's integer routes against the ``Fraction`` routes they
-replaced: ``PWAConvex.eval``, ``HRep.satisfies`` and ``ConeBound.holds_for``;
-and ``cone_bound`` reading its slope off the epigraph's rays against the
-route through the conjugate.
+replaced: ``PWAConvex.eval``, ``HRep.satisfies``, ``ConeBound.holds_for``,
+``cone_bound`` and ``moreau_eval``; and ``cone_bound`` reading its slope off
+the epigraph's rays against the route through the conjugate.
 
 The oracles (``oracles.py``) are the routes before the change, which took
 ``Fraction`` dot products over the domain rows, the pieces and the V-rep of
-the epigraph, and built ``conjugate(u)`` and the facets of its epigraph for
-the cone bound.  Every comparison is an exact ``==``.
+the epigraph, built ``conjugate(u)`` and the facets of its epigraph for
+the cone bound, and ran one double description per Moreau cell with the
+values in ``Fraction``s.  Every comparison is an exact ``==``.  The count
+guard makes a cone bound that builds a ``Fraction`` V-rep fail a test.
 """
 
 from fractions import Fraction as F
@@ -17,14 +19,15 @@ from math import inf, isqrt
 from hypothesis import given, settings, strategies as st
 
 from convval import conjugacy, polyhedra
-from convval.conjugacy import ConeBound, cone_bound, conjugate
-from convval.functions import cone_function, indicator_function, make
+from convval.conjugacy import ConeBound, cone_bound, conjugate, moreau_eval
+from convval.functions import cone_function, indicator_function, make, scale_values
 from convval.laws import generate_pair_with_convex_min, random_body, smoothing_sequence
 from convval.linalg import dot
 from convval.polyhedra import HRep, Polyhedron
 from counting import counted
-from oracles import (function_cases, hull_point, oracle_cone_bound, oracle_eval, oracle_holds_for,
-                     oracle_satisfies, rationals)
+from oracles import (conjugacy_corpus, function_cases, hull_point, oracle_cone_bound_by_conjugate,
+                     oracle_cone_bound_by_fractions, oracle_eval, oracle_holds_for,
+                     oracle_moreau_eval_by_fractions, oracle_satisfies, outcome, rationals)
 
 coords = rationals(4, 4, 6)
 PRIME = 10 ** 9 + 7
@@ -212,7 +215,7 @@ class TestConeBound:
     @settings(max_examples=100, deadline=None)
     @given(coercive_functions())
     def test_matches_the_conjugate_route(self, u):
-        assert cone_bound(u) == oracle_cone_bound(u)
+        assert cone_bound(u) == oracle_cone_bound_by_conjugate(u)
 
     def test_builds_no_conjugate(self):
         for n in (1, 2, 3):
@@ -224,3 +227,56 @@ class TestConeBound:
                         counted(conjugacy, "conjugate") as conjugates:
                     cone_bound(u)
                 assert polars == [] and conjugates == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(coercive_functions())
+    def test_matches_the_fraction_route(self, u):
+        assert outcome(cone_bound, u) == outcome(oracle_cone_bound_by_fractions, u)
+
+    def test_corpus_smoothing_elements(self):
+        steep = Polyhedron.box([(-1, 1), (-1, 1)])
+        for pu, pv, _ in conjugacy_corpus():
+            for pieces in (pu, pv):
+                for k in (1, 2, 4, 8):
+                    w = smoothing_sequence(make(pieces, n=2), steep, k)
+                    assert cone_bound(w) == oracle_cone_bound_by_fractions(w)
+
+    def test_scaled_cone_functions_keep_no_vrep(self):
+        """The carried epigraph of ``scale_values`` is read on its integer
+        cone only: the cone bound builds no ``Fraction`` V-rep of it."""
+        for n in (1, 2, 3):
+            for body in (random_body(0, n), Polyhedron.box([(-1, 2)] * n)):
+                for k in (1, 3, F(2, 5), 2 ** 10):
+                    w = scale_values(cone_function(body), k)
+                    bound = cone_bound(w)
+                    assert w.epigraph._vrep is None
+                    assert bound == oracle_cone_bound_by_fractions(w)
+
+
+# ---------------------------------------------------------------------------
+# Moreau envelopes
+# ---------------------------------------------------------------------------
+
+
+T_VALUES = [F(1, 4), F(1, 2), F(1), F(2), F(4)]
+
+
+class TestMoreauAgainstTheFractionRoute:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_function_cases(self, data):
+        n = data.draw(st.integers(1, 3))
+        u = data.draw(st.sampled_from(function_cases(n)))
+        t = data.draw(st.sampled_from(T_VALUES + [F(3, 7)]))
+        x = points_near(u, data) if data.draw(st.booleans()) else tuple(
+            data.draw(st.lists(coords, min_size=n, max_size=n)))
+        got = moreau_eval(u, t, x)
+        assert type(got) is F
+        assert got == oracle_moreau_eval_by_fractions(u, t, x)
+
+    def test_corpus(self):
+        for pu, pv, x in conjugacy_corpus():
+            for pieces in (pu, pv):
+                u = make(pieces, n=2)
+                for t in T_VALUES:
+                    assert moreau_eval(u, t, x) == oracle_moreau_eval_by_fractions(u, t, x)

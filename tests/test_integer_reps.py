@@ -4,8 +4,10 @@ products, eager ``Fraction`` V-reps of restrictions and images,
 ``contains_polyhedron``, ``dim``, ``relative_interior_contains`` and the
 triangulation's points read off the ``Fraction`` representations, pruning
 by ``Fraction`` dots, and the layer cake summed by one ``Fraction`` per
-interval.  Every comparison is an exact ``==``, in order where the result
-is ordered.  The count guards make a return to those routes fail a test.
+interval; affine images on integer matrices against the ``Fraction`` maps
+they replaced.  Every comparison is an exact ``==``, in order where the
+result is ordered.  The count guards make a return to those routes fail a
+test.
 """
 
 from fractions import Fraction as F
@@ -16,7 +18,8 @@ from hypothesis import assume, given, settings, strategies as st
 from convval import linalg, polyhedra
 from convval.conjugacy import conjugate
 from convval.errors import ConvvalError
-from convval.functions import cone_function, from_epigraph, inf_if_convex, make, pwa_equal
+from convval.functions import (cone_function, from_epigraph, inf_if_convex, make, pwa_equal,
+                               scale_values)
 from convval.growth import integral_against, make_growth
 from convval.laws import generate_pair_with_convex_min, random_body
 from convval.linalg import invert, vec_add, vec_scale, vec_sub
@@ -24,11 +27,11 @@ from convval.polyhedra import (HRep, Polyhedron, apply_linear, cut_by, relative_
                                translate, volume, vrep_to_hrep)
 from counting import counted
 from oracles import (SLOPES_12, building_by, capped_epigraph, coords, functions_in,
-                     oracle_apply_linear, oracle_build_pruned_by_dots, oracle_contains,
-                     oracle_cut_by, oracle_dd_step, oracle_dim, oracle_image, oracle_incidence,
-                     oracle_integer_simplices, oracle_integral_against,
+                     images_by_fractions, oracle_apply_linear, oracle_build_pruned_by_dots,
+                     oracle_contains, oracle_cut_by, oracle_dd_step, oracle_dim, oracle_image,
+                     oracle_incidence, oracle_integer_simplices, oracle_integral_against,
                      oracle_relative_interior_contains, oracle_restrictions, oracle_scale,
-                     oracle_translate, outcome, profiles, weights)
+                     oracle_translate, outcome, profiles, scale_values_by_fractions, weights)
 
 
 def simplex_indices(pts, scale, simplices):
@@ -309,6 +312,35 @@ class TestAffineImagesAgainstGivenVRep:
             assert got == list(oracle_restrictions(want, extras))
 
 
+class TestAffineImagesOnIntegerMatrices:
+    """The images against the ``Fraction`` maps they replaced
+    (``oracle_affine_image_by_fractions``): the H-rep and every ``_Cone``
+    field, in order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(affine_cases))
+    def test_translate_apply_linear_scale(self, case):
+        p, v, m, t, _ = case
+        got = [translate(p, v), apply_linear(p, m), polyhedra.scale(p, t)]
+        for image, want in zip(got, images_by_fractions(p, v, m, t)):
+            assert image.hrep == want.hrep
+            assert image._integer()._asdict() == want._integer()._asdict()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(functions_in),
+           st.fractions(min_value=F(1, 5), max_value=5, max_denominator=5))
+    def test_scale_values_with_and_without_lines(self, case, k):
+        pieces, domain, _ = case
+        try:
+            u = make(pieces, domain, n=domain.d, coercive=False)
+        except ConvvalError:
+            return
+        got, want = scale_values(u, k), scale_values_by_fractions(u, k)
+        assert (got.pieces, got.domain, got.coercive, got.epigraph.hrep) == \
+            (want.pieces, want.domain, want.coercive, want.epigraph.hrep)
+        assert got.epigraph._integer()._asdict() == want.epigraph._integer()._asdict()
+
+
 # ---------------------------------------------------------------------------
 # Pruning by incidence masks
 # ---------------------------------------------------------------------------
@@ -411,6 +443,19 @@ class TestIntegerRepCounts:
         with counted(polyhedra, "scale_to_int") as base_scaled:
             list(cut_by(u.epigraph, extras[:1]))
         assert len(scaled) == 5 * len(base_scaled)
+
+    def test_affine_images_scale_nothing(self):
+        """The four affine images map integer generators and rows by integer
+        matrices: none is scaled from ``Fraction``s."""
+        u = make([(a, 0) for a in SLOPES_12])
+        p = u.epigraph
+        p._integer()
+        with counted(linalg, "scale_to_int") as scaled:
+            images = [translate(p, (F(1, 2), -1, F(2, 3))),
+                      apply_linear(p, [[1, F(1, 2), 0], [0, 1, 0], [F(1, 3), 0, -2]]),
+                      polyhedra.scale(p, F(3, 2)), scale_values(u, F(3, 2)).epigraph]
+        assert scaled == []
+        assert all(image._cone is not None for image in images)
 
     def test_make_and_pwa_equal_take_no_dot(self):
         pieces = [(a, 0) for a in SLOPES_12] + [((0, 0), -1)]  # one piece is pruned

@@ -1,8 +1,10 @@
-"""``polyhedra.nearest_point`` and its two callers, against the routes it
-replaced (``oracles.py``): the KKT loop of ``moreau_eval`` and the distance
-over every face projection, which both examine every subset where
-``nearest_point`` stops at the first KKT point, and ``nearest_point`` itself
-as it was on ``Fraction`` rows.  Every comparison is an exact ``==``.
+"""``polyhedra.nearest_point``, the integer loop behind it and its two
+callers, against the routes it replaced (``oracles.py``): the KKT loop of
+``moreau_eval`` and the distance over every face projection, which both
+examine every subset where the loop stops at the first KKT point,
+``nearest_point`` itself as it was on ``Fraction`` rows, and
+``hausdorff_distance`` as it was on ``Fraction`` points.  Every comparison
+is an exact ``==``.
 """
 
 from fractions import Fraction as F
@@ -16,10 +18,10 @@ from convval.conjugacy import moreau_eval
 from convval.errors import BudgetExceeded, EmptyPolyhedron
 from convval.functions import make
 from convval.linalg import dot, vec_sub
-from convval.polyhedra import Polyhedron, cut_by, nearest_point
+from convval.polyhedra import Polyhedron, cut_by, hausdorff_distance, nearest_point
 from counting import counted
-from oracles import (function_cases, hull_point, oracle_dist2, oracle_moreau, oracle_nearest_point,
-                     outcome, rationals)
+from oracles import (function_cases, hull_point, oracle_dist2, oracle_hausdorff_distance,
+                     oracle_moreau, oracle_nearest_point, outcome, rationals)
 
 coords = rationals(3, 3, 4)
 T_VALUES = [F(1, 4), F(1, 2), F(1), F(2), F(4)]
@@ -68,7 +70,35 @@ class TestAgainstEveryFaceProjection:
         assert dot(vec_sub(y, x), vec_sub(y, x)) == oracle_dist2(x, body)
 
 
+@st.composite
+def hausdorff_pairs(draw):
+    """Two bodies in the same R^d: a body of ``bodies`` and a hull of drawn
+    points, a single point or the empty set, in either order."""
+    k = draw(bodies())
+    d = k.d
+    kind = draw(st.sampled_from(["hull", "point", "empty", "same"]))
+    point = st.lists(coords, min_size=d, max_size=d)
+    if kind == "hull":
+        l = Polyhedron.from_generators(d, draw(st.lists(point, min_size=1, max_size=5)))
+    elif kind == "point":
+        l = Polyhedron.from_generators(d, [draw(point)])
+    elif kind == "empty":
+        l = Polyhedron.empty(d)
+    else:
+        l = Polyhedron(k.hrep)
+    return (k, l) if draw(st.booleans()) else (l, k)
+
+
 class TestAgainstTheFractionRoute:
+    @settings(max_examples=150, deadline=None)
+    @given(hausdorff_pairs())
+    def test_hausdorff_distance(self, pair):
+        k, l = pair
+        got = hausdorff_distance(k, l)
+        assert type(got) is float
+        assert got == oracle_hausdorff_distance(k, l)
+
+
     @settings(max_examples=200, deadline=None)
     @given(bodies(), st.data())
     def test_same_point_and_same_budget_failures(self, body, data):
@@ -129,7 +159,7 @@ class TestBudgetAndCounts:
     def test_one_projection_per_cell(self):
         for n in (1, 2, 3):
             for u in function_cases(n):
-                with counted(polyhedra, "nearest_point") as calls:
+                with counted(polyhedra, "_projection") as calls:
                     moreau_eval(u, F(1, 2), (F(1, 3),) * n)
                 assert len(calls) == len(u.cells)
 
