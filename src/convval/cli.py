@@ -9,8 +9,6 @@ cannot be written exit with status 2.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import math
 import sys
 import time
@@ -18,13 +16,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from . import __version__
-from .conjugacy import conjugate, inf_convolution
 from .documents import (DocumentError, dump, format_float, format_rational,
                         function_to_doc, load_function, load_growth, parse_rational)
 from .errors import ConvvalError
-from .growth import psi_from_zeta
-from .laws import SUITES, generate_pair_with_convex_min
-from .valuation import combined_valuation, level_volume_profile
+from .reports import SUITE_NAMES
+
+# Each command imports the modules it runs (csv, hashlib and convval's own)
+# in its own body, so a cold process compiles and loads only those.
 
 
 def _fmt(x) -> str:
@@ -36,6 +34,7 @@ def _fmt(x) -> str:
 
 
 def _digest(paths) -> str:
+    import hashlib
     h = hashlib.sha256()
     for p in paths:
         with open(p, "rb") as fh:
@@ -106,12 +105,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_conjugate(args) -> int:
+    from .conjugacy import conjugate
     u = load_function(args.file)
     _dump(function_to_doc(conjugate(u), provenance=f"conjugate of {args.file}"), args.out)
     return 0
 
 
 def cmd_infconv(args) -> int:
+    from .conjugacy import inf_convolution
     u, v = load_function(args.file), load_function(args.file2)
     _dump(function_to_doc(inf_convolution(u, v),
                           provenance=f"infconv of {args.file}, {args.file2}"), args.out)
@@ -119,6 +120,9 @@ def cmd_infconv(args) -> int:
 
 
 def cmd_valuation(args) -> int:
+    import csv
+
+    from .valuation import combined_valuation, level_volume_profile
     t0 = time.monotonic()
     u = load_function(args.file)
     zeta0 = load_growth(args.zeta0)
@@ -148,6 +152,9 @@ def cmd_valuation(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    import csv
+
+    from .growth import psi_from_zeta
     zeta = load_growth(args.zetafile)
     n = args.n
     psi = psi_from_zeta(zeta, n)
@@ -172,10 +179,12 @@ def cmd_growth(args) -> int:
 
 
 def cmd_laws(args) -> int:
-    t0 = time.monotonic()
-    if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}", file=sys.stderr)
+    if args.suite not in SUITE_NAMES:
+        print(f"unknown suite {args.suite!r}; choose from {sorted(SUITE_NAMES)}",
+              file=sys.stderr)
         return 2
+    from .laws import SUITES
+    t0 = time.monotonic()
     suite, cap = SUITES[args.suite]
     count, note = args.count, ""
     if cap is not None and count > cap:
@@ -191,6 +200,8 @@ def cmd_laws(args) -> int:
 
 def cmd_fixtures(args) -> int:
     import os
+
+    from .laws import generate_pair_with_convex_min
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
     written = []
@@ -244,7 +255,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_growth)
 
     p = sub.add_parser("laws", help="run a law suite")
-    p.add_argument("suite", help="one of: " + ", ".join(SUITES))
+    p.add_argument("suite", help="one of: " + ", ".join(SUITE_NAMES))
     p.add_argument("--seed", type=int, default=0, help="first seed (staircase ignores it)")
     p.add_argument("--count", type=_positive_int, default=10)
     p.add_argument("--n", type=_positive_int, default=2, help="dimension (staircase ignores it)")

@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import DocumentError
-from .functions import PWAConvex, make
-from .growth import GrowthFunction, make_growth
-from .polyhedra import HRep
+
+if TYPE_CHECKING:
+    from .functions import PWAConvex
+    from .growth import GrowthFunction
+
+# The readers import the modules that build their results, so writing a
+# document, or reading only growth documents, loads no polyhedra.
 
 SCHEMA = "convval/1"
 
@@ -87,6 +92,8 @@ def function_to_doc(u: PWAConvex, provenance: str | None = None) -> dict:
 
 
 def function_from_doc(doc: dict) -> PWAConvex:
+    from .functions import make
+    from .polyhedra import HRep
     _check_schema(doc, "function")
     n = _require(doc, "n", "function")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -131,6 +138,7 @@ def growth_to_doc(z: GrowthFunction) -> dict:
 
 
 def growth_from_doc(doc: dict) -> GrowthFunction:
+    from .growth import make_growth
     _check_schema(doc, "growth")
     bp = _rationals(_require(doc, "breakpoints", "growth"), "breakpoints")
     pieces = [_rationals(p, f"pieces[{i}]")

@@ -22,7 +22,7 @@ from .growth import (GrowthFunction, check_derivative_relation,
                      check_psi_vanishes, make_growth, peval, psi_from_zeta)
 from .linalg import vec_scale
 from .polyhedra import HRep, Polyhedron, hausdorff_distance, random_unimodular
-from .reports import LawReport
+from .reports import SUITE_NAMES, LawReport
 from .valuation import combined_valuation
 
 
@@ -390,12 +390,8 @@ def conjugacy_suite(seed: int, count: int, n: int) -> list[LawReport]:
     return reports
 
 
-# Suite name -> (fn(seed, count, n) -> reports, the most pairs or weights it runs).
+# Suite name -> (fn(seed, count, n) -> reports, the most pairs or weights it
+# runs): ``<name>_suite`` for each of SUITE_NAMES, in its order.
+_CAPS = {"convergence": 5, "staircase": 3}  # staircase: one per default_zetas() pair
 SUITES: dict[str, tuple[Callable[[int, int, int], list[LawReport]], int | None]] = {
-    "valuation": (valuation_suite, None),
-    "invariance": (invariance_suite, None),
-    "growth": (growth_suite, None),
-    "convergence": (convergence_suite, 5),
-    "staircase": (staircase_suite, 3),  # one per default_zetas() pair
-    "conjugacy": (conjugacy_suite, None),
-}
+    name: (globals()[f"{name}_suite"], _CAPS.get(name)) for name in SUITE_NAMES}

@@ -1,9 +1,14 @@
-"""Shared result record for executable law checks."""
+"""Shared result record for executable law checks, and the law suites' names."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
+
+# The law suites ``convval laws`` runs, in order; ``laws.SUITES`` maps each
+# name to its runner.  They are named here so the CLI can list them without
+# importing ``laws``.
+SUITE_NAMES = ("valuation", "invariance", "growth", "convergence", "staircase", "conjugacy")
 
 
 @dataclass(frozen=True)

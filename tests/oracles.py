@@ -93,6 +93,14 @@ def python_stdout(code, *flags):
     return out.stdout
 
 
+# Source of an expression, for code run by ``python_stdout``, that names the
+# modules the process has run.  ``import convval`` puts its library modules
+# in sys.modules unrun, as instances of a ModuleType subclass until their
+# first attribute access, so being in sys.modules does not mean a module ran.
+RUN_MODULES = ("sorted(m for m, mod in __import__('sys').modules.items()"
+               " if type(mod) is __import__('types').ModuleType)")
+
+
 def outcome(fn, *args, **kwargs):
     """What ``fn`` returns, everything observable about it when it is a
     function, or the error it raises (with the witness of ``NotConvexMin``)."""

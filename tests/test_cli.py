@@ -3,9 +3,16 @@
 import csv
 import hashlib
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
+
+import convval
 
 from convval.cli import main
 from convval.documents import (DocumentError, function_from_doc,
@@ -14,7 +21,7 @@ from convval.documents import (DocumentError, function_from_doc,
 from convval.functions import make, pwa_equal
 from convval.growth import make_growth
 from convval.laws import SUITES
-from oracles import python_stdout
+from oracles import RUN_MODULES, python_stdout
 
 
 @pytest.fixture
@@ -22,6 +29,15 @@ def abs_doc(tmp_path):
     u = make([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)], n=2)
     p = tmp_path / "abs2.json"
     p.write_text(json.dumps(function_to_doc(u)))
+    return str(p)
+
+
+@pytest.fixture
+def tail_doc(tmp_path):
+    """(2 + t) e^(-t) on [0, inf), the tailed weight of the benchmark's CLI mix."""
+    p = tmp_path / "tail.json"
+    p.write_text(json.dumps(growth_to_doc(
+        make_growth([0], [], tail=(1, [2, 1]), require_nonnegative=True))))
     return str(p)
 
 
@@ -342,19 +358,116 @@ def test_unwritable_output_exits_2(abs_doc, zeta_docs, tmp_path, capsys, argv):
     assert f"error: cannot write {target}: " in err and "Traceback" not in err
 
 
-def test_import_and_growth_leave_sympy_and_mpmath_unloaded(tmp_path):
-    doc = tmp_path / "zeta.json"
-    doc.write_text(json.dumps(growth_to_doc(
+CONVVAL_MODULES = {f"convval.{m}" for m in ("cli", "conjugacy", "documents", "errors",
+                                              "functions", "growth", "laws", "linalg",
+                                              "polyhedra", "reports", "valuation")}
+OTHERS = {"hashlib", "mpmath", "sympy"}
+
+
+def _unloaded(*names):
+    return {f"convval.{m}" for m in names}
+
+
+# argv (None: only ``import convval``) and the watched modules it must leave
+# unrun (``import convval`` lists its library modules in sys.modules, unrun).
+# Only a tailed ``growth`` integrates with mpmath, and only
+# ``valuation`` digests its inputs with hashlib.
+LEAVES_UNLOADED = [
+    (None, CONVVAL_MODULES | OTHERS),
+    (["growth", "{poly}", "--n", "3"],
+     _unloaded("polyhedra", "functions", "linalg", "laws", "valuation", "conjugacy") | OTHERS),
+    (["growth", "{tail}", "--n", "3"],
+     _unloaded("polyhedra", "functions", "linalg", "laws", "valuation", "conjugacy")
+     | OTHERS - {"mpmath"}),
+    (["eval", "{u}", "--point", "1,0"], _unloaded("laws", "valuation", "conjugacy") | OTHERS),
+    (["conjugate", "{u}"], _unloaded("laws", "valuation") | OTHERS),
+    (["infconv", "{u}", "{u}"], _unloaded("laws", "valuation") | OTHERS),
+    (["valuation", "{u}", "{z0}", "{zn}"], _unloaded("laws", "conjugacy") | OTHERS - {"hashlib"}),
+    (["laws", "valuation", "--count", "1"], OTHERS),
+    (["fixtures", "--count", "1", "--out", "{fx}"], OTHERS),
+]
+
+
+def test_import_and_growth_leave_sympy_and_mpmath_unloaded(abs_doc, zeta_docs, tail_doc,
+                                                           tmp_path):
+    """Each command, in a fresh interpreter, loads only the modules it runs."""
+    poly = tmp_path / "zeta.json"
+    poly.write_text(json.dumps(growth_to_doc(
         make_growth([0, 1, 2], [[0, 1], [2, -1]], require_nonnegative=True))))
-    assert json.loads(doc.read_text())["nonnegative"] is True
-    code = (
-        "import sys\n"
-        "loaded = lambda: sorted({'sympy', 'mpmath'} & set(sys.modules))\n"
-        "import convval\n"
-        "print(loaded())\n"
-        "from convval.cli import main\n"
-        f"assert main(['growth', {str(doc)!r}, '--n', '3']) == 0\n"
-        "print(loaded())\n"
-    )
-    lines = python_stdout(code).splitlines()
-    assert lines[0] == "[]" and lines[-1] == "[]"
+    assert json.loads(poly.read_text())["nonnegative"] is True
+    paths = {"u": abs_doc, "z0": zeta_docs[0], "zn": zeta_docs[1], "poly": str(poly),
+             "tail": tail_doc, "fx": str(tmp_path / "fx")}
+    for argv, unloaded in LEAVES_UNLOADED:
+        if argv is None:
+            run = "import convval\n"
+        else:
+            argv = [a.format(**paths) for a in argv]
+            run = ("import contextlib, io\n"
+                   "from convval.cli import main\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   f"    assert main({argv!r}) == 0\n")
+        watched = sorted(CONVVAL_MODULES | OTHERS)
+        code = (f"import json\n{run}"
+                f"print(json.dumps(sorted(set({RUN_MODULES}) & set({watched!r}))))\n")
+        loaded = set(json.loads(python_stdout(code).splitlines()[-1]))
+        assert not loaded & unloaded, (argv, sorted(loaded & unloaded))
+
+
+def test_laws_help_lists_the_suites_in_order(capsys):
+    """The parser lists the suites of ``laws.SUITES``, in its order, without importing laws."""
+    with pytest.raises(SystemExit) as exc:
+        main(["laws", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert re.search(r"one of: (.*?) options:", text).group(1).split(", ") == list(SUITES)
+
+
+# Every subcommand once; a fresh process must behave as main() does in one
+# where the tests have imported every module already.
+FRESH_COMMANDS = {
+    "eval": ["eval", "{u}", "--point", "1/2,-1"],
+    "conjugate": ["conjugate", "{u}"],
+    "infconv": ["infconv", "{u}", "{u}", "--out", "{out}/infconv.json"],
+    "valuation": ["valuation", "{u}", "{z0}", "{zn}", "--profile-csv", "{out}/profile.csv",
+                  "--out", "{out}/report.json"],
+    "growth-polynomial": ["growth", "{z0}", "--n", "3"],
+    "growth-tailed": ["growth", "{tail}", "--n", "3"],
+    **{f"laws-{suite}": ["laws", suite, "--count", "1", "--out", "{out}/laws.json"]
+       for suite in SUITES},
+    "fixtures": ["fixtures", "--count", "1", "--out", "{out}/fx"],
+}
+
+
+def _written(out):
+    """Every file under ``out`` by relative path, with the report's run time
+    zeroed."""
+    files = {}
+    for root, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            files[os.path.relpath(path, out)] = re.sub(
+                rb'"elapsed_seconds": [-+.e0-9]+', b'"elapsed_seconds": 0', data)
+    return files
+
+
+@pytest.mark.parametrize("argv", FRESH_COMMANDS.values(), ids=list(FRESH_COMMANDS))
+def test_fresh_process_matches_in_process_main(abs_doc, zeta_docs, tail_doc, tmp_path, capsys,
+                                               argv):
+    out = tmp_path / "out"
+    paths = {"u": abs_doc, "z0": zeta_docs[0], "zn": zeta_docs[1], "tail": tail_doc,
+             "out": str(out)}
+    argv = [a.format(**paths) for a in argv]
+    out.mkdir()
+    src = os.path.dirname(os.path.dirname(convval.__file__))
+    fresh = subprocess.run([sys.executable, "-m", "convval.cli", *argv],
+                           env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+                           capture_output=True, timeout=300)
+    assert b"Traceback" not in fresh.stderr, fresh.stderr.decode()
+    fresh_files = _written(out)
+    shutil.rmtree(out)
+    out.mkdir()
+    code = main(argv)
+    assert (fresh.returncode, fresh.stdout.decode()) == (code, capsys.readouterr().out)
+    assert fresh_files == _written(out)
