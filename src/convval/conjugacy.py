@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import CertificateFailed, DimensionMismatch, NotCoercive
 from .functions import PWAConvex, _build, _check_coercive, from_epigraph
-from .polyhedra import HRep, _fracvec, _int_point, _projection, minkowski_sum
+from .polyhedra import HRep, _int_point, _projection, minkowski_sum
 
 
 def conjugate(u: PWAConvex) -> PWAConvex:
@@ -90,10 +90,9 @@ def moreau_eval(u: PWAConvex, t, x: Sequence, *, budget: int = 10 ** 6) -> Fract
     t = Fraction(t)
     if t <= 0:
         raise ValueError("moreau_eval requires t > 0")
-    x = _fracvec(x)
-    if len(x) != u.n:
-        raise DimensionMismatch("point dimension mismatch")
     *xs, q = _int_point(x)
+    if len(xs) != u.n:
+        raise DimensionMismatch("point dimension mismatch")
     t1, t2 = t.numerator, t.denominator
     scale, prows = u._derived("integer pieces", u._integer_pieces)
     den = 2 * t1 * q * q * scale  # each value is N / (den E^2)

@@ -252,9 +252,10 @@ def _build(n: int, pieces, domain: HRep, coercive: bool) -> PWAConvex:
     tight at some vertex of the epigraph: one double description decides
     every piece, by the incidence masks of its vertices (row i of the
     epigraph is piece i).  When none is pruned, that epigraph is the
-    function's; with no vertex at all the function is improper.
+    function's; with no vertex at all the function is improper.  The pieces
+    are ``(tuple of Fraction, Fraction)``: ``make`` converts at the boundary.
     """
-    pieces = tuple(dict.fromkeys((_fracvec(a), Fraction(b)) for a, b in pieces))
+    pieces = tuple(dict.fromkeys(pieces))
     epi = _epigraph_of(n, pieces, domain)
     cone = epi._integer()
     tight = 0
@@ -403,14 +404,12 @@ def scale_values(u: PWAConvex, k) -> PWAConvex:
 # ---------------------------------------------------------------------------
 
 def sup(u: PWAConvex, v: PWAConvex) -> PWAConvex:
-    """Pointwise maximum; epigraph intersection."""
+    """Pointwise maximum; epigraph intersection.  An empty common domain
+    raises :class:`EmptyDomain` from ``_build``."""
     if u.n != v.n:
         raise DimensionMismatch("dimension mismatch in sup")
     dom = HRep(u.n, u.domain.halfspaces + v.domain.halfspaces)
-    if Polyhedron(hrep=dom).is_empty:
-        raise EmptyDomain("sup has empty domain; the maximum is improper")
-    return make(u.pieces + v.pieces, dom, n=u.n,
-                coercive=u.coercive or v.coercive)
+    return _build(u.n, u.pieces + v.pieces, dom, u.coercive or v.coercive)
 
 
 def inf_if_convex(u: PWAConvex, v: PWAConvex) -> PWAConvex:

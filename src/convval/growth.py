@@ -182,10 +182,6 @@ class GrowthFunction:
     nonnegative: bool = False
 
     @property
-    def is_polynomial_compact(self) -> bool:
-        return self.tail is None
-
-    @property
     def sup_support(self) -> Fraction:
         """Least s with the function identically 0 on [s, inf) (tail-free only)."""
         if self.tail is not None:

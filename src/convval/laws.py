@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -124,18 +125,20 @@ def _random_coercive_base(rng: random.Random, n: int) -> PWAConvex:
 
 def generate_pair_with_convex_min(seed: int, n: int) -> FixturePair:
     """Certified pair built from a base w and an affine cut:
-    u = w sup l, v = w sup (2w - l), so u wedge v = w exactly."""
+    u = w sup l, v = w sup (2w - l), so u wedge v = w exactly.
+
+    u and v are built from their pieces on R^n: w's pieces, then l = (g, c),
+    or the pieces (2a - g, 2b - c) of 2w - l, one per piece (a, b) of w.
+    """
     if not 1 <= n <= 4:
         raise DimensionMismatch("pair generator supports n in 1..4")
     rng = random.Random(f"pair-{seed}-{n}")
     w = _random_coercive_base(rng, n)
     g = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
     c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    ell = make([(g, c)], n=n, coercive=False)
-    reflected = make([(tuple(2 * a - gg for a, gg in zip(slope, g)), 2 * b - c)
-                      for slope, b in w.pieces], n=n, coercive=False)
-    u = sup(w, ell)
-    v = sup(w, reflected)
+    u = make(w.pieces + ((g, c),), n=n)
+    v = make(w.pieces + tuple((tuple(2 * a - gg for a, gg in zip(slope, g)), 2 * b - c)
+                              for slope, b in w.pieces), n=n)
     wedge = inf_if_convex(u, v)  # raises NotConvexMin if construction failed
     if not pwa_equal(wedge, w):
         raise CertificateFailed(f"pair seed={seed} n={n}: u wedge v differs from the base w")
@@ -249,10 +252,8 @@ def staircase_limit_check(zeta, k: int, t, h_values: Sequence) -> LawReport:
     order = None
     nonzero = [(float(h), float(e)) for h, e in zip(map(Fraction, h_values), errors) if e != 0]
     if len(nonzero) >= 2:
-        import numpy as np
-        xs = np.log([h for h, _ in nonzero])
-        ys = np.log([e for _, e in nonzero])
-        order = float(np.polyfit(xs, ys, 1)[0])
+        order = statistics.linear_regression([math.log(h) for h, _ in nonzero],
+                                             [math.log(e) for _, e in nonzero]).slope
     final_error = float(errors[-1])
     ok = exact_limit == target and final_error <= 1e-2 and (order is None or order >= 0.9)
     return LawReport("staircase_limit", f"k={k} t={t}", ok,

@@ -17,12 +17,12 @@ Fractions remain in ``dot`` and the vector helpers, which callers use to
 write the ``Fraction`` H-reps of affine images, transforms and cells,
 outside the hot loops.  The loops over rational points themselves run on
 integers too: ``HRep.satisfies``, ``PWAConvex.eval``, the projection loop
-behind ``polyhedra.nearest_point``, ``hausdorff_distance`` and
-``moreau_eval``, ``ConeBound.holds_for`` and ``cone_bound`` scale a point to
-one homogeneous integer vector (``polyhedra._int_point``) or read the
-integer generators of a double description, test them against primitive
-integer rows and compare values by cross-multiplication, and build a
-``Fraction`` only for the value they return.  The affine images
+behind ``polyhedra.nearest_point`` (which ``hausdorff_distance`` calls once
+per vertex) and ``moreau_eval``, ``ConeBound.holds_for`` and ``cone_bound``
+scale a point to one homogeneous integer vector (``polyhedra._int_point``)
+or read the integer generators of a double description, test them against
+primitive integer rows and compare values by cross-multiplication, and
+build a ``Fraction`` only for the value they return.  The affine images
 (``polyhedra._affine_image``) map integer generators and rows by integer
 matrices.  Sizes are tiny (d <= 7), so no attempt is made at asymptotic
 cleverness.

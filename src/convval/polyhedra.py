@@ -557,6 +557,8 @@ class Polyhedron:
         return self.hrep.satisfies(x)
 
     def contains_polyhedron(self, other: "Polyhedron") -> bool:
+        if self.d != other.d:
+            raise DimensionMismatch(f"cannot compare R^{self.d} with R^{other.d}")
         if other.is_empty:
             return True
         if self.is_empty:
@@ -1037,13 +1039,10 @@ def hausdorff_distance(k: Polyhedron, l: Polyhedron) -> float:
     """Hausdorff distance between two bounded polytopes.
 
     Exact up to the final square root (absolute accuracy ~1e-15): the
-    largest squared distance from a vertex of one body to its projection
-    onto the other (``_projection``, as in ``nearest_point``).  Each vertex
-    (X, x0) of ``_integer()`` and its projection (Y, E) are at squared
-    distance |x0 Y - E X|^2 / (E x0)^2; the largest is kept as that pair of
-    integers and becomes one ``Fraction`` before the root.  Two empty bodies
-    are at distance 0 and an empty body is at distance inf from a nonempty
-    one, the convention for empty sublevel sets.
+    largest squared distance from a vertex of one body to its
+    ``nearest_point`` in the other, then one ``math.sqrt``.  Two empty
+    bodies are at distance 0 and an empty body is at distance inf from a
+    nonempty one, the convention for empty sublevel sets.
     """
     if k.d != l.d:
         raise DimensionMismatch("ambient dimensions differ")
@@ -1051,15 +1050,8 @@ def hausdorff_distance(k: Polyhedron, l: Polyhedron) -> float:
         return 0.0 if k.is_empty and l.is_empty else math.inf
     if not (k.is_bounded and l.is_bounded):
         raise UnboundedPolyhedron("Hausdorff distance needs bounded bodies")
-    num, den = 0, 1
+    worst = Fraction(0)
     for a, b in ((k, l), (l, k)):
-        rows = b.canonical_hrep.int_rows
-        cone = a._integer()
-        for v in cone.gens[:cone.nverts]:
-            *y, e = _projection(rows, v, 10 ** 6)
-            x0 = v[-1]
-            gap = sum((x0 * s - e * r) ** 2 for s, r in zip(y, v))
-            gden = (e * x0) ** 2
-            if gap * den > num * gden:
-                num, den = gap, gden
-    return math.sqrt(Fraction(num, den))
+        for v in a.vrep.vertices:
+            worst = max(worst, sum((s - r) ** 2 for s, r in zip(nearest_point(b, v), v)))
+    return math.sqrt(worst)

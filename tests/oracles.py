@@ -38,7 +38,7 @@ from convval.errors import (BudgetExceeded, CertificateFailed, ConvvalError, Dim
 from convval.functions import cone_function, from_epigraph, indicator_function, make
 from convval.growth import (GrowthFunction, _kernel_partial, make_growth, padd, pantider,
                             peval, pmul, pscale, ptrim, tail_integral)
-from convval.laws import generate_pair_with_convex_min, random_body
+from convval.laws import _random_coercive_base, generate_pair_with_convex_min, random_body
 from convval.linalg import dot, invert, rank, scale_to_int, solve, vec_add, vec_scale, vec_sub
 from convval.polyhedra import (HRep, Polyhedron, VRep, _fracvec, cut_by, intersect, triangulate,
                                volume)
@@ -1093,6 +1093,30 @@ def hull_of(u, v):
     gu, gv = u.epigraph.vrep, v.epigraph.vrep
     return Polyhedron.from_generators(u.n + 1, gu.vertices + gv.vertices,
                                       gu.rays + gv.rays, gu.lines + gv.lines)
+
+
+def oracle_sup(u, v):
+    """``sup`` as it was: a double description of the common domain for its
+    emptiness, then ``make`` of both functions' pieces."""
+    if u.n != v.n:
+        raise DimensionMismatch("dimension mismatch in sup")
+    dom = HRep(u.n, u.domain.halfspaces + v.domain.halfspaces)
+    if Polyhedron(hrep=dom).is_empty:
+        raise EmptyDomain("sup has empty domain; the maximum is improper")
+    return make(u.pieces + v.pieces, dom, n=u.n, coercive=u.coercive or v.coercive)
+
+
+def oracle_pair_by_sup(seed, n):
+    """(u, v) of ``generate_pair_with_convex_min`` as they were built: l and
+    2w - l as functions of their own, each joined with w by ``oracle_sup``."""
+    rng = random.Random(f"pair-{seed}-{n}")
+    w = _random_coercive_base(rng, n)
+    g = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+    c = F(rng.randint(-4, 4), rng.randint(1, 3))
+    ell = make([(g, c)], n=n, coercive=False)
+    reflected = make([(tuple(2 * a - gg for a, gg in zip(slope, g)), 2 * b - c)
+                      for slope, b in w.pieces], n=n, coercive=False)
+    return oracle_sup(w, ell), oracle_sup(w, reflected)
 
 
 def oracle_inf_if_convex(u, v):

@@ -361,7 +361,7 @@ def test_unwritable_output_exits_2(abs_doc, zeta_docs, tmp_path, capsys, argv):
 CONVVAL_MODULES = {f"convval.{m}" for m in ("cli", "conjugacy", "documents", "errors",
                                               "functions", "growth", "laws", "linalg",
                                               "polyhedra", "reports", "valuation")}
-OTHERS = {"hashlib", "mpmath", "sympy"}
+OTHERS = {"hashlib", "mpmath", "numpy", "sympy"}
 
 
 def _unloaded(*names):
@@ -370,8 +370,9 @@ def _unloaded(*names):
 
 # argv (None: only ``import convval``) and the watched modules it must leave
 # unrun (``import convval`` lists its library modules in sys.modules, unrun).
-# Only a tailed ``growth`` integrates with mpmath, and only
-# ``valuation`` digests its inputs with hashlib.
+# Only a tailed ``growth`` integrates with mpmath, only ``valuation``
+# digests its inputs with hashlib, and no command loads numpy (``laws
+# staircase`` fits its log-log slope with ``statistics``).
 LEAVES_UNLOADED = [
     (None, CONVVAL_MODULES | OTHERS),
     (["growth", "{poly}", "--n", "3"],
@@ -384,6 +385,7 @@ LEAVES_UNLOADED = [
     (["infconv", "{u}", "{u}"], _unloaded("laws", "valuation") | OTHERS),
     (["valuation", "{u}", "{z0}", "{zn}"], _unloaded("laws", "conjugacy") | OTHERS - {"hashlib"}),
     (["laws", "valuation", "--count", "1"], OTHERS),
+    (["laws", "staircase", "--count", "1"], OTHERS),
     (["fixtures", "--count", "1", "--out", "{fx}"], OTHERS),
 ]
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from convval.conjugacy import (ConeBound, biconjugate_check, cone_bound,
                                conjugate, epi_scale, inf_convolution,
                                moreau_eval, uniform_cone_bound)
-from convval.errors import CertificateFailed, NotCoercive
+from convval.errors import CertificateFailed, DimensionMismatch, NotCoercive
 from convval.functions import cone_function, indicator_function, make, pwa_equal
 from convval.laws import generate_pair_with_convex_min
 from convval.polyhedra import Polyhedron
@@ -174,6 +174,18 @@ class TestMoreau:
             if prev is not None:
                 assert val >= prev  # smaller t => tighter envelope
             prev = val
+
+    def test_point_coordinates_of_any_type(self):
+        u = make([((1, 1), 0), ((-1, 1), 1), ((1, -1), 0), ((-1, -1), 0)], n=2)
+        t = F(1, 3)
+        want = moreau_eval(u, t, (F(1), F(-2)))
+        assert want == moreau_eval(u, t, (1, -2)) == moreau_eval(u, t, (1.0, -2.0))
+        assert want == moreau_eval(u, t, ("1", "-2"))
+        want = moreau_eval(u, t, (F(1, 2), F(-3, 4)))
+        assert want == moreau_eval(u, t, (0.5, -0.75)) == moreau_eval(u, t, ("1/2", "-3/4"))
+        for point in ((1,), (1, 2, 3)):
+            with pytest.raises(DimensionMismatch):
+                moreau_eval(u, t, point)
 
     def test_against_dense_grid_oracle(self):
         u = make([((1,), -1), ((-1,), 0), ((3,), -4)], n=1)

@@ -11,7 +11,9 @@ built again for the same body, fail a test, not only a benchmark run.  ``from_ep
 polyhedron on its own double description and builds on first read; it is
 compared with the route that checked the canonical H-rep and built right
 away, and its count guards make a smoothing element built for a cone
-bound, or a conjugate built twice, fail a test.
+bound, or a conjugate built twice, fail a test.  The pair generator and
+``sup`` build each function once, by ``_build``; they are compared with
+the routes that built l, 2w - l and the common domain first.
 """
 
 import sys
@@ -28,8 +30,8 @@ from convval.conjugacy import (ConeBound, biconjugate_check, cone_bound, conjuga
                                inf_convolution, uniform_cone_bound)
 from convval.documents import function_to_doc
 from convval.errors import ConvvalError, EmptyDomain, NotCoercive
-from convval.functions import (cone_function, from_epigraph, inf_if_convex, make,
-                               pwa_equal, scale_values, sup)
+from convval.functions import (cone_function, from_epigraph, indicator_function,
+                               inf_if_convex, make, pwa_equal, scale_values, sup)
 from convval.laws import generate_pair_with_convex_min, random_body, smoothing_sequence
 from convval.linalg import dot
 from convval.polyhedra import HRep, Polyhedron, cut_by, minkowski_sum
@@ -38,7 +40,8 @@ from oracles import (SLOPES_12, building_by, conjugacy_corpus, coords, epigraph_
                      function_cases, functions_in, hull_of, is_implicit, oracle_active_cells,
                      oracle_build_pruned_by_cells, oracle_cone_bound_by_conjugate,
                      oracle_cone_function, oracle_from_epigraph, oracle_holds_for,
-                     oracle_incidence, oracle_inf_if_convex, outcome)
+                     oracle_incidence, oracle_inf_if_convex, oracle_pair_by_sup, oracle_sup,
+                     outcome)
 
 
 def open_facets(u, v):
@@ -266,6 +269,44 @@ class TestInfIfConvexAgainstPerPairRoute:
 
 
 SLOPES_4 = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+
+class TestBuiltOnce:
+    """Each function is built once, by ``_build``: the pair generator builds
+    u and v from their pieces, and ``sup`` leaves the emptiness of the common
+    domain to ``_build``, against the routes that built l, 2w - l and that
+    domain first (``oracle_pair_by_sup``, ``oracle_sup``)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pairs_equal_the_sup_route(self, n):
+        for seed in range(8):
+            pair = generate_pair_with_convex_min(seed, n)
+            for got, want in zip((pair.u, pair.v), oracle_pair_by_sup(seed, n)):
+                assert outcome(lambda: got) == outcome(lambda: want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(functions_in(n), functions_in(n))))
+    def test_sup_equals_the_route_through_make(self, cases):
+        try:
+            u, v = (make(pieces, domain, n=domain.d, coercive=coercive)
+                    for pieces, domain, coercive in cases)
+        except ConvvalError:
+            return
+        assert outcome(sup, u, v) == outcome(oracle_sup, u, v)
+
+    def test_sup_of_disjoint_domains_is_empty(self):
+        a = indicator_function(Polyhedron.box([(0, 1), (0, 1)]))
+        b = indicator_function(Polyhedron.box([(2, 3), (0, 1)]))
+        with pytest.raises(EmptyDomain):
+            sup(a, b)
+
+    def test_sup_runs_one_double_description(self):
+        u = make([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)])
+        v = make([((2, 0), -3), ((-2, 0), -3), ((0, 2), -3), ((0, -2), -3)])
+        with counted(polyhedra, "hrep_to_vrep") as calls:
+            w = sup(u, v)
+        assert w.pieces == u.pieces + v.pieces  # every piece is active
+        assert len(calls) == 1
 
 
 class TestDoubleDescriptionCounts:

@@ -81,6 +81,13 @@ class TestPredicates:
         assert p.contains((F(1, 2), F(1, 2))) and not p.contains((2, 0))
         assert p.dim == 2 and p.is_bounded
 
+    def test_contains_polyhedron_across_dimensions(self):
+        point, square = Polyhedron.box([(-2, -2)]), Polyhedron.box([(-2, -2), (1, 1)])
+        for a, b in ((point, square), (square, point)):
+            with pytest.raises(DimensionMismatch):
+                a.contains_polyhedron(b)
+        assert point != square
+
     def test_relative_interior(self):
         from convval.polyhedra import relative_interior_contains
         seg = Polyhedron.from_generators(2, [(0, 0), (1, 0)])
