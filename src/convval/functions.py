@@ -457,8 +457,8 @@ def inf_if_convex(u: PWAConvex, v: PWAConvex) -> PWAConvex:
 
 
 def pwa_equal(u: PWAConvex, v: PWAConvex) -> bool:
-    """Exact function equality (epigraphs describe the same set)."""
-    return u.n == v.n and u.epigraph == v.epigraph
+    """Exact function equality: the epigraphs, read as sets, are equal."""
+    return u.n == v.n and u._epigraph_set() == v._epigraph_set()
 
 
 # ---------------------------------------------------------------------------

@@ -263,10 +263,10 @@ def make_growth(breakpoints: Sequence, pieces: Sequence, *, left_constant=0,
     ``pieces`` are ascending-coefficient polynomials between consecutive
     breakpoints; ``left_constant`` is the value on (-inf, t0]; ``tail`` is an
     optional (lam, coeffs) exponential tail on [t_m, inf).  Continuity is
-    enforced exactly at every polynomial breakpoint; a tail joining a
-    polynomial piece is checked to 1e-9 (the junction value is irrational).
-    A tail starting directly at t0 with no polynomial pieces is accepted as
-    given (the step there is part of the definition, as in e^{-t} on [0, inf)).
+    enforced exactly where two polynomial pieces meet.  The junctions at the
+    support edges (the left constant at t0, the drop to zero or to the tail
+    at t_m) are part of the definition and may jump, as e^{-t} on [0, inf)
+    does at 0, so a tail is accepted as given wherever it starts.
     """
     bp = tuple(Fraction(b) for b in breakpoints)
     if not bp:
@@ -282,10 +282,7 @@ def make_growth(breakpoints: Sequence, pieces: Sequence, *, left_constant=0,
         if lam <= 0:
             raise ValueError("tail decay rate must be positive")
         tail = (lam, ptrim(tuple(Fraction(c) for c in tail[1])))
-    # Continuity is enforced exactly at interior breakpoints (where two
-    # polynomial pieces meet).  The junctions at the support edges (left
-    # constant at t0, drop to zero or to the tail at t_m) are part of the
-    # definition and may jump: the canonical weight 1 on [0, 1] jumps at both.
+    # Interior breakpoints only: the canonical weight 1 on [0, 1] jumps at both edges.
     for i in range(1, len(ps)):
         if peval(ps[i - 1], bp[i]) != peval(ps[i], bp[i]):
             raise ValueError(f"discontinuous at breakpoint {bp[i]}")

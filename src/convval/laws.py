@@ -12,6 +12,7 @@ import math
 import random
 import statistics
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -29,20 +30,21 @@ from .valuation import combined_valuation
 
 @dataclass(frozen=True)
 class FixturePair:
-    """A pair (u, v) whose pointwise minimum is certified convex."""
+    """A certified pair (u, v): ``wedge`` is the base w that u wedge v was
+    certified equal to; ``vee`` is u vee v, built on first read and kept."""
     u: PWAConvex
     v: PWAConvex
-    certified: bool
-    provenance: str
-    seed: int | None = None
-    wedge: PWAConvex | None = None  # cached u min v (when certified at build time)
-    vee: PWAConvex | None = None    # cached u max v
+    seed: int
+    wedge: PWAConvex
+    provenance = "sup-reflection"
+
+    @cached_property
+    def vee(self) -> PWAConvex:
+        return sup(self.u, self.v)
 
     def lattice(self) -> tuple[PWAConvex, PWAConvex]:
-        """(u wedge v, u vee v), computing and certifying if not cached."""
-        wedge = self.wedge if self.wedge is not None else inf_if_convex(self.u, self.v)
-        vee = self.vee if self.vee is not None else sup(self.u, self.v)
-        return wedge, vee
+        """(u wedge v, u vee v)."""
+        return self.wedge, self.vee
 
 
 def default_zetas() -> list[tuple[GrowthFunction, GrowthFunction]]:
@@ -58,17 +60,15 @@ def default_zetas() -> list[tuple[GrowthFunction, GrowthFunction]]:
 # Identity checks
 # ---------------------------------------------------------------------------
 
-def _compare(left, right, float_tol=1e-9):
+def _compare(left, right):
     if isinstance(left, Fraction) and isinstance(right, Fraction):
         return left == right, 0
-    return abs(float(left) - float(right)) <= float_tol, float_tol
+    return abs(float(left) - float(right)) <= 1e-9, 1e-9
 
 
 def check_valuation_identity(zfn: Callable[[PWAConvex], object],
                              pair: FixturePair) -> LawReport:
     """Z(u v-join) + Z(u wedge v) = Z(u) + Z(v) on a certified pair."""
-    if not pair.certified:
-        raise ValueError("valuation identity requires a certified pair")
     wedge, vee = pair.lattice()
     left = zfn(wedge) + zfn(vee)
     right = zfn(pair.u) + zfn(pair.v)
@@ -129,6 +129,8 @@ def generate_pair_with_convex_min(seed: int, n: int) -> FixturePair:
 
     u and v are built from their pieces on R^n: w's pieces, then l = (g, c),
     or the pieces (2a - g, 2b - c) of 2w - l, one per piece (a, b) of w.
+    The certificate is ``inf_if_convex(u, v)`` (NotConvexMin if not convex)
+    equal to w, so the pair's ``wedge`` is w itself.
     """
     if not 1 <= n <= 4:
         raise DimensionMismatch("pair generator supports n in 1..4")
@@ -139,10 +141,9 @@ def generate_pair_with_convex_min(seed: int, n: int) -> FixturePair:
     u = make(w.pieces + ((g, c),), n=n)
     v = make(w.pieces + tuple((tuple(2 * a - gg for a, gg in zip(slope, g)), 2 * b - c)
                               for slope, b in w.pieces), n=n)
-    wedge = inf_if_convex(u, v)  # raises NotConvexMin if construction failed
-    if not pwa_equal(wedge, w):
+    if not pwa_equal(inf_if_convex(u, v), w):
         raise CertificateFailed(f"pair seed={seed} n={n}: u wedge v differs from the base w")
-    return FixturePair(u, v, True, "sup-reflection", seed, wedge=wedge, vee=sup(u, v))
+    return FixturePair(u, v, seed, wedge=w)
 
 
 def random_body(seed: int, n: int, extra_points: int = 3) -> Polyhedron:

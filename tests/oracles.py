@@ -1119,6 +1119,36 @@ def oracle_pair_by_sup(seed, n):
     return oracle_sup(w, ell), oracle_sup(w, reflected)
 
 
+class PairAsBuilt:
+    """``FixturePair`` as it was: the generator set its wedge and vee."""
+    provenance = "sup-reflection"
+
+    def __init__(self, u, v, seed, wedge, vee):
+        self.u, self.v, self.seed, self.wedge, self.vee = u, v, seed, wedge, vee
+
+    def lattice(self):
+        return self.wedge, self.vee
+
+
+def oracle_generate_pair(seed, n):
+    """``generate_pair_with_convex_min`` as it was: the wedge is the
+    ``inf_if_convex`` result, built by comparing its epigraph with w's, and
+    the vee an eager ``sup``."""
+    if not 1 <= n <= 4:
+        raise DimensionMismatch("pair generator supports n in 1..4")
+    rng = random.Random(f"pair-{seed}-{n}")
+    w = _random_coercive_base(rng, n)
+    g = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+    c = F(rng.randint(-4, 4), rng.randint(1, 3))
+    u = make(w.pieces + ((g, c),), n=n)
+    v = make(w.pieces + tuple((tuple(2 * a - gg for a, gg in zip(slope, g)), 2 * b - c)
+                              for slope, b in w.pieces), n=n)
+    wedge = functions.inf_if_convex(u, v)
+    if not (wedge.n == w.n and wedge.epigraph == w.epigraph):
+        raise CertificateFailed(f"pair seed={seed} n={n}: u wedge v differs from the base w")
+    return PairAsBuilt(u, v, seed, wedge, functions.sup(u, v))
+
+
 def oracle_inf_if_convex(u, v):
     """One fresh double description per facet pair of the hull."""
     n = u.n

@@ -79,6 +79,12 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             make_growth([0, 1, 2], [[1], [2]])
 
+    def test_a_tail_may_jump_where_it_starts(self):
+        """The support edges are part of the definition: 5 on [0, 1], then
+        e^(-t) past 1, is accepted as given."""
+        z = make_growth([0, 1], [[5]], tail=(1, [1]))
+        assert z.eval(1) == 5 and z.eval(2) == pytest.approx(math.exp(-2))
+
     def test_nonnegativity_certificate(self):
         with pytest.raises(ValueError):
             make_growth([0, 2], [[F(1, 2), 0, -1]], require_nonnegative=True)

@@ -7,11 +7,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from convval import functions, laws, polyhedra
 from convval.errors import CertificateFailed
 from convval.functions import (cone_function, inf_if_convex, make, pwa_equal,
                                sup)
 from convval.growth import make_growth
-from convval.laws import (check_invariance, check_level_convergence,
+from convval.laws import (SUITES, check_invariance, check_level_convergence,
                           check_min_lattice, check_valuation_identity,
                           generate_pair_with_convex_min, random_body,
                           smoothing_sequence, staircase_fixture,
@@ -19,6 +20,8 @@ from convval.laws import (check_invariance, check_level_convergence,
                           valuation_suite)
 from convval.polyhedra import Polyhedron, intersect, volume
 from convval.valuation import combined_valuation, integral_valuation
+from counting import counted
+from oracles import oracle_generate_pair
 
 Z0 = make_growth([0, 2], [[2, -1]], require_nonnegative=True)
 ZN = make_growth([0, 1], [[1]], require_nonnegative=True)
@@ -44,7 +47,6 @@ class TestPairGenerator:
             assert vee.eval(x) == max(pair.u.eval(x), pair.v.eval(x))
 
     def test_failed_certificate_raises(self, monkeypatch):
-        import convval.laws as laws
         monkeypatch.setattr(laws, "pwa_equal", lambda a, b: False)
         with pytest.raises(CertificateFailed):
             generate_pair_with_convex_min(7, 2)
@@ -53,8 +55,54 @@ class TestPairGenerator:
     @given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 3]))
     def test_certified_across_seeds(self, seed, n):
         pair = generate_pair_with_convex_min(seed, n)
-        assert pair.certified
+        wedge, vee = pair.lattice()
+        assert pwa_equal(wedge, inf_if_convex(pair.u, pair.v))
+        assert pwa_equal(vee, sup(pair.u, pair.v))
         assert check_min_lattice(pair).passed
+
+
+class TestFixturePair:
+    """The pair hands out what the generator certified: the wedge is the
+    base w and the vee is built on first read.  Every report is the one the
+    eager generator (``oracle_generate_pair``) gives."""
+
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_reports_equal_the_eager_generators(self, monkeypatch, name):
+        suite = SUITES[name][0]
+        got = [suite(seed, 3, n) for n in (1, 2, 3) for seed in (0, 7)]
+        monkeypatch.setattr(laws, "generate_pair_with_convex_min", oracle_generate_pair)
+        assert got == [suite(seed, 3, n) for n in (1, 2, 3) for seed in (0, 7)]
+
+    def test_valuation_reports_equal_the_eager_generators_at_n4(self, monkeypatch):
+        got = valuation_suite(0, 2, 4)
+        monkeypatch.setattr(laws, "generate_pair_with_convex_min", oracle_generate_pair)
+        assert got == valuation_suite(0, 2, 4)
+
+    def test_the_vee_is_built_once_on_first_read(self):
+        with counted(functions, "sup") as calls:
+            pair = generate_pair_with_convex_min(3, 2)
+            assert calls == []
+            _, vee = pair.lattice()
+            assert len(calls) == 1
+            assert pair.lattice()[1] is vee and len(calls) == 1
+        assert pwa_equal(vee, sup(pair.u, pair.v))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_polar_double_description_fewer_per_pair(self, n):
+        def polar_dds(generate):
+            with counted(polyhedra, "vrep_to_hrep") as calls:
+                for seed in range(3):
+                    generate(seed, n).lattice()
+            return len(calls)
+
+        assert polar_dds(generate_pair_with_convex_min) == polar_dds(oracle_generate_pair) - 3
+
+    def test_pwa_equal_builds_no_from_epigraph_result(self):
+        pair = generate_pair_with_convex_min(1, 2)
+        hull = inf_if_convex(pair.u, pair.v)
+        assert pwa_equal(hull, pair.wedge) and pwa_equal(pair.wedge, hull)
+        assert not pwa_equal(hull, pair.u)
+        assert "built" not in functions._DERIVED.get(hull, {})
 
 
 class TestValuationIdentity:

@@ -1,9 +1,11 @@
 """The package namespace: every public name, loaded on first use."""
 
+import ast
 import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,3 +114,13 @@ def test_the_cli_runs_as_a_module_without_warnings():
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=120)
     assert (out.returncode, out.stdout, out.stderr) == (0, convval.__version__ + "\n", "")
+
+
+def test_src_has_no_assert():
+    """``python -O`` strips asserts, so ``src/convval`` checks by raising
+    typed ``ConvvalError``s instead."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(convval.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
