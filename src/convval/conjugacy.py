@@ -94,7 +94,7 @@ def moreau_eval(u: PWAConvex, t, x: Sequence, *, budget: int = 10 ** 6) -> Fract
     if len(xs) != u.n:
         raise DimensionMismatch("point dimension mismatch")
     t1, t2 = t.numerator, t.denominator
-    scale, prows = u._derived("integer pieces", u._integer_pieces)
+    scale, prows = u._integer_pieces
     den = 2 * t1 * q * q * scale  # each value is N / (den E^2)
     rows = zip(u.pieces, prows)
     best = None

@@ -25,16 +25,17 @@ the face of the epigraph where its piece's row is tight, projected by
 dropping t, so it is read off the epigraph's double description: the
 generators tight on that row, without t and made primitive, with their
 masks remapped to the cell's rows; no cell runs a double description.  Such
-derived values (the deferred build, the cells, the minimum, the level
-profile and the conjugate) are kept in a module-level weak cache keyed by
-the function, so a function is never written to after construction.
+derived values (the deferred build, the cells, the integer pieces, the
+minimum, the level profile and the conjugate) are computed on first use
+and kept on the function itself; none refers back to it, so each is freed
+with its function.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from operator import mul
 from typing import Iterable, Sequence
@@ -55,14 +56,9 @@ from .polyhedra import (HRep, Polyhedron, _affine_image, _Cone, _diag, _fracvec,
 Piece = tuple[tuple[Fraction, ...], Fraction]
 INF = math.inf
 
-# function -> {name: value} for what a function works out on first use (the
-# build that from_epigraph defers, its cells, minimum, level profile and
-# conjugate); weak, so an entry lives only as long as its function.
-_DERIVED = weakref.WeakKeyDictionary()
-
 
 class PWAConvex:
-    """Piecewise-affine convex function; immutable after construction.
+    """Piecewise-affine convex function; what it derives is kept on it.
 
     Use :func:`make`, :func:`cone_function`, :func:`indicator_function` or the
     other constructors rather than calling ``PWAConvex`` directly.
@@ -78,23 +74,21 @@ class PWAConvex:
 
     def __getattr__(self, name):
         """``pieces``, ``domain`` and ``epigraph`` of a function that
-        ``from_epigraph`` returned: its build, run on the first read of any
-        of them and kept in ``_DERIVED``.  Only called for a name the
-        function does not hold."""
+        ``from_epigraph`` returned: the first read of any of them runs its
+        build once and sets all three on the function, so later reads are
+        plain attribute reads.  Only called for a name the function does
+        not hold."""
         if name not in ("pieces", "domain", "epigraph"):
             raise AttributeError(f"'PWAConvex' object has no attribute '{name}'")
-        built = self._derived("built", lambda: _build_from_rows(self._given, self.n,
-                                                                self.coercive))
+        built = _build_from_rows(self._given, self.n, self.coercive)
+        self.pieces, self.domain, self.epigraph = built.pieces, built.domain, built.epigraph
         return getattr(built, name)
 
     def _derived(self, name: str, compute):
-        """``compute()``, worked out once per function and kept in ``_DERIVED``."""
-        known = _DERIVED.get(self)
-        if known is None:
-            known = _DERIVED[self] = {}
-        if name not in known:
-            known[name] = compute()
-        return known[name]
+        """``compute()``, worked out on first use and kept on the function."""
+        if name not in vars(self):
+            vars(self)[name] = compute()
+        return vars(self)[name]
 
     def _epigraph_set(self) -> Polyhedron:
         """The epigraph as a set, for readers that need neither the pieces
@@ -102,11 +96,11 @@ class PWAConvex:
         double description has run, so reading it builds nothing."""
         return self.__dict__.get("_given") or self.epigraph
 
-    @property
+    @cached_property
     def cells(self) -> tuple[tuple[Piece, Polyhedron], ...]:
         """(piece, cell) per piece, in piece order: the cell is the nonempty
         part of the domain where that piece attains the maximum."""
-        return self._derived("cells", lambda: _active_cells(self))
+        return _active_cells(self)
 
     # -- basic queries -------------------------------------------------------
 
@@ -123,9 +117,10 @@ class PWAConvex:
             raise DimensionMismatch(f"point of length {len(y) - 1} for a function on R^{self.n}")
         if not _within(self.domain.int_rows, y):
             return INF
-        scale, rows = self._derived("integer pieces", self._integer_pieces)
+        scale, rows = self._integer_pieces
         return Fraction(max(sum(map(mul, row, y)) for row in rows), scale * y[-1])
 
+    @cached_property
     def _integer_pieces(self) -> tuple[int, list[tuple[int, ...]]]:
         """(L, rows): the rows L (a, b) of the pieces, L the lcm of their
         denominators."""
@@ -135,8 +130,9 @@ class PWAConvex:
 
     def min_value(self) -> tuple[Fraction, Polyhedron]:
         """(min value, argmin polytope); the minimum is attained by coercivity."""
-        return self._derived("min", self._minimum)
+        return self._minimum
 
+    @cached_property
     def _minimum(self) -> tuple[Fraction, Polyhedron]:
         verts = self.epigraph.vrep.vertices
         if not verts:

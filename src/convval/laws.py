@@ -96,17 +96,18 @@ def check_invariance(zfn: Callable[[PWAConvex], object], u: PWAConvex,
     base = zfn(u)
     rng = random.Random(f"invariance-{seed}")
     n = u.n
+    tol = 0
     for trial in range(trials):
         phi = random_unimodular(rng.randrange(2 ** 30), n, 6)
         for _ in range(translations):
             tau = tuple(Fraction(rng.randint(-24, 24), rng.randint(1, 5))
                         for _ in range(n))
             moved = zfn(transform(u, phi, tau))
-            ok, _ = _compare(base, moved)
+            ok, tol = _compare(base, moved)
             if not ok:
-                return LawReport("invariance", f"seed={seed}", False, base, moved,
+                return LawReport("invariance", f"seed={seed}", False, base, moved, tol,
                                  witness=(phi, tau))
-    return LawReport("invariance", f"seed={seed} trials={trials}", True, base, base)
+    return LawReport("invariance", f"seed={seed} trials={trials}", True, base, base, tol)
 
 
 # ---------------------------------------------------------------------------

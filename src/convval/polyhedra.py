@@ -537,8 +537,8 @@ class Polyhedron:
 
     @property
     def is_bounded(self) -> bool:
-        v = self.vrep
-        return not v.rays and not v.lines
+        c = self._integer()
+        return not c.nverts or (len(c.gens) == c.nverts and not c.lines)
 
     @property
     def dim(self) -> int:

@@ -650,6 +650,12 @@ def oracle_dim(p):
     return rank(vecs) if vecs else 0
 
 
+def oracle_is_bounded(p):
+    """``Polyhedron.is_bounded`` read off the Fraction V-rep."""
+    v = p.vrep
+    return not v.rays and not v.lines
+
+
 def oracle_translate(p, v):
     v = _fracvec(v)
     vr = p.vrep

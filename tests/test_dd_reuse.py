@@ -526,7 +526,7 @@ class TestDeferredFromEpigraph:
                 others = [ConeBound(bound.a, bound.b + 2), ConeBound(4 * bound.a, bound.b)]
                 held = [b.holds_for(w) for b in [bound] + others]
             assert v2h == []
-            assert "built" not in functions._DERIVED.get(w, {})
+            assert "pieces" not in vars(w)
             assert bound == oracle_cone_bound_by_conjugate(w)
             assert held == [oracle_holds_for(b, w) for b in [bound] + others]
 

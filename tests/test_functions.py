@@ -1,16 +1,25 @@
 """Piecewise-affine convex functions: construction, lattice ops, transforms."""
 
+import contextlib
+import gc
 import random
+import weakref
 from fractions import Fraction as F
+from functools import cached_property
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from convval import conjugacy, functions, valuation
+from convval.conjugacy import conjugate, moreau_eval
 from convval.errors import EmptyDomain, NotCoercive, NotConvexMin, NotUnimodular
-from convval.functions import (cone_function, indicator_function,
+from convval.functions import (PWAConvex, cone_function, from_epigraph, indicator_function,
                                inf_if_convex, make, pwa_equal, sup, transform)
 from convval.linalg import dot
 from convval.polyhedra import HRep, Polyhedron, volume
+from convval.valuation import level_volume_profile
+from counting import counted
 
 
 def unit_square():
@@ -66,12 +75,10 @@ class TestConstruction:
         m, arg = v.min_value()
         assert m == 0 and volume(arg) == 2
 
-    def test_no_writes_after_construction(self):
+    def test_derived_values_computed_once(self):
         u = make([((1,), -1), ((-1,), -1), ((0,), 0)], n=1)
-        before = dict(vars(u))
         assert len(u.cells) == 3 and u.min_value()[0] == 0
         assert u.cells is u.cells and u.min_value() is u.min_value()
-        assert vars(u) == before
 
     def test_sublevel(self):
         u = abs2()
@@ -208,6 +215,71 @@ class TestRefinement:
     def test_cells_are_cached(self):
         u = abs2()
         assert u.cells is u.cells
+
+
+def deferred():
+    """A function from ``from_epigraph``, not yet built."""
+    return from_epigraph(abs2().epigraph)
+
+
+class TestDerivedOnTheFunction:
+    """What a function derives is computed on first use and kept in its own
+    ``__dict__``; nothing keeps the function alive."""
+
+    def test_cached_properties(self):
+        for name in ("cells", "_integer_pieces", "_minimum"):
+            assert isinstance(vars(PWAConvex)[name], cached_property)
+
+    def test_each_value_computed_once(self):
+        own = {name: vars(PWAConvex)[name] for name in ("cells", "_integer_pieces", "_minimum")}
+        for u in (abs2(), deferred()):
+            with contextlib.ExitStack() as stack:
+                runs = {name: stack.enter_context(mock.patch.object(prop, "func", wraps=prop.func))
+                        for name, prop in own.items()}
+                cells = stack.enter_context(counted(functions, "_active_cells"))
+                profiles = stack.enter_context(counted(valuation, "_profile"))
+                conjugates = stack.enter_context(counted(conjugacy, "_conjugate"))
+                for _ in range(3):
+                    assert u.cells is u.cells and u.min_value() is u.min_value()
+                    assert u._integer_pieces is u._integer_pieces
+                    assert level_volume_profile(u) is level_volume_profile(u)
+                    assert conjugate(u) is conjugate(u)
+                    assert u.eval((F(1, 2), F(-1, 3))) == F(5, 6)
+                    assert moreau_eval(u, 1, (1, 0)) == F(1, 2)
+            assert [run.call_count for run in runs.values()] == [1, 1, 1]
+            assert len(cells) == len(profiles) == len(conjugates) == 1
+            assert {"cells", "_integer_pieces", "_minimum", "profile",
+                    "conjugate"} <= set(vars(u))
+
+    def test_freed_on_del_with_every_value_filled(self):
+        """Without a garbage collection: no derived value refers back to
+        its function."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for build in (abs2, deferred):
+                u = build()
+                u.cells, u.min_value(), level_volume_profile(u), conjugate(conjugate(u))
+                u.eval((1, 1)), moreau_eval(u, 1, (1, 0))
+                ref = weakref.ref(u)
+                del u
+                assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_deferred_build_replaces_itself(self):
+        w = deferred()
+        assert not {"pieces", "domain", "epigraph"} & set(vars(w))
+        with counted(functions, "_build_from_rows") as builds:
+            for _ in range(2):
+                pieces, domain, epigraph = w.pieces, w.domain, w.epigraph
+                assert w.epigraph is epigraph and w.pieces is pieces and w.domain is domain
+        assert len(builds) == 1
+        assert {"pieces", "domain", "epigraph"} <= set(vars(w))
+        assert not any(isinstance(x, PWAConvex) for x in vars(w).values())
+        fresh = functions._build_from_rows(w._given, w.n, w.coercive)
+        assert (w.pieces, w.domain, w.epigraph) == (fresh.pieces, fresh.domain, fresh.epigraph)
 
 
 @settings(max_examples=30, deadline=None)

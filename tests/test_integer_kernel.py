@@ -17,10 +17,10 @@ from convval import linalg
 from convval.linalg import vec_add, vec_sub
 from convval.polyhedra import (HRep, Polyhedron, VRep, _fracvec, _int_rows, apply_linear,
                                cone_generators, cut_by, hrep_to_vrep, minkowski_sum,
-                               scale, translate, triangulate, vrep_to_hrep)
+                               scale, translate, triangulate, volume, vrep_to_hrep)
 from counting import counted
 from oracles import (oracle_cone_generators, oracle_determinant, oracle_hrep_to_vrep,
-                     oracle_invert, oracle_null_space, oracle_rank, oracle_rref,
+                     oracle_invert, oracle_is_bounded, oracle_null_space, oracle_rank, oracle_rref,
                      oracle_scale_to_int, oracle_solve, oracle_triangulate,
                      oracle_two_echelon_cone_generators, oracle_vrep_to_hrep, rationals)
 
@@ -264,6 +264,28 @@ class TestDoubleDescriptionAgainstFractionRoute:
         assert v == oracle_hrep_to_vrep(slab) and len(v.lines) == 2
         assert hrep_to_vrep(HRep.infeasible(2)) == VRep.empty(2)
         assert hrep_to_vrep(HRep.make(2, [])) == oracle_hrep_to_vrep(HRep.make(2, []))
+
+
+class TestBoundedOnTheCone:
+    """``is_bounded`` reads the integer cone, as ``is_empty`` and ``dim``
+    do, not the Fraction V-rep."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(carried_polyhedra(), redundant_vreps().map(
+        lambda v: Polyhedron.from_generators(v.d, v.vertices, v.rays, v.lines))))
+    def test_against_the_vrep_route(self, p):
+        """Empty, lineal, with rays, hulls and carried images."""
+        assert p.is_bounded == oracle_is_bounded(p)
+
+    def test_builds_no_fraction_vrep(self):
+        box = Polyhedron.box([(0, 1), (-1, 2)])
+        quadrant = Polyhedron.from_halfspaces(2, [((-1, 0), 0), ((0, -1), 0)])
+        image, ray_image = scale(box, 3), translate(quadrant, (1, F(1, 2)))
+        restricted, _ = next(cut_by(box, [[((1, 1), 1)]]))
+        assert image.is_bounded and not ray_image.is_bounded
+        assert volume(restricted) == F(3, 2)
+        assert image._vrep is None and ray_image._vrep is None and restricted._vrep is None
+        assert Polyhedron.empty(2).is_bounded
 
 
 class TestConeGeneratorsOneElimination:

@@ -102,7 +102,7 @@ class TestFixturePair:
         hull = inf_if_convex(pair.u, pair.v)
         assert pwa_equal(hull, pair.wedge) and pwa_equal(pair.wedge, hull)
         assert not pwa_equal(hull, pair.u)
-        assert "built" not in functions._DERIVED.get(hull, {})
+        assert "pieces" not in vars(hull)
 
 
 class TestValuationIdentity:
@@ -143,6 +143,22 @@ class TestInvariance:
         pair = generate_pair_with_convex_min(3, 2)
         rep = check_invariance(probe, pair.u, trials=8, seed=0, translations=2)
         assert not rep.passed and rep.witness is not None
+        assert rep.tolerance == 0
+        rep = check_invariance(lambda u: float(probe(u)), pair.u, trials=8, seed=0,
+                               translations=2)
+        assert not rep.passed and rep.tolerance == 1e-9
+
+    def test_reports_the_tolerance_it_compared_with(self):
+        """A tailed weight gives a float valuation, compared to 1e-9; an
+        exact one is compared with tolerance 0.  Either way
+        |left - right| <= tolerance."""
+        tailed = make_growth([0], [], tail=(1, [1]))
+        u = generate_pair_with_convex_min(3, 2).u
+        rep = check_invariance(lambda f: combined_valuation(tailed, ZN, f), u, trials=2, seed=0)
+        assert rep.passed and isinstance(rep.left, float) and rep.tolerance == 1e-9
+        assert abs(rep.left - rep.right) <= rep.tolerance
+        rep = check_invariance(zfn, u, trials=2, seed=0)
+        assert rep.passed and isinstance(rep.left, F) and rep.tolerance == 0
 
 
 class TestTruncationFixture:
