@@ -122,6 +122,12 @@ def function_from_doc(doc: dict) -> PWAConvex:
 # -- growth functions --------------------------------------------------------
 
 def growth_to_doc(z: GrowthFunction) -> dict:
+    """The document of ``z``, whose left piece must be a constant: the schema
+    has only ``left_constant``, so a polynomial left piece (a psi_n from
+    ``psi_from_zeta``) raises a :class:`DocumentError`."""
+    if len(z.left) > 1:
+        raise DocumentError(f"left piece of degree {len(z.left) - 1}: a growth document "
+                            "holds only a left constant")
     doc = {
         "schema": SCHEMA,
         "kind": "growth",

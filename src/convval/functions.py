@@ -48,6 +48,7 @@ from .errors import (
     NotUnimodular,
     OriginNotInBody,
     EmptyPolyhedron,
+    UnboundedPolyhedron,
 )
 from .linalg import determinant, dot, invert, vec_scale, vec_sub
 from .polyhedra import (HRep, Polyhedron, _affine_image, _Cone, _diag, _fracvec, _Generators,
@@ -296,7 +297,8 @@ def from_epigraph(epi: Polyhedron, *, coercive: bool = True) -> PWAConvex:
     """Function whose epigraph is the given polyhedron in R^{n+1}.
 
     The polyhedron must actually be an epigraph: recession direction
-    (0, ..., 0, 1) and bounded below in the last coordinate.  Both are
+    (0, ..., 0, 1) and bounded below in the last coordinate (else
+    :class:`UnboundedPolyhedron`: the function is -inf somewhere).  Both are
     checked on the rows of its own double description: for a nonempty
     polyhedron the recession cone is {y : A y <= 0} for any H-rep A, so some
     row has a positive (or a negative) t-coefficient iff some row of the
@@ -311,7 +313,8 @@ def from_epigraph(epi: Polyhedron, *, coercive: bool = True) -> PWAConvex:
     if any(row[n] > 0 for row in rows):
         raise ValueError("polyhedron is not an epigraph (violates recession (0,1))")
     if not any(row[n] < 0 for row in rows):
-        raise ValueError("polyhedron is unbounded below; not the epigraph of a proper function")
+        raise UnboundedPolyhedron(
+            "polyhedron is unbounded below; not the epigraph of a proper function")
     if coercive and not _check_coercive(epi, n):
         raise NotCoercive("some sublevel set is unbounded")
     u = object.__new__(PWAConvex)  # pieces, domain and epigraph come from __getattr__

@@ -16,14 +16,14 @@ polynomial f from a start level to infinity: the moments take f = t^k, and
 the valuation's layer cake takes f = V', the derivative of the level-volume
 profile.  The cone growth function of the induced integral valuation is
 
-    psi_n(t) = n * Integral_t^inf (r - t)^(n-1) zeta(r) dr,
+    psi_n(t) = n * Integral_t^inf (r - t)^(n-1) zeta(r) dr = n! * I^n zeta(t)
 
-piecewise polynomial for polynomial-compact zeta, computed exactly here from
-one kernel, Integral_t^d (r - t)^(n-1) p(r) dr, whose differences give the
-fixed-limit integrals of the pieces to the right of t, summed once from the
-right.  The inverse relation zeta = ((-1)^n / n!) * psi_n^{(n)} is checked
-exactly, piece by piece.  Nonnegativity certificates use Sturm sequences
-over the rationals; mpmath is imported only to integrate exponential tails.
+with I f(t) = Integral_t^inf f(r) dr (Cauchy's formula for repeated
+integration), so for polynomial-compact zeta it is one exact integration
+step applied n times and scaled by n!.  The inverse relation zeta =
+((-1)^n / n!) * psi_n^{(n)}, that is D^n I^n = (-1)^n, is checked exactly,
+piece by piece.  Nonnegativity certificates use Sturm sequences over the
+rationals; mpmath is imported only to integrate exponential tails.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Sequence
 
 from .reports import LawReport
@@ -88,15 +88,13 @@ def pantider(c: Sequence) -> Poly:
 
 
 def tail_integral_exact(lam: Fraction, coeffs: Sequence, a: Fraction) -> Fraction:
-    """R with Integral_a^inf (sum c_k t^k) e^{-lam t} dt = R * e^{-lam a}."""
+    """R with Integral_a^inf (sum c_m t^m) e^{-lam t} dt = R * e^{-lam a}:
+    R = sum c_m R_m, R_m = (a^m + m R_(m-1)) / lam, R_(-1) = 0 (by parts)."""
     lam, a = Fraction(lam), Fraction(a)
-    total = Fraction(0)
+    total = r = Fraction(0)
     for m, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        term = sum(Fraction(factorial(m), factorial(i)) * a ** i / lam ** (m - i + 1)
-                   for i in range(m + 1))
-        total += c * term
+        r = (a ** m + m * r) / lam
+        total += c * r
     return total
 
 
@@ -374,16 +372,18 @@ def moment(zeta: GrowthFunction, k: int):
 # The cone growth function psi_n
 # ---------------------------------------------------------------------------
 
-def _kernel_partial(p: Poly, d: Fraction, n: int) -> Poly:
-    """Poly in t: Integral_t^d (r - t)^(n-1) p(r) dr."""
-    out: Poly = ()
-    for a in range(n):
-        coef = Fraction(comb(n - 1, a) * (-1) ** (n - 1 - a))
-        q = pantider(pmul((Fraction(0),) * a + (Fraction(1),), p))
-        inner = padd((peval(q, d),), pscale(-1, q))  # Q(d) - Q(t)
-        mono = (Fraction(0),) * (n - 1 - a) + (coef,)
-        out = padd(out, pmul(mono, inner))
-    return out
+def _integrate_above(b: Sequence[Fraction], pieces: Sequence[Poly],
+                     left: Poly) -> tuple[tuple[Poly, ...], Poly]:
+    """(pieces, left) of I f(t) = Integral_t^inf f(r) dr for the tail-free f
+    that is ``left`` up to b[0], pieces[j] on [b[j], b[j + 1]] and 0 past
+    b[-1].  From right to left, each piece becomes its antiderivative
+    measured from its right end d, plus I f(d); the left piece likewise."""
+    out: list[Poly] = []  # I f on the pieces already passed, right to left
+    for p, d in reversed(tuple(zip((left, *pieces), b))):
+        q = pantider(p)
+        rest = peval(out[-1], d) if out else 0
+        out.append(padd((peval(q, d) + rest,), pscale(-1, q)))
+    return tuple(reversed(out[:-1])), out[-1]
 
 
 class NumericPsi:
@@ -403,29 +403,20 @@ class NumericPsi:
 
 
 def psi_from_zeta(zeta: GrowthFunction, n: int):
-    """psi_n(t) = n * Integral_t^inf (r - t)^(n-1) zeta(r) dr.
+    """psi_n(t) = n * Integral_t^inf (r - t)^(n-1) zeta(r) dr = n! * I^n zeta(t).
 
     Exact piecewise polynomial (a GrowthFunction with polynomial left piece)
-    for polynomial-compact zeta; a quadrature-backed :class:`NumericPsi` for
-    tailed zeta.
+    for polynomial-compact zeta, one :func:`_integrate_above` step applied n
+    times; a quadrature-backed :class:`NumericPsi` for tailed zeta.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if zeta.tail is not None:
         return NumericPsi(zeta, n)
-    # On piece j, psi_n / n is Integral_t^{b_(j+1)} plus the fixed-limit
-    # integrals over the pieces to its right; ``acc`` sums the latter from
-    # the right, Integral_c^d = K(d) - K(c) with K = _kernel_partial.
-    b = zeta.breakpoints
-    acc: Poly = ()
-    pieces = []
-    for j in reversed(range(len(zeta.pieces))):
-        p = zeta.pieces[j]
-        acc = padd(acc, _kernel_partial(p, b[j + 1], n))
-        pieces.append(pscale(n, acc))
-        acc = padd(acc, pscale(-1, _kernel_partial(p, b[j], n)))
-    left = pscale(n, padd(_kernel_partial(zeta.left, b[0], n), acc))
-    return GrowthFunction(b, tuple(reversed(pieces)), left, None, False)
+    pieces, left = zeta.pieces, zeta.left
+    for _ in range(n):
+        pieces, left = _integrate_above(zeta.breakpoints, pieces, left)
+    return GrowthFunction(zeta.breakpoints, pieces, left, None, False).scaled(factorial(n))
 
 
 def check_derivative_relation(zeta: GrowthFunction, n: int) -> LawReport:

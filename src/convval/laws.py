@@ -279,9 +279,13 @@ def smoothing_sequence(u: PWAConvex, k_steep: Polyhedron, k: int) -> PWAConvex:
     return inf_convolution(u, scale_values(cone_function(k_steep), k))
 
 
+_LEVEL_TOLERANCE = 1e-6  # the last distance at each level must be below it
+
+
 def check_level_convergence(sequence: Sequence[PWAConvex], u: PWAConvex,
-                            levels: Sequence, threshold: float = 1e-6) -> LawReport:
-    """Per-level Hausdorff distances nonincreasing and finally below threshold.
+                            levels: Sequence) -> LawReport:
+    """Per-level Hausdorff distances nonincreasing and finally below
+    ``_LEVEL_TOLERANCE``.
 
     ``hausdorff_distance`` keeps the paper's empty-set convention: 0 where
     both sublevel sets are empty, inf (a failure of that element) where
@@ -295,11 +299,11 @@ def check_level_convergence(sequence: Sequence[PWAConvex], u: PWAConvex,
         dists = [hausdorff_distance(su, uk.sublevel(t)) for uk in sequence]
         per_level[Fraction(t)] = dists
         monotone = all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
-        if not (monotone and dists[-1] < threshold):
+        if not (monotone and dists[-1] < _LEVEL_TOLERANCE):
             ok = False
             witness = (Fraction(t), dists)
     return LawReport("level_convergence", f"levels={list(levels)}", ok,
-                     witness=witness, tolerance=threshold,
+                     witness=witness, tolerance=_LEVEL_TOLERANCE,
                      details={"distances": per_level})
 
 

@@ -36,8 +36,8 @@ from convval.errors import (BudgetExceeded, CertificateFailed, ConvvalError, Dim
                             EmptyDomain, EmptyPolyhedron, NotCoercive, NotConvexMin,
                             UnboundedPolyhedron)
 from convval.functions import cone_function, from_epigraph, indicator_function, make
-from convval.growth import (GrowthFunction, _kernel_partial, make_growth, padd, pantider,
-                            peval, pmul, pscale, ptrim, tail_integral)
+from convval.growth import (GrowthFunction, make_growth, padd, pantider, peval, pmul, pscale,
+                            ptrim, tail_integral)
 from convval.laws import _random_coercive_base, generate_pair_with_convex_min, random_body
 from convval.linalg import dot, invert, rank, scale_to_int, solve, vec_add, vec_scale, vec_sub
 from convval.polyhedra import (HRep, Polyhedron, VRep, _fracvec, cut_by, intersect, triangulate,
@@ -1190,7 +1190,8 @@ def oracle_from_epigraph(epi, *, coercive=True):
         else:
             raise ValueError("polyhedron is not an epigraph (violates recession (0,1))")
     if not pieces:
-        raise ValueError("polyhedron is unbounded below; not the epigraph of a proper function")
+        raise UnboundedPolyhedron(
+            "polyhedron is unbounded below; not the epigraph of a proper function")
     return functions._build(n, pieces, HRep(n, tuple(dom_rows)), coercive)
 
 
@@ -1420,6 +1421,19 @@ def oracle_hausdorff_distance(k, l):
 # ---------------------------------------------------------------------------
 
 
+def _kernel_partial(p, d, n):
+    """Poly in t: Integral_t^d (r - t)^(n-1) p(r) dr, expanding (r - t)^(n-1)
+    binomially."""
+    out = ()
+    for a in range(n):
+        coef = F(math.comb(n - 1, a) * (-1) ** (n - 1 - a))
+        q = pantider(pmul((F(0),) * a + (F(1),), p))
+        inner = padd((peval(q, d),), pscale(-1, q))  # Q(d) - Q(t)
+        mono = (F(0),) * (n - 1 - a) + (coef,)
+        out = padd(out, pmul(mono, inner))
+    return out
+
+
 def _kernel_full(p, c, d, n):
     out = ()
     for a in range(n):
@@ -1459,6 +1473,36 @@ def oracle_psi(zeta, n):
     for i in range(m):
         left = padd(left, _kernel_full(zeta.pieces[i], b[i], b[i + 1], n))
     return GrowthFunction(b, tuple(pieces), pscale(n, left), None, False)
+
+
+def oracle_psi_from_the_right(zeta, n):
+    """``psi_from_zeta`` as it was on polynomial-compact zeta: the kernel's
+    differences give the fixed-limit integrals of the pieces to the right of
+    t, summed once from the right."""
+    b = zeta.breakpoints
+    acc = ()
+    pieces = []
+    for j in reversed(range(len(zeta.pieces))):
+        p = zeta.pieces[j]
+        acc = padd(acc, _kernel_partial(p, b[j + 1], n))
+        pieces.append(pscale(n, acc))
+        acc = padd(acc, pscale(-1, _kernel_partial(p, b[j], n)))
+    left = pscale(n, padd(_kernel_partial(zeta.left, b[0], n), acc))
+    return GrowthFunction(b, tuple(reversed(pieces)), left, None, False)
+
+
+def oracle_tail_integral_by_factorials(lam, coeffs, a):
+    """``tail_integral_exact`` as it was: R = sum_m c_m sum_i m!/i! a^i /
+    lam^(m-i+1), skipping zero coefficients."""
+    lam, a = F(lam), F(a)
+    total = F(0)
+    for m, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        term = sum(F(math.factorial(m), math.factorial(i)) * a ** i / lam ** (m - i + 1)
+                   for i in range(m + 1))
+        total += c * term
+    return total
 
 
 def oracle_integral_against(zeta, breaks, polys, start):

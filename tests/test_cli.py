@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 import convval
 
@@ -19,9 +20,9 @@ from convval.documents import (DocumentError, function_from_doc,
                                function_to_doc, growth_from_doc, growth_to_doc,
                                parse_rational)
 from convval.functions import make, pwa_equal
-from convval.growth import make_growth
+from convval.growth import make_growth, psi_from_zeta
 from convval.laws import SUITES
-from oracles import RUN_MODULES, python_stdout
+from oracles import RUN_MODULES, python_stdout, weights
 
 
 @pytest.fixture
@@ -70,6 +71,23 @@ class TestDocuments:
         doc = growth_to_doc(z)
         z2 = growth_from_doc(doc)
         assert z2.tail == z.tail
+
+    def test_polynomial_left_piece_is_refused(self):
+        """psi_2 of 1 on [0, 1] is 1 - 2t left of 0; a document keeps only a
+        left constant, so it would read back 1 at t = -1, not 3."""
+        psi = psi_from_zeta(make_growth([0, 1], [[1]]), 2)
+        assert psi.eval(-1) == 3
+        with pytest.raises(DocumentError, match="left piece of degree 1"):
+            growth_to_doc(psi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(weights())
+    def test_constant_left_weights_round_trip_byte_identically(self, zeta):
+        """Every weight ``make_growth`` builds has a constant left piece and
+        is written and read back unchanged."""
+        text = json.dumps(growth_to_doc(zeta), indent=2, sort_keys=True)
+        assert json.dumps(growth_to_doc(growth_from_doc(json.loads(text))),
+                          indent=2, sort_keys=True) == text
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(DocumentError):
@@ -422,6 +440,43 @@ def test_laws_help_lists_the_suites_in_order(capsys):
     assert exc.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
     assert re.search(r"one of: (.*?) options:", text).group(1).split(", ") == list(SUITES)
+
+
+# The CLI's contract on inputs that reach its failure paths: each row, in a
+# fresh process and in this one, exits 0, 1 or 2 and prints no traceback.
+# x and -x on R are both proper, but their infimal convolution is -inf.
+CONTRACT_DOCUMENTS = {
+    "x": function_to_doc(make([((1,), 0)], coercive=False)),
+    "minus_x": function_to_doc(make([((-1,), 0)], coercive=False)),
+    "negative": _edited(BOX, pieces=[["-1"]], nonnegative=True),
+}
+CLI_CONTRACT = {  # name: (argv, exit status, on standard error)
+    "infconv-minus-infinity": (["infconv", "{x}", "{minus_x}"], 2,
+                               "error: polyhedron is unbounded below"),
+    "valuation-noncoercive": (["valuation", "{x}", "{z0}", "{zn}"], 2,
+                              "error: level-volume profile requires a coercive function"),
+    "growth-tailed-n1": (["growth", "{tail}", "--n", "1"], 0, ""),
+    "growth-failed-certificate": (["growth", "{negative}"], 2,
+                                  "document error: invalid growth document: "
+                                  "nonnegativity certificate failed"),
+}
+
+
+@pytest.mark.parametrize("argv, status, message", CLI_CONTRACT.values(), ids=list(CLI_CONTRACT))
+def test_cli_contract(zeta_docs, tail_doc, tmp_path, capsys, argv, status, message):
+    paths = {"z0": zeta_docs[0], "zn": zeta_docs[1], "tail": tail_doc}
+    for name, doc in CONTRACT_DOCUMENTS.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [a.format(**paths) for a in argv]
+    src = os.path.dirname(os.path.dirname(convval.__file__))
+    fresh = subprocess.run([sys.executable, "-m", "convval.cli", *argv],
+                           env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+                           capture_output=True, text=True, timeout=300)
+    assert fresh.returncode in (0, 1, 2) and "Traceback" not in fresh.stderr, fresh.stderr
+    assert fresh.returncode == status and message in fresh.stderr
+    assert main(argv) == status
+    assert message in capsys.readouterr().err
 
 
 # Every subcommand once; a fresh process must behave as main() does in one

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from convval.conjugacy import (ConeBound, biconjugate_check, cone_bound,
                                conjugate, epi_scale, inf_convolution,
                                moreau_eval, uniform_cone_bound)
-from convval.errors import CertificateFailed, DimensionMismatch, NotCoercive
+from convval.errors import CertificateFailed, DimensionMismatch, NotCoercive, UnboundedPolyhedron
 from convval.functions import cone_function, indicator_function, make, pwa_equal
 from convval.laws import generate_pair_with_convex_min
 from convval.polyhedra import Polyhedron
@@ -114,6 +114,14 @@ class TestInfConvolution:
         u = make([((1,), 2), ((-1,), 2)], n=1)
         v = make([((1,), -5), ((-1,), -5)], n=1)
         assert inf_convolution(u, v).min_value()[0] == 2 - 5
+
+    def test_minus_infinity_somewhere_is_unbounded(self):
+        """x inf-convolved with -x is -inf on R: the sum of the epigraphs is
+        unbounded below, which is not the epigraph of a proper function."""
+        u = make([((1,), 0)], coercive=False)
+        v = make([((-1,), 0)], coercive=False)
+        with pytest.raises(UnboundedPolyhedron, match="unbounded below"):
+            inf_convolution(u, v)
 
 
 class TestEpiScale:

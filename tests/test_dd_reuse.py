@@ -29,7 +29,7 @@ from convval import functions, polyhedra
 from convval.conjugacy import (ConeBound, biconjugate_check, cone_bound, conjugate,
                                inf_convolution, uniform_cone_bound)
 from convval.documents import function_to_doc
-from convval.errors import ConvvalError, EmptyDomain, NotCoercive
+from convval.errors import ConvvalError, EmptyDomain, NotCoercive, UnboundedPolyhedron
 from convval.functions import (cone_function, from_epigraph, indicator_function,
                                inf_if_convex, make, pwa_equal, scale_values, sup)
 from convval.laws import generate_pair_with_convex_min, random_body, smoothing_sequence
@@ -494,7 +494,8 @@ class TestDeferredFromEpigraph:
         cases = [
             (Polyhedron.empty(3), EmptyDomain),
             (Polyhedron.from_generators(3, [(0, 0, 0)], [(0, 0, -1)]), ValueError),  # ray down
-            (Polyhedron.from_generators(3, [(0, 0, 0)], lines=[up]), ValueError),  # vertical line
+            (Polyhedron.from_generators(3, [(0, 0, 0)], lines=[up]),  # vertical line
+             UnboundedPolyhedron),
             (Polyhedron.from_generators(3, [(0, 0, 0)], [up], [(1, 0, 0)]), NotCoercive),
             (Polyhedron.from_generators(3, [(0, 0, 0)], [up, (1, 0, 0)]), NotCoercive),
         ]

@@ -9,15 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convval.functions import make
-from convval.growth import (NumericPsi, check_derivative_relation, check_psi_vanishes,
-                            integral_against, make_growth, moment, peval, pmul,
-                            poly_nonneg_on, psi_from_zeta, ptrim, tail_integral, zero_growth)
+from convval.growth import (GrowthFunction, NumericPsi, check_derivative_relation,
+                            check_psi_vanishes, integral_against, make_growth, moment, peval,
+                            pmul, poly_nonneg_on, psi_from_zeta, ptrim, tail_integral,
+                            tail_integral_exact, zero_growth)
 from convval.polyhedra import Polyhedron
 from convval.valuation import (combined_valuation, integral_valuation,
                                level_volume_profile, tail_mass)
 from oracles import (box01, oracle_combined_valuation, oracle_integral_against,
                      oracle_integral_valuation, oracle_moment, oracle_nonneg_on, oracle_psi,
-                     pint, profiles, weights)
+                     oracle_psi_from_the_right, oracle_tail_integral_by_factorials, pint,
+                     profiles, weights)
 
 
 def hat():
@@ -216,6 +218,63 @@ class TestPsi:
         # psi(t) = e^{-t} for t >= 0
         for t in (0.0, 0.5, 2.0):
             assert psi.eval(t) == pytest.approx(math.exp(-t), rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# psi_n = n! I^n zeta and the tail recurrence against the routes they replaced
+# ---------------------------------------------------------------------------
+# ``oracle_psi_from_the_right`` expands (r - t)^(n-1) binomially and sums the
+# pieces' fixed-limit integrals from the right; ``oracle_tail_integral_by_
+# factorials`` sums m!/i! a^i / lam^(m-i+1).  Both results must be ``==``.
+
+small_rationals = st.fractions(-3, 3, max_denominator=4)
+
+
+def polys(max_degree):
+    """Ascending coefficients, trimmed, as a GrowthFunction keeps them."""
+    return st.lists(small_rationals, max_size=max_degree + 1).map(
+        lambda c: ptrim(tuple(F(x) for x in c)))
+
+
+@st.composite
+def tail_free_weights(draw):
+    """0-3 pieces of degree up to 3 (a jump may sit at any breakpoint) on
+    breakpoints that may all be negative, and a left constant, or the left
+    piece of degree up to 2 that psi_n itself has."""
+    bps = sorted(set(draw(st.lists(st.fractions(-6, 4, max_denominator=3),
+                                   min_size=1, max_size=4))))
+    pieces = tuple(draw(polys(3)) for _ in bps[1:])
+    left = draw(st.one_of(polys(0), polys(2)))
+    return GrowthFunction(tuple(bps), pieces, left, None, False)
+
+
+class TestRepeatedIntegration:
+    @settings(max_examples=200, deadline=None)
+    @given(tail_free_weights(), st.integers(1, 6))
+    def test_psi_equals_the_kernel_route(self, zeta, n):
+        assert psi_from_zeta(zeta, n) == oracle_psi_from_the_right(zeta, n)
+
+    def test_named_weights(self):
+        named = (box01(), hat(), zero_growth(), make_growth([0], [], left_constant=3),
+                 make_growth([-3, -1], [[2, 1]], left_constant=-1),
+                 *(random_compact_zeta(seed) for seed in range(5)))
+        for zeta in named:
+            for n in range(1, 7):
+                assert psi_from_zeta(zeta, n) == oracle_psi_from_the_right(zeta, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(F(1, 4), 6, max_denominator=4),
+           st.lists(st.one_of(st.just(F(0)), small_rationals), max_size=6),
+           st.fractions(-9, 9, max_denominator=5))
+    def test_tail_recurrence_equals_the_factorial_sum(self, lam, coeffs, a):
+        """Zero and trailing zero coefficients, and starts below 0."""
+        got = tail_integral_exact(lam, coeffs, a)
+        assert type(got) is F and got == oracle_tail_integral_by_factorials(lam, coeffs, a)
+
+    def test_tail_recurrence_steps_through_zero_coefficients(self):
+        # Integral_a^inf t^2 e^(-t) dt = (a^2 + 2a + 2) e^(-a)
+        for a in (F(-2), F(0), F(3, 2)):
+            assert tail_integral_exact(1, (0, 0, 1), a) == a * a + 2 * a + 2
 
 
 class TestZeroGrowth:
