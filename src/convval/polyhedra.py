@@ -36,14 +36,19 @@ map as two integer matrices, on generators and on rows), and it keeps that
 integer data (a ``_Cone``: rows, generators, masks, lines);
 containment, emptiness, dimension, ``cut_by`` and triangulation read it,
 and a carried cone becomes a ``Fraction`` V-rep only when that is read.
+Full dimension is read off the same masks, with no rank: a nonempty
+polyhedron is full-dimensional iff no row with a nonzero normal is tight on
+every generator, since dim P = d - rank of its implicit rows.
 Volumes are exact rationals from a pulling triangulation (De Loera, Rambau
 and Santos, *Triangulations*, 2010, ch. 4) that works on integer points
 (the vertices times the lcm L of their denominators) and bitmasks of tight
 vertices: the facets of a face are the inclusion-maximal tight sets inside
 it, so no rank test is taken.  Every simplex ends in a triangle of a
-polygon fan, and one determinant per fan, scaled by the exact cross
-products of the fan's triangles in the polygon's plane, gives the integer
-|det| of all its simplices; they are summed and divided by L^d d! once.
+polygon fan.  Each polygon's fan is built once per triangulation, however
+many faces cone over it, and each visit takes one determinant, which,
+scaled by the exact cross products of the fan's triangles in the polygon's
+plane, gives the integer |det| of all the visit's simplices; they are
+summed and divided by L^d d! once.
 Points meet rows in integers as well: a rational point x becomes the
 homogeneous integer point (X, q) with x = X / q (``_int_point``), and
 ``_within`` tests it against primitive integer rows (a, -b); that is the one
@@ -551,7 +556,17 @@ class Polyhedron:
 
     @property
     def is_full_dimensional(self) -> bool:
-        return self.dim == self.d
+        """Nonempty, and no row with a nonzero normal is tight on every
+        generator: dim P = d - rank of the implicit rows (Schrijver, *Theory
+        of Linear and Integer Programming*, 8.2), and those are the bits of
+        the AND of the incidence masks.  A zero normal, as in 0.x <= 0, says
+        nothing about the dimension, however tight."""
+        c = self._integer()
+        if not c.nverts:
+            return False
+        implicit = reduce(and_, c.masks)
+        d = self.d
+        return not any(implicit >> i & 1 and any(row[:d]) for i, row in enumerate(c.rows))
 
     def contains(self, x: Sequence) -> bool:
         return self.hrep.satisfies(x)
@@ -851,8 +866,9 @@ def _polygon_fan(points: Sequence[tuple[int, ...]]
 
 
 def _face_simplices(face: int, fdim: int, tight_masks: Sequence[int],
-                    pts: Sequence[tuple[int, ...]], chain: tuple[int, ...] = ()
-                    ) -> list[tuple[tuple[int, ...], int]]:
+                    pts: Sequence[tuple[int, ...]],
+                    fans: dict[int, list[tuple[tuple[int, ...], int]]],
+                    chain: tuple[int, ...] = ()) -> list[tuple[tuple[int, ...], int]]:
     """Triangulate a face of affine dimension fdim >= 2 given by its vertex
     mask, coned from the points ``chain``; each simplex comes with its |det|.
 
@@ -865,26 +881,30 @@ def _face_simplices(face: int, fdim: int, tight_masks: Sequence[int],
     faces are explored on bitmasks alone.  Each face is coned from its first
     point, so a simplex is ``chain``, the first point of each face down the
     recursion, and a triangle of a polygon fan, as indices into ``pts`` in
-    the order of ``pts``.  Its |det| (that of the edges from its first point)
-    is taken once per fan by ``_lattice_det``; the fan's other simplices
-    differ from that one only in the polygon's plane, so their |det| scale
-    with the fan's |cross|.
+    the order of ``pts``.  A polygon is reached once per chain that cones
+    over it, but its fan is built once: ``fans`` keeps it by the polygon's
+    mask, for one triangulation.  Only the |det| depends on the chain, so
+    each visit takes one ``_lattice_det``, of its first simplex; the fan's
+    other simplices differ from that one only in the polygon's plane, so
+    their |det| scale with the fan's |cross|.
     """
-    idx = [i for i in range(len(pts)) if face >> i & 1]
-    if fdim < 2:  # only a polytope in R^0 or R^1 gets here, and it is no simplex
-        raise CertificateFailed(f"{fdim}-dimensional face has {len(idx)} vertices, "
-                                f"not {fdim + 1}")
     if fdim == 2:
-        fan = _polygon_fan([pts[i] for i in idx])
-        simplices = [chain + tuple(idx[k] for k in t) for t, _ in fan]
-        det0, cross0 = _lattice_det(pts, simplices[0]), fan[0][1]
+        fan = fans.get(face)
+        if fan is None:
+            idx = [i for i in range(len(pts)) if face >> i & 1]
+            fan = fans[face] = [(tuple(idx[k] for k in t), cross)
+                                for t, cross in _polygon_fan([pts[i] for i in idx])]
+        det0, cross0 = _lattice_det(pts, chain + fan[0][0]), fan[0][1]
         out = []
-        for simplex, (_, cross) in zip(simplices, fan):
+        for triangle, cross in fan:
             det, rest = divmod(det0 * cross, cross0)
             if rest:
                 raise CertificateFailed(f"fan determinant {det0} * {cross} / {cross0} is inexact")
-            out.append((simplex, det))
+            out.append((chain + triangle, det))
         return out
+    if fdim < 2:  # only a polytope in R^0 or R^1 gets here, and it is no simplex
+        raise CertificateFailed(f"{fdim}-dimensional face has {face.bit_count()} vertices, "
+                                f"not {fdim + 1}")
     candidates = [t for t in dict.fromkeys(face & m for m in tight_masks) if t and t != face]
     maximal: list[int] = []
     for t in sorted(candidates, key=int.bit_count, reverse=True):
@@ -892,9 +912,9 @@ def _face_simplices(face: int, fdim: int, tight_masks: Sequence[int],
             maximal.append(t)
     facets = set(maximal)
     v0 = face & -face  # the lowest set bit: the first point
-    chain += (idx[0],)
+    chain += (v0.bit_length() - 1,)
     return [s for t in candidates if t in facets and not t & v0
-            for s in _face_simplices(t, fdim - 1, tight_masks, pts, chain)]
+            for s in _face_simplices(t, fdim - 1, tight_masks, pts, fans, chain)]
 
 
 def _integer_simplices(p: Polyhedron) -> tuple[list[tuple[int, ...]], int,
@@ -921,7 +941,7 @@ def _integer_simplices(p: Polyhedron) -> tuple[list[tuple[int, ...]], int,
     # tight on no vertex) give empty, duplicate or non-maximal tight sets.
     tight_masks = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1)
                    for i in range(len(cone.rows))]
-    return pts, scale, _face_simplices((1 << len(pts)) - 1, d, tight_masks, pts)
+    return pts, scale, _face_simplices((1 << len(pts)) - 1, d, tight_masks, pts, {})
 
 
 def _lattice_det(pts: Sequence[tuple[int, ...]], simplex: Sequence[int]) -> int:
@@ -949,14 +969,16 @@ def triangulate(p: Polyhedron) -> list[tuple[Point, ...]]:
 
 
 def volume(p: Polyhedron) -> Fraction:
-    """Exact Lebesgue volume of a bounded polyhedron (0 if lower-dimensional)."""
+    """Exact Lebesgue volume of a bounded polyhedron: 0 if it is not full
+    dimensional, read off its incidence masks (``is_full_dimensional``),
+    and otherwise the sum of its ``_integer_simplices`` determinants."""
     if p.is_empty:
         return Fraction(0)
     if not p.is_bounded:
         raise UnboundedPolyhedron("volume of an unbounded polyhedron")
-    d = p.d
-    if p.dim < d:
+    if not p.is_full_dimensional:
         return Fraction(0)
+    d = p.d
     _, scale, simplices = _integer_simplices(p)
     return Fraction(sum(det for _, det in simplices), scale ** d * math.factorial(d))
 

@@ -95,11 +95,14 @@ def _taylor_weights(z: int, mult: dict[int, int]) -> tuple[list[int], int, int]:
     With delta_w = z - w, p = prod delta_w and q = prod delta_w^mult[w],
     substituting x - z = p s turns each factor (1 + (x - z) / delta_w)^(-mult[w])
     into an integer series in s, so the product is one integer convolution.
+    At a simple height (mult[z] == 1) the series is [1], with no convolution.
     """
     order = mult[z]
     deltas = [(z - w, mu) for w, mu in mult.items() if w != z]
     p = math.prod(dw for dw, _ in deltas)
     q = math.prod(dw ** mu for dw, mu in deltas)
+    if order == 1:
+        return [1], q, p
     series = [1] + [0] * (order - 1)
     for dw, mu in deltas:
         c = -(p // dw)

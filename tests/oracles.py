@@ -42,8 +42,7 @@ from convval.laws import _random_coercive_base, generate_pair_with_convex_min, r
 from convval.linalg import dot, invert, rank, scale_to_int, solve, vec_add, vec_scale, vec_sub
 from convval.polyhedra import (HRep, Polyhedron, VRep, _fracvec, cut_by, intersect, triangulate,
                                volume)
-from convval.valuation import (LevelVolumeProfile, _taylor_weights, level_volume_profile,
-                               min_valuation)
+from convval.valuation import LevelVolumeProfile, level_volume_profile, min_valuation
 
 # ---------------------------------------------------------------------------
 # Shared inputs and helpers
@@ -894,7 +893,7 @@ def oracle_integer_simplices(p):
                        if sum(map(mul, row[:d], q)) == row[d] * scale)
                    for row in rows]
     return pts, scale, [s for s, _ in polyhedra._face_simplices((1 << len(verts)) - 1, d,
-                                                                tight_masks, pts)]
+                                                                tight_masks, pts, {})]
 
 
 def oracle_volume(p):
@@ -927,6 +926,21 @@ def oracle_local_series(z, mult):
         factor = [r ** mu * math.comb(mu + l - 1, l) * (-r) ** l for l in range(order)]
         series = [sum(series[i] * factor[l - i] for i in range(l + 1)) for l in range(order)]
     return series
+
+
+def oracle_taylor_weights(z, mult):
+    """``valuation._taylor_weights`` with the convolution at every height,
+    simple ones included."""
+    order = mult[z]
+    deltas = [(z - w, mu) for w, mu in mult.items() if w != z]
+    p = math.prod(dw for dw, _ in deltas)
+    q = math.prod(dw ** mu for dw, mu in deltas)
+    series = [1] + [0] * (order - 1)
+    for dw, mu in deltas:
+        c = -(p // dw)
+        factor = [math.comb(mu + l - 1, l) * c ** l for l in range(order)]
+        series = [sum(series[i] * factor[l - i] for i in range(l + 1)) for l in range(order)]
+    return series, q, p
 
 
 def _power_basis_profile(u, levels, atom, shifted):
@@ -962,7 +976,7 @@ def oracle_profile(u):
     up = tuple(F(0) for _ in range(n)) + (F(1),)
     capped = intersect(u.epigraph, HRep(d, ((up, top),)))
     shifted = {z: [F(0)] * (d + 1) for z in levels}
-    if capped.is_full_dimensional:
+    if capped.dim == capped.d:  # by rank, not by the masks
         sign = F((-1) ** d, math.factorial(d))
         for simplex in triangulate(capped):
             base = simplex[0]
@@ -991,7 +1005,7 @@ def oracle_fraction_sums(u):
     up = tuple(F(0) for _ in range(n)) + (F(1),)
     capped, _ = next(cut_by(u.epigraph, [[(up, top)]]))
     shifted = {z: [F(0)] * (d + 1) for z in hlevels}
-    if capped.is_full_dimensional:
+    if capped.dim == capped.d:  # by rank, not by the masks
         pts, scale, simplices = polyhedra._integer_simplices(capped)
         heights = [pt[n] * scale_h // scale for pt in pts]
         weights = Counter()
@@ -1003,7 +1017,7 @@ def oracle_fraction_sums(u):
             for z, mu in mult.items():
                 if z == cap:
                     continue
-                series, q, p = _taylor_weights(z, mult)
+                series, q, p = oracle_taylor_weights(z, mult)
                 for m in range(mu):
                     l = mu - 1 - m
                     shifted[z][d - m] += F(

@@ -8,9 +8,12 @@ its integer weights summed as one ``Fraction`` per term
 face by a rank test per candidate (``oracle_simplices``), and V
 interpolated from fresh sublevel volumes, which shares no code with the
 expansion (``oracle_interpolated_profile``).  Every comparison is an exact
-``==``, in order.  The count guards make a determinant, a fresh double
-description for the cap or the atom, a per-simplex expansion or a
-per-simplex lattice determinant fail a test, not only a benchmark run.
+``==``, in order; ``_taylor_weights`` is checked against the Fraction
+series (``oracle_local_series``) and the convolution at every height
+(``oracle_taylor_weights``).  The count guards make a determinant, a fresh
+double description for the cap or the atom, a per-simplex expansion, a
+per-simplex lattice determinant or a polygon fan rebuilt on each visit fail
+a test, not only a benchmark run.
 """
 
 from fractions import Fraction as F
@@ -28,7 +31,8 @@ from convval.polyhedra import Polyhedron, volume
 from convval.valuation import level_volume_profile
 from counting import counted
 from oracles import (capped_epigraph, oracle_fraction_sums, oracle_interpolated_profile,
-                     oracle_profile, oracle_simplices, oracle_volume, rationals)
+                     oracle_local_series, oracle_profile, oracle_simplices, oracle_taylor_weights,
+                     oracle_volume, rationals)
 
 
 def same_profile(u):
@@ -132,6 +136,12 @@ class TestProfileAgainstFractionRoute:
         for u in (pair.u, pair.v, wedge, vee):
             same_profile(u)
 
+    def test_zero_slope_at_the_minimum(self):
+        """The sublevel set at t_min has the row 0.x <= 0, tight everywhere:
+        it must not make [-1, 1] lower-dimensional."""
+        u = make([((1,), -1), ((0,), 0), ((-1,), -1)], n=1)
+        assert same_profile(u).atom == 2
+
     def test_segment_indicator_has_zero_profile(self):
         segment = Polyhedron.from_generators(2, [(0, 0), (F(3, 2), F(1, 3))])
         prof = same_profile(indicator_function(segment, 2))
@@ -206,6 +216,32 @@ class TestProfileAgainstFractionSums:
                 pytest.raises(CertificateFailed, match="integrates to"):
             valuation._profile(u)
         assert len(perturbed) == 1
+
+
+@st.composite
+def height_multiplicities(draw):
+    """Distinct integer heights with multiplicities summing to d + 1, and one
+    of them as z: mult[z] runs from 1 to d + 1."""
+    d = draw(st.integers(1, 5))
+    order = draw(st.integers(1, d + 1))
+    others, rest = [], d + 1 - order
+    while rest:
+        others.append(draw(st.integers(1, rest)))
+        rest -= others[-1]
+    heights = draw(st.lists(st.integers(-50, 50), min_size=len(others) + 1,
+                            max_size=len(others) + 1, unique=True))
+    return heights[0], dict(zip(heights, [order] + others))
+
+
+class TestTaylorWeights:
+    @settings(max_examples=200, deadline=None)
+    @given(height_multiplicities())
+    def test_against_the_local_series(self, case):
+        z, mult = case
+        a, q, p = valuation._taylor_weights(z, mult)
+        want = oracle_local_series(F(z), {F(w): mu for w, mu in mult.items()})
+        assert [F(c, q * p ** l) for l, c in enumerate(a)] == want
+        assert (a, q, p) == oracle_taylor_weights(z, mult)
 
 
 class TestProfileAgainstFreshVolumes:
@@ -347,15 +383,23 @@ class TestProfileCounts:
         # the guard is sharp: a per-simplex expansion would be counted higher
         assert any(by_tuple < by_simplex for by_tuple, by_simplex in simplex_counts)
 
-    def test_one_lattice_det_per_polygon_fan(self):
+    def test_one_fan_per_polygon_one_det_per_visit(self):
+        """A polygon that several faces cone over is visited once per chain:
+        each visit takes one ``_lattice_det``, but its fan is built once."""
         counts = []
-        for u in fresh_functions():
+        for u in fresh_functions() + [generate_pair_with_convex_min(0, 4).u]:
             capped = capped_epigraph(u)
             capped.vrep
             with counted(polyhedra, "_lattice_det") as dets, \
-                    counted(polyhedra, "_polygon_fan") as fans:
+                    counted(polyhedra, "_polygon_fan") as fans, \
+                    counted(polyhedra, "_face_simplices") as faces:
                 simplices = polyhedra._integer_simplices(capped)[2]
-            assert len(dets) == len(fans)
-            counts.append((len(fans), len(simplices)))
-        # the guard is sharp: a determinant per simplex would be counted higher
-        assert any(by_fan < by_simplex for by_fan, by_simplex in counts)
+            visits = [face for face, fdim, *_ in faces if fdim == 2]
+            assert len(fans) == len(set(visits))
+            assert len(dets) == len(visits)
+            counts.append((len(fans), len(dets), len(simplices)))
+        # the guard is sharp: a fan per visit, or a determinant per simplex,
+        # would be counted higher
+        pairs = counts[:4] + counts[-1:]  # the n = 3 and n = 4 pair epigraphs
+        assert any(by_fan < by_visit for by_fan, by_visit, _ in pairs)
+        assert any(by_visit < by_simplex for _, by_visit, by_simplex in counts)

@@ -1,7 +1,8 @@
 """The double description's integer data, kept and read, against the
 ``Fraction`` routes it replaced (``oracles.py``): masks recomputed by dot
 products, eager ``Fraction`` V-reps of restrictions and images,
-``contains_polyhedron``, ``dim``, ``relative_interior_contains`` and the
+``contains_polyhedron``, ``dim``, full dimension read off the masks
+against ``dim``, ``relative_interior_contains`` and the
 triangulation's points read off the ``Fraction`` representations, pruning
 by ``Fraction`` dots, and the layer cake summed by one ``Fraction`` per
 interval; affine images on integer matrices against the ``Fraction`` maps
@@ -23,8 +24,8 @@ from convval.functions import (cone_function, from_epigraph, inf_if_convex, make
 from convval.growth import integral_against, make_growth
 from convval.laws import generate_pair_with_convex_min, random_body
 from convval.linalg import invert, vec_add, vec_scale, vec_sub
-from convval.polyhedra import (HRep, Polyhedron, apply_linear, cut_by, relative_interior_contains,
-                               translate, volume, vrep_to_hrep)
+from convval.polyhedra import (HRep, Polyhedron, apply_linear, cut_by, intersect,
+                               relative_interior_contains, translate, volume, vrep_to_hrep)
 from counting import counted
 from oracles import (SLOPES_12, building_by, capped_epigraph, coords, functions_in,
                      images_by_fractions, oracle_apply_linear, oracle_build_pruned_by_dots,
@@ -228,6 +229,65 @@ class TestAgainstFractionRoutes:
                 assert capped.is_full_dimensional
                 assert (simplex_indices(*polyhedra._integer_simplices(capped))
                         == oracle_integer_simplices(capped))
+
+
+@st.composite
+def full_dimension_cases(draw, d):
+    """A body of ``polyhedra_in`` with rows 0.x <= 0, 0.x <= 1 or 0.x <= -1
+    (the last empties it) among its own rows or its extra rows, a
+    translation, a positive factor and extra row sets for ``cut_by``."""
+    p = draw(polyhedra_in(d))
+    zero = [((0,) * d, b) for b in draw(st.lists(st.sampled_from([0, 1, -1]), max_size=3))]
+    if zero and draw(st.booleans()):
+        p = intersect(p, HRep.make(d, zero))
+    extras = draw(extra_row_sets(d)) + [zero[:1] + [((1,) + (0,) * (d - 1), 1)]]
+    return (p, draw(st.lists(coords, min_size=d, max_size=d)),
+            draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3)), extras)
+
+
+def same_full_dimension(p):
+    assert p.is_full_dimensional == (p.dim == p.d), p
+
+
+class TestFullDimensionFromMasks:
+    """``is_full_dimensional`` reads the implicit rows off the AND of the
+    masks; ``dim`` takes a rank.  A row with a zero normal is no implicit
+    equality, however tight."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(full_dimension_cases))
+    def test_rays_lines_zero_rows_and_carried_cones(self, case):
+        p, v, t, extras = case
+        bodies = [p, translate(p, v), polyhedra.scale(p, t)]
+        bodies += [q for q, _ in cut_by(p, extras)]
+        bodies += [q for q, _ in cut_by(translate(p, v), extras)]
+        for q in bodies:
+            same_full_dimension(q)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3).flatmap(functions_in))
+    def test_cells_and_sublevel_sets(self, case):
+        pieces, domain, _ = case
+        try:
+            u = make(pieces, domain, n=domain.d, coercive=False)
+        except ConvvalError:
+            return
+        for _, cell in u.cells:
+            same_full_dimension(cell)
+        for _, b in u.pieces[:2]:
+            same_full_dimension(u.sublevel(b))
+
+    def test_zero_rows(self):
+        box = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
+        segment = box[:2] + [((0, 1), 0), ((0, -1), 0)]
+        for rows, full in [(box, True), (box + [((0, 0), 0)], True), (box + [((0, 0), 1)], True),
+                           (box + [((0, 0), -1)], False), (segment + [((0, 0), 0)], False),
+                           ([((0, 0), 0)], True), ([((0, 0), 0), ((1, 0), 0)], True)]:
+            p = Polyhedron.from_halfspaces(2, rows)
+            assert p.is_full_dimensional == full and (p.dim == 2) == full
+            for q in (translate(p, (F(1, 2), 3)), polyhedra.scale(p, F(2, 3)),
+                      *(q for q, _ in cut_by(p, [[((0, 0), 0)], [((0, 1), F(1, 2))]]))):
+                same_full_dimension(q)
 
 
 def points_around(p, x):
