@@ -29,6 +29,7 @@ rationals; mpmath is imported only to integrate exponential tails.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -310,6 +311,13 @@ def integral_against(zeta: GrowthFunction, breaks: tuple[Fraction, ...],
     """Integral_start^inf zeta(t) f(t) dt, f the piecewise polynomial that is
     polys[i] up to breaks[i + 1] and polys[-1] past breaks[-1].
 
+    The cuts are the breakpoints of f and of zeta above ``start``, met by
+    walking both increasing lists with one index each: on the interval
+    (a, b) that ends at the next cut b, f is polys[i - 1] (polys[0] for
+    i = 0), i the number of breaks below b, and zeta is its left constant
+    if no breakpoint of zeta is below b, its tail (or zero) if all are, and
+    otherwise piece j - 1, j the number of them below b.
+
     Exact Fraction unless the tail contributes; then float(exact) plus the
     tail terms, summed interval by interval in float.  The exact part runs on
     ints: on each interval (a, b) the product of the zeta piece and f is
@@ -318,24 +326,23 @@ def integral_against(zeta: GrowthFunction, breaks: tuple[Fraction, ...],
     Integral_a^b is one integer over one denominator.  The sum is one
     integer pair, and one Fraction is built at the end.
     """
-    cuts = sorted({c for c in breaks + zeta.breakpoints if c > start})
-    cuts = [start] + cuts
+    zb, nb = zeta.breakpoints, len(breaks)
+    i, j = bisect_right(breaks, start), bisect_right(zb, start)
     num, den = 0, 1  # the exact part
     fl = 0.0
     has_float = False
-    i = 0  # f on (a, b) is polys[i], i the first interval with breaks[i + 1] >= b
-    for a, b in zip(cuts, cuts[1:]):
-        while i + 1 < len(breaks) and breaks[i + 1] < b:
-            i += 1
-        fp = polys[i]
-        kind, payload = zeta.region_at((a + b) / 2)
-        if kind in ("left", "piece") and payload and fp:
+    a = start
+    while i < nb or j < len(zb):
+        b = breaks[i] if j == len(zb) or (i < nb and breaks[i] < zb[j]) else zb[j]
+        fp = polys[max(i - 1, 0)]
+        payload = zeta.tail if j == len(zb) else zeta.pieces[j - 1] if j else zeta.left
+        if j < len(zb) and payload and fp:
             q = math.lcm(*(c.denominator for c in (*payload, *fp)))
             zs, fs = ([c.numerator * (q // c.denominator) for c in p] for p in (payload, fp))
             prod = [0] * (len(zs) + len(fs) - 1)  # q^2 zeta f
-            for j, zc in enumerate(zs):
-                for k, fc in enumerate(fs):
-                    prod[j + k] += zc * fc
+            for r, zc in enumerate(zs):
+                for s, fc in enumerate(fs):
+                    prod[r + s] += zc * fc
             # With a = y / e and b = x / e, Integral_a^b is part / pden.
             m = len(prod)
             lm = math.lcm(*range(1, m + 1))
@@ -346,17 +353,22 @@ def integral_against(zeta: GrowthFunction, breaks: tuple[Fraction, ...],
             pden = q * q * lm * e ** m
             new = math.lcm(den, pden)
             num, den = num * (new // den) + part * (new // pden), new
-        elif kind == "tail" and fp:
+        elif j == len(zb) and payload is not None and fp:
             lam, coeffs = payload
-            fl += (tail_integral(lam, pmul(coeffs, fp), a)
-                   - tail_integral(lam, pmul(coeffs, fp), b))
+            g = pmul(coeffs, fp)
+            fl += tail_integral(lam, g, a) - tail_integral(lam, g, b)
             has_float = True
-    # Final ray [cuts[-1], inf): past every breakpoint of both functions, so
-    # f is polys[-1] and zeta is its tail (or zero).
+        if i < nb and breaks[i] == b:
+            i += 1
+        if j < len(zb) and zb[j] == b:
+            j += 1
+        a = b
+    # Final ray [a, inf): past every breakpoint of both functions, so f is
+    # polys[-1] and zeta is its tail (or zero).
     fp = polys[-1]
     if zeta.tail is not None and fp:
         lam, coeffs = zeta.tail
-        fl += tail_integral(lam, pmul(coeffs, fp), cuts[-1])
+        fl += tail_integral(lam, pmul(coeffs, fp), a)
         has_float = True
     exact = Fraction(num, den)
     return float(exact) + fl if has_float else exact

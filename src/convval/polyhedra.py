@@ -44,11 +44,15 @@ and Santos, *Triangulations*, 2010, ch. 4) that works on integer points
 (the vertices times the lcm L of their denominators) and bitmasks of tight
 vertices: the facets of a face are the inclusion-maximal tight sets inside
 it, so no rank test is taken.  Every simplex ends in a triangle of a
-polygon fan.  Each polygon's fan is built once per triangulation, however
-many faces cone over it, and each visit takes one determinant, which,
-scaled by the exact cross products of the fan's triangles in the polygon's
-plane, gives the integer |det| of all the visit's simplices; they are
-summed and divided by L^d d! once.
+polygon fan.  No elimination runs: determinants are exterior products.
+The recursion carries the exterior product of its chain's edges, one edge
+more per level.  Each polygon's fan is built once per triangulation,
+however many faces cone over it, with the 2x2 minors of two of its edges,
+which give its plane; each visit wedges in one edge and pairs the result
+with those minors for one determinant, which, scaled by the exact cross
+products of the fan's triangles in the polygon's plane, gives the integer
+|det| of all the visit's simplices; they are summed and divided by
+L^d d! once.
 Points meet rows in integers as well: a rational point x becomes the
 homogeneous integer point (X, q) with x = X / q (``_int_point``), and
 ``_within`` tests it against primitive integer rows (a, -b); that is the one
@@ -72,7 +76,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, reduce
+from functools import cached_property, cmp_to_key, lru_cache, reduce
 from operator import and_, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -92,7 +96,6 @@ from .linalg import (
     rank,
     scale_to_int,
     vec_add,
-    vec_sub,
 )
 
 Point = tuple[Fraction, ...]
@@ -831,44 +834,110 @@ def _angular_order(coords: Sequence[tuple[int, int]]) -> list[int]:
 
 
 def _polygon_fan(points: Sequence[tuple[int, ...]]
-                 ) -> list[tuple[tuple[int, int, int], int]]:
+                 ) -> tuple[list[int], int, list[tuple[tuple[int, int, int], int]]]:
     """Fan triangulation of a planar polygon given as an unordered set of
-    integer points: index triples into ``points``, each with the |cross| of
-    its edges from its first point in the plane coordinates below.
+    integer points, with the 2x2 minors of its plane.
 
-    The plane is spanned by the ``echelon`` rows u1, u2 of the differences,
-    times the sign of its pivot ``D``: a positive multiple of the RREF basis.
-    A point p is placed at ``(r.u1, r.u2)`` with ``r = n p - sum p``, its
-    offset from the centroid times the point count n, so the angular order is
-    exact in integers.  That placement is one linear map of the plane, so the
-    |cross| of the triangles are proportional to their areas, and to the |det|
-    of the simplices that cone them from the same points.
+    Returns ``(minors, ref, fan)``.  ``minors`` are the 2x2 minors m_ij of
+    x = p_1 - p_0 and the first y = p_j - p_0 independent of it, over the
+    pairs i < j in ``itertools.combinations`` order.  ``fan`` holds index
+    triples into ``points``, each with the |cross| of its edges from its
+    first point in the plane coordinates below, and ``ref`` is the |cross|
+    of x and y there.  Those coordinates are one linear map of the plane, so
+    a simplex that cones a fan triangle from points off the plane has |det|
+    equal to that of the one coning (p_0, p_1, p_j), times cross / ref.
+
+    The plane basis is read off the minors.  With (p, q) the first pair with
+    m_pq != 0, the pivots of the plane's RREF, its rows are
+    (m_kq / m_pq)_k and (m_pk / m_pq)_k (Cramer), so
+    u1 = s (y_q x - x_q y) and u2 = s (x_p y - y_p x), s the sign of m_pq,
+    are both the same positive multiple |m_pq| of the RREF rows.  A vector v
+    lies in the plane iff s m_pq v = v_p u1 + v_q u2, which every point is
+    checked for.  A point p is placed at ``(r.u1, r.u2)`` with
+    ``r = n p - sum p``, its offset from the centroid times the point count
+    n, so the angular order is exact in integers.
     """
     p0 = points[0]
-    red, pivots, det = echelon([vec_sub(p, p0) for p in points[1:]])
-    if len(pivots) != 2:
-        raise CertificateFailed(f"polygon face spans {len(pivots)} dimensions, not 2")
-    s = 1 if det > 0 else -1
-    u1, u2 = ([s * x for x in row] for row in red)
+    edges = [[a - b for a, b in zip(p, p0)] for p in points[1:]]
+    pairs = list(itertools.combinations(range(len(p0)), 2))
+    x, *rest = edges or [()]
+    for j, y in enumerate(rest, 2):
+        minors = [x[a] * y[b] - x[b] * y[a] for a, b in pairs]
+        if any(minors):
+            break
+    else:
+        raise CertificateFailed(f"polygon face of {len(points)} points spans a line or less")
+    mpq, (p, q) = next((m, pair) for m, pair in zip(minors, pairs) if m)
+    s = 1 if mpq > 0 else -1
+    u1 = [s * (y[q] * a - x[q] * b) for a, b in zip(x, y)]
+    u2 = [s * (x[p] * b - y[p] * a) for a, b in zip(x, y)]
+    for v in edges:
+        if any(s * mpq * c != v[p] * a + v[q] * b for c, a, b in zip(v, u1, u2)):
+            raise CertificateFailed(f"polygon face point {v} from {p0} is off its plane")
     n = len(points)
     total = [sum(c) for c in zip(*points)]
     coords = []
-    for p in points:
-        rel = [n * x - t for x, t in zip(p, total)]
+    for pt in points:
+        rel = [n * a - t for a, t in zip(pt, total)]
         coords.append((sum(map(mul, rel, u1)), sum(map(mul, rel, u2))))
+
+    def cross(o, i, k):
+        (ox, oy), (ix, iy), (kx, ky) = coords[o], coords[i], coords[k]
+        return abs((ix - ox) * (ky - oy) - (iy - oy) * (kx - ox))
+
     order = _angular_order(coords)
-    ox, oy = coords[order[0]]
-    fan = []
-    for i, j in zip(order[1:], order[2:]):
-        (ix, iy), (jx, jy) = coords[i], coords[j]
-        fan.append(((order[0], i, j), abs((ix - ox) * (jy - oy) - (iy - oy) * (jx - ox))))
-    return fan
+    fan = [((order[0], i, k), cross(order[0], i, k)) for i, k in zip(order[1:], order[2:])]
+    return minors, cross(0, 1, j), fan
+
+
+@lru_cache(maxsize=None)
+def _wedge_table(k: int, d: int) -> list[tuple[tuple[int, int, int], ...]]:
+    """Index table of the exterior product of a k-vector with a vector of
+    R^d.  A k-vector is a list of coordinates over the k-subsets of range(d)
+    in ``itertools.combinations`` order.  Entry number s lists, for the
+    (k+1)-subset S number s, one ``(a, j, sign)`` per j in S: a is the index
+    of S without j, and e_(S - j) ^ e_j = sign e_S."""
+    index = {c: a for a, c in enumerate(itertools.combinations(range(d), k))}
+    return [tuple((index[c[:i] + c[i + 1:]], j, (-1) ** (k - i)) for i, j in enumerate(c))
+            for c in itertools.combinations(range(d), k + 1)]
+
+
+@lru_cache(maxsize=None)
+def _pairing_table(d: int) -> list[tuple[int, int, int]]:
+    """Index table of the Laplace pairing of a (d-2)-vector with a 2-vector
+    of R^d: one ``(a, b, sign)`` per pair T = (i, j), with b its index, a the
+    index of its complement S, and e_S ^ e_i ^ e_j = sign e_0 ^ ... ^ e_(d-1)."""
+    index = {c: a for a, c in enumerate(itertools.combinations(range(d), d - 2))}
+    return [(index[tuple(c for c in range(d) if c != i and c != j)], b, (-1) ** (i + j + 1))
+            for b, (i, j) in enumerate(itertools.combinations(range(d), 2))]
+
+
+def _wedge(e: Sequence[int], k: int, v: Sequence[int]) -> list[int]:
+    """The exterior product e ^ v of the integer k-vector e and the vector v."""
+    return [sum(s * e[a] * v[j] for a, j, s in terms) for terms in _wedge_table(k, len(v))]
+
+
+def _exterior_det(vectors: Sequence[Sequence[int]]) -> int:
+    """Determinant of d integer vectors of R^d, d >= 1: the one coordinate
+    of their exterior product, taken one vector at a time."""
+    e = [1]
+    for k, v in enumerate(vectors):
+        e = _wedge(e, k, v)
+    return e[0]
+
+
+def _pairing(f: Sequence[int], minors: Sequence[int], d: int) -> int:
+    """det(f_1, ..., f_(d-2), x, y) in R^d from the exterior product ``f`` of
+    the f_i and the 2x2 minors of x and y: the Laplace expansion along the
+    last two rows."""
+    return sum(s * f[a] * minors[b] for a, b, s in _pairing_table(d))
 
 
 def _face_simplices(face: int, fdim: int, tight_masks: Sequence[int],
                     pts: Sequence[tuple[int, ...]],
-                    fans: dict[int, list[tuple[tuple[int, ...], int]]],
-                    chain: tuple[int, ...] = ()) -> list[tuple[tuple[int, ...], int]]:
+                    fans: dict[int, tuple[list[int], int, list[tuple[tuple[int, ...], int]]]],
+                    chain: tuple[int, ...] = (), wedge: Sequence[int] = (1,)
+                    ) -> list[tuple[tuple[int, ...], int]]:
     """Triangulate a face of affine dimension fdim >= 2 given by its vertex
     mask, coned from the points ``chain``; each simplex comes with its |det|.
 
@@ -881,25 +950,36 @@ def _face_simplices(face: int, fdim: int, tight_masks: Sequence[int],
     faces are explored on bitmasks alone.  Each face is coned from its first
     point, so a simplex is ``chain``, the first point of each face down the
     recursion, and a triangle of a polygon fan, as indices into ``pts`` in
-    the order of ``pts``.  A polygon is reached once per chain that cones
-    over it, but its fan is built once: ``fans`` keeps it by the polygon's
-    mask, for one triangulation.  Only the |det| depends on the chain, so
-    each visit takes one ``_lattice_det``, of its first simplex; the fan's
-    other simplices differ from that one only in the polygon's plane, so
-    their |det| scale with the fan's |cross|.
+    the order of ``pts``.
+
+    ``wedge`` is the exterior product of the chain's edges from its first
+    point, carried down the recursion: each face wedges in the edge to its
+    own first point, once for all the faces below it.  A polygon is reached
+    once per chain that cones over it, but its fan and its 2x2 minors
+    (``_polygon_fan``) are built once: ``fans`` keeps them by the polygon's
+    mask, for one triangulation.  Each visit pairs its wedge with the minors
+    (``_pairing``) for the |det| of the chain coned over the polygon's
+    reference triangle, which the fan's |cross| scale to the |det| of each
+    of its simplices.
     """
+    first = (face & -face).bit_length() - 1  # the lowest set bit: the first point
+    if chain:
+        base = pts[chain[0]]
+        wedge = _wedge(wedge, len(chain) - 1, [a - b for a, b in zip(pts[first], base)])
     if fdim == 2:
-        fan = fans.get(face)
-        if fan is None:
+        polygon = fans.get(face)
+        if polygon is None:
             idx = [i for i in range(len(pts)) if face >> i & 1]
-            fan = fans[face] = [(tuple(idx[k] for k in t), cross)
-                                for t, cross in _polygon_fan([pts[i] for i in idx])]
-        det0, cross0 = _lattice_det(pts, chain + fan[0][0]), fan[0][1]
+            minors, ref, fan = _polygon_fan([pts[i] for i in idx])
+            polygon = fans[face] = (minors, ref, [(tuple(idx[k] for k in t), cross)
+                                                  for t, cross in fan])
+        minors, ref, fan = polygon
+        det_ref = abs(_pairing(wedge, minors, len(pts[first])))
         out = []
         for triangle, cross in fan:
-            det, rest = divmod(det0 * cross, cross0)
+            det, rest = divmod(det_ref * cross, ref)
             if rest:
-                raise CertificateFailed(f"fan determinant {det0} * {cross} / {cross0} is inexact")
+                raise CertificateFailed(f"fan determinant {det_ref} * {cross} / {ref} is inexact")
             out.append((chain + triangle, det))
         return out
     if fdim < 2:  # only a polytope in R^0 or R^1 gets here, and it is no simplex
@@ -911,10 +991,9 @@ def _face_simplices(face: int, fdim: int, tight_masks: Sequence[int],
         if all(t & f != t for f in maximal):
             maximal.append(t)
     facets = set(maximal)
-    v0 = face & -face  # the lowest set bit: the first point
-    chain += (v0.bit_length() - 1,)
-    return [s for t in candidates if t in facets and not t & v0
-            for s in _face_simplices(t, fdim - 1, tight_masks, pts, fans, chain)]
+    chain += (first,)
+    return [s for t in candidates if t in facets and not t >> first & 1
+            for s in _face_simplices(t, fdim - 1, tight_masks, pts, fans, chain, wedge)]
 
 
 def _integer_simplices(p: Polyhedron) -> tuple[list[tuple[int, ...]], int,
@@ -923,11 +1002,12 @@ def _integer_simplices(p: Polyhedron) -> tuple[list[tuple[int, ...]], int,
 
     ``pts`` are the vertices times ``scale``, the lcm of their denominators;
     the recursion runs on those integer points, and each simplex is a tuple
-    of indices into ``pts`` together with its integer |det| (``_lattice_det``),
-    its volume times ``d! scale^d``.  Both come from ``p._integer()``: a
-    vertex generator (x, x0) is primitive, so x0 is the lcm of the
-    denominators of x / x0, and the points tight on a row are read off the
-    vertex masks.
+    of indices into ``pts`` together with its integer |det|, its volume
+    times ``d! scale^d``, from exterior products (``_exterior_det`` for a
+    lone simplex, ``_face_simplices`` otherwise): no elimination runs.  Both
+    come from ``p._integer()``: a vertex generator (x, x0) is primitive, so
+    x0 is the lcm of the denominators of x / x0, and the points tight on a
+    row are read off the vertex masks.
     """
     d = p.d
     cone = p._integer()
@@ -935,31 +1015,14 @@ def _integer_simplices(p: Polyhedron) -> tuple[list[tuple[int, ...]], int,
     scale = math.lcm(*(g[d] for g in gens))
     pts = [tuple(x * (scale // g[d]) for x in g[:d]) for g in gens]
     if len(pts) == d + 1:
-        simplex = tuple(range(d + 1))
-        return pts, scale, [(simplex, _lattice_det(pts, simplex))]
+        base = pts[0]
+        det = _exterior_det([[a - b for a, b in zip(pt, base)] for pt in pts[1:]])
+        return pts, scale, [(tuple(range(d + 1)), abs(det))]
     # Any defining H-rep works: redundant rows (and the homogenizing row,
     # tight on no vertex) give empty, duplicate or non-maximal tight sets.
     tight_masks = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1)
                    for i in range(len(cone.rows))]
     return pts, scale, _face_simplices((1 << len(pts)) - 1, d, tight_masks, pts, {})
-
-
-def _lattice_det(pts: Sequence[tuple[int, ...]], simplex: Sequence[int]) -> int:
-    """|det| of the edges from the first point of an integer simplex.
-
-    Each edge is divided by its gcd before ``echelon`` and the gcds are
-    multiplied back in, which keeps the Bareiss minors small when the
-    points share a large scale.
-    """
-    base = pts[simplex[0]]
-    rows, factor = [], 1
-    for i in simplex[1:]:
-        edge = [x - y for x, y in zip(pts[i], base)]
-        g = math.gcd(*edge) or 1
-        rows.append([x // g for x in edge])
-        factor *= g
-    _, pivots, det = echelon(rows)
-    return abs(det) * factor if len(pivots) == len(rows) else 0
 
 
 def triangulate(p: Polyhedron) -> list[tuple[Point, ...]]:

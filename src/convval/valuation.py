@@ -16,16 +16,20 @@ each tuple is expanded once with integer Taylor weights
 numerators over one denominator per level.  V is taken to powers of t over
 one common denominator, and a Fraction is built only for each coefficient
 returned.  The result is certified, in ints, by V(s_0) = vol_n(argmin u),
-computed separately from the sublevel set, continuity of V at every
-breakpoint, and Integral_{s_0}^{s_p + 1} V dt = the volume of the capped
-epigraph, which sees every term of V and not only its jumps.
+computed separately, continuity of V at every breakpoint, and
+Integral_{s_0}^{s_p + 1} V dt = the volume of the capped epigraph, which
+sees every term of V and not only its jumps.  The argmin is the sublevel set
+at s_0, carried with the double description of the epigraph's lowest face
+(``_argmin_set``): its volume reads that face's vertices and masks and runs
+no double description of its own.
 
 The integral valuation is then the layer-cake sum
 
     Z_zeta(u) = zeta(t_min) * vol_n(argmin u) + Integral_{t_min}^inf zeta(t) V'(t) dt,
 
 the integral taken by ``growth.integral_against`` on the profile's
-breakpoints and its derivatives V'.  It is exact over the rationals whenever
+breakpoints and its derivatives V', which walks them and zeta's breakpoints
+in one merge.  It is exact over the rationals whenever
 zeta is polynomial-compact; a tail makes it a float, and the exact and float
 parts of a valuation add by Python's own Fraction/float rules.
 """
@@ -43,7 +47,7 @@ from .errors import CertificateFailed, NotCoercive, UnboundedPolyhedron
 from .functions import PWAConvex, cone_function, indicator_function
 from .growth import (GrowthFunction, Poly, integral_against, pdiff, peval, poly_nonneg_on,
                      ptrim)
-from .polyhedra import Polyhedron, _integer_simplices, cut_by, volume
+from .polyhedra import Polyhedron, _Cone, _integer_simplices, cut_by, volume
 
 
 # ---------------------------------------------------------------------------
@@ -60,16 +64,16 @@ class LevelVolumeProfile:
     final_poly: Poly                    # on [s_p, inf)
 
     def poly_at(self, t) -> Poly:
+        """V's polynomial at t: () below t_min, where {u <= t} is empty."""
         t = Fraction(t)
+        if t < self.t_min:
+            return ()
         for i, p in enumerate(self.interval_polys):
             if t <= self.breakpoints[i + 1]:
                 return p
         return self.final_poly
 
     def value(self, t) -> Fraction:
-        t = Fraction(t)
-        if t < self.t_min:
-            return Fraction(0)
         return peval(self.poly_at(t), t)
 
     @cached_property
@@ -118,12 +122,45 @@ def level_volume_profile(u: PWAConvex) -> LevelVolumeProfile:
     return u._derived("profile", lambda: _profile(u))
 
 
+def _argmin_set(u: PWAConvex, t_min: Fraction) -> Polyhedron:
+    """{u <= t_min}, carrying the integer double description of the face of
+    the epigraph at height t_min, its lowest face, with no double
+    description of its own.
+
+    The face projects to the set by (x, t) -> x, an affine bijection on it.
+    The profile is built for coercive functions only, so the epigraph has no
+    line and every ray rises in t: the face is the hull of the vertices at
+    height t_min.  Each is projected to (x, x0) and made primitive.  A vertex
+    is tight on an epigraph row iff its x is tight on the matching row of
+    the set, so its mask is remapped from the epigraph's rows (pieces, then
+    domain, then the homogenizing row) to the set's (domain, then pieces,
+    then the homogenizing row).
+    """
+    n, d = u.n, u.n + 1
+    cone = u.epigraph._integer()
+    m, k = len(u.pieces), len(u.domain.halfspaces)
+    num, den = t_min.numerator, t_min.denominator
+    gens, masks = [], []
+    for g, mask in zip(cone.gens[:cone.nverts], cone.masks):
+        if g[n] * den == num * g[d]:
+            x = g[:n] + g[d:]
+            c = math.gcd(*x)
+            gens.append(tuple(v // c for v in x))
+            masks.append(mask >> m & (1 << k) - 1 | (mask & (1 << m) - 1) << k
+                         | mask & 1 << (m + k))  # the homogenizing row keeps its place
+    sub = u.sublevel(t_min)
+    rows = sub.hrep.int_rows + [(0,) * n + (-1,)]
+    return Polyhedron._carrying(sub.hrep, _Cone(rows, gens, masks, [], len(gens)))
+
+
 def _profile(u: PWAConvex) -> LevelVolumeProfile:
     n = u.n
     d = n + 1
     levels = sorted({v[n] for v in u.epigraph.vrep.vertices})
     t_min = levels[0]
-    atom = volume(u.sublevel(t_min))
+    # V(s_0) = vol{u <= t_min}, the set read off the epigraph's lowest face:
+    # 0 from its masks if it is not full-dimensional, else its triangulation.
+    atom = volume(_argmin_set(u, t_min))
 
     # V = W' with W(t) = vol_{n+1}{(x, y) : u(x) <= y <= t}.  Cap the epigraph
     # at top = s_p + 1 by one DD step and triangulate it once: a simplex with

@@ -219,9 +219,9 @@ def epigraph_candidates(draw, n):
 
 
 @lru_cache(maxsize=None)
-def profiles():
-    """Profiles of pair functions at n = 1-3, a cone function, |x| and a
-    constant on a box (one level)."""
+def profiled_functions():
+    """Pair functions at n = 1-3, a cone function, |x| and a constant on a
+    box (one level)."""
     fns = []
     for n, seeds in ((1, range(2)), (2, range(2)), (3, range(2))):
         for seed in seeds:
@@ -229,7 +229,12 @@ def profiles():
             fns += [pair.u, pair.v, *pair.lattice()]
     fns += [cone_function(random_body(0, 2)), make([((1,), 0), ((-1,), 0)]),
             make([((0, 0), 2)], Polyhedron.box([(0, 1), (0, 1)]))]
-    return tuple(level_volume_profile(u) for u in fns)
+    return tuple(fns)
+
+
+def profiles():
+    """The profiles of ``profiled_functions``."""
+    return tuple(level_volume_profile(u) for u in profiled_functions())
 
 
 def capped_epigraph(u):
@@ -847,7 +852,7 @@ def oracle_face_simplices_over_masks(face, fdim, tight_masks, pts):
     idx = [i for i in range(len(pts)) if face >> i & 1]
     if fdim == 2:
         return [tuple(idx[k] for k in t)
-                for t, _ in polyhedra._polygon_fan([pts[i] for i in idx])]
+                for t, _ in polyhedra._polygon_fan([pts[i] for i in idx])[2]]
     v0 = face & -face
     seen = set()
     simplices = []
@@ -909,6 +914,105 @@ def oracle_volume(p):
     for simplex in triangulate(p):
         total += abs(linalg.determinant([vec_sub(q, simplex[0]) for q in simplex[1:]]))
     return total / math.factorial(d)
+
+
+# The triangulation before exterior products: one ``echelon`` per polygon
+# for its plane and one ``_lattice_det`` per polygon visit.
+
+def oracle_lattice_det(pts, simplex):
+    """|det| of the edges from the first point of an integer simplex, each
+    edge divided by its gcd before ``echelon`` and the gcds multiplied back."""
+    base = pts[simplex[0]]
+    rows, factor = [], 1
+    for i in simplex[1:]:
+        edge = [x - y for x, y in zip(pts[i], base)]
+        g = gcd(*edge) or 1
+        rows.append([x // g for x in edge])
+        factor *= g
+    _, pivots, det = linalg.echelon(rows)
+    return abs(det) * factor if len(pivots) == len(rows) else 0
+
+
+def oracle_polygon_fan_by_echelon(points):
+    """The fan of a planar polygon, its plane spanned by the ``echelon`` rows
+    of the differences times the sign of its pivot."""
+    p0 = points[0]
+    red, pivots, det = linalg.echelon([vec_sub(p, p0) for p in points[1:]])
+    if len(pivots) != 2:
+        raise CertificateFailed(f"polygon face spans {len(pivots)} dimensions, not 2")
+    s = 1 if det > 0 else -1
+    u1, u2 = ([s * x for x in row] for row in red)
+    n = len(points)
+    total = [sum(c) for c in zip(*points)]
+    coords = []
+    for p in points:
+        rel = [n * x - t for x, t in zip(p, total)]
+        coords.append((sum(map(mul, rel, u1)), sum(map(mul, rel, u2))))
+    order = polyhedra._angular_order(coords)
+    ox, oy = coords[order[0]]
+    fan = []
+    for i, j in zip(order[1:], order[2:]):
+        (ix, iy), (jx, jy) = coords[i], coords[j]
+        fan.append(((order[0], i, j), abs((ix - ox) * (jy - oy) - (iy - oy) * (jx - ox))))
+    return fan
+
+
+def oracle_face_simplices_by_lattice_det(face, fdim, tight_masks, pts, fans, chain=()):
+    """The pulling recursion with one ``oracle_lattice_det`` per polygon
+    visit, scaled by the fan's |cross| to its other simplices."""
+    if fdim == 2:
+        fan = fans.get(face)
+        if fan is None:
+            idx = [i for i in range(len(pts)) if face >> i & 1]
+            fan = fans[face] = [(tuple(idx[k] for k in t), cross)
+                                for t, cross in oracle_polygon_fan_by_echelon(
+                                    [pts[i] for i in idx])]
+        det0, cross0 = oracle_lattice_det(pts, chain + fan[0][0]), fan[0][1]
+        out = []
+        for triangle, cross in fan:
+            det, rest = divmod(det0 * cross, cross0)
+            if rest:
+                raise CertificateFailed(f"fan determinant {det0} * {cross} / {cross0} is inexact")
+            out.append((chain + triangle, det))
+        return out
+    if fdim < 2:
+        raise CertificateFailed(f"{fdim}-dimensional face has {face.bit_count()} vertices, "
+                                f"not {fdim + 1}")
+    candidates = [t for t in dict.fromkeys(face & m for m in tight_masks) if t and t != face]
+    maximal = []
+    for t in sorted(candidates, key=int.bit_count, reverse=True):
+        if all(t & f != t for f in maximal):
+            maximal.append(t)
+    facets = set(maximal)
+    v0 = face & -face
+    chain += (v0.bit_length() - 1,)
+    return [s for t in candidates if t in facets and not t & v0
+            for s in oracle_face_simplices_by_lattice_det(t, fdim - 1, tight_masks, pts, fans,
+                                                          chain)]
+
+
+def oracle_integer_simplices_by_lattice_det(p):
+    """``(pts, scale, simplices)`` by the elimination route."""
+    d = p.d
+    cone = p._integer()
+    gens, masks = cone.gens[:cone.nverts], cone.masks[:cone.nverts]
+    scale = math.lcm(*(g[d] for g in gens))
+    pts = [tuple(x * (scale // g[d]) for x in g[:d]) for g in gens]
+    if len(pts) == d + 1:
+        simplex = tuple(range(d + 1))
+        return pts, scale, [(simplex, oracle_lattice_det(pts, simplex))]
+    tight_masks = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1)
+                   for i in range(len(cone.rows))]
+    return pts, scale, oracle_face_simplices_by_lattice_det((1 << len(pts)) - 1, d, tight_masks,
+                                                            pts, {})
+
+
+def oracle_volume_by_lattice_det(p):
+    """``volume`` on the elimination route's simplices."""
+    if p.is_empty or not p.is_full_dimensional:
+        return F(0)
+    _, scale, simplices = oracle_integer_simplices_by_lattice_det(p)
+    return F(sum(det for _, det in simplices), scale ** p.d * math.factorial(p.d))
 
 
 # ---------------------------------------------------------------------------
@@ -1026,6 +1130,90 @@ def oracle_fraction_sums(u):
         sign = F((-1) ** d, math.factorial(d) * scale ** d)
         shifted = {z: [sign * c for c in cs] for z, cs in shifted.items()}
     return _power_basis_profile(u, levels, atom, [shifted[hz] for hz in hlevels])
+
+
+def oracle_profile_by_sublevel_dd(u):
+    """``level_volume_profile`` with its atom from a fresh double description
+    of the sublevel set at t_min, on the elimination route's simplices."""
+    n = u.n
+    d = n + 1
+    levels = sorted({v[n] for v in u.epigraph.vrep.vertices})
+    t_min = levels[0]
+    atom = oracle_volume_by_lattice_det(u.sublevel(t_min))
+
+    top = levels[-1] + 1
+    scale_h = math.lcm(*(z.denominator for z in levels))
+    hlevels = [z.numerator * (scale_h // z.denominator) for z in levels]
+    up = tuple(F(0) for _ in range(n)) + (F(1),)
+    capped, _ = next(cut_by(u.epigraph, [[(up, top)]]))
+    shifted = {z: [0] * (d + 1) for z in hlevels}
+    den = dict.fromkeys(hlevels, 1)
+    scale, total = 1, 0  # with no simplex every sum stays 0
+    if capped.is_full_dimensional:
+        pts, scale, simplices = oracle_integer_simplices_by_lattice_det(capped)
+        heights = [pt[n] * scale_h // scale for pt in pts]
+        weights = Counter()
+        for simplex, det in simplices:
+            weights[tuple(sorted(heights[i] for i in simplex))] += det
+        total = sum(weights.values())  # W(top) = total / (d! L^d)
+        del pts, simplices, heights  # free the triangulation before the sums grow
+        cap = hlevels[-1] + scale_h
+        for key, weight in weights.items():
+            mult = Counter(key)
+            for z, mu in mult.items():
+                if z == cap:
+                    continue
+                series, q, p = oracle_taylor_weights(z, mult)
+                div = q * p ** (mu - 1)
+                old = den[z]
+                new = den[z] = math.lcm(old, div)
+                if new != old:
+                    shifted[z] = [c * (new // old) for c in shifted[z]]
+                w = weight * (new // div)
+                for m in range(mu):  # f^(m)(z) / m! = C(d, m) (-1)^m (t - z)^(d - m)
+                    l = mu - 1 - m
+                    shifted[z][d - m] += ((-1) ** m * math.comb(d, m) * w * series[l]
+                                          * scale_h ** (d + 1 - mu + l) * p ** m)
+    for z in hlevels:  # the lcms leave large common factors in each level's sums
+        g = math.gcd(den[z], *shifted[z])
+        den[z] //= g
+        shifted[z] = [c // g for c in shifted[z]]
+    lcm_den = math.lcm(*den.values())
+    common = lcm_den * math.factorial(d) * scale ** d * scale_h ** (d - 1)
+    hpow = [scale_h ** k for k in range(d)]
+    accs = []  # V = W' on [s_i, s_{i+1}], and on [s_p, inf) last
+    acc = [0] * d
+    for hz in hlevels:
+        c, w = shifted[hz], (-1) ** d * (lcm_den // den[hz])
+        zpow = [(-hz) ** k for k in range(d)]
+        acc = [acc[i] + w * sum(j * c[j] * math.comb(j - 1, i) * zpow[j - 1 - i]
+                                * hpow[d - j + i] for j in range(i + 1, d + 1))
+               for i in range(d)]
+        accs.append(acc)
+
+    def at(acc, hz):
+        return sum(c * hz ** i * hpow[d - 1 - i] for i, c in enumerate(acc))
+
+    base = common * hpow[d - 1]
+    lefts = [(atom.numerator * base, atom.denominator)]  # V(s_i-) = left / (base q)
+    lefts += [(at(acc, hz), 1) for acc, hz in zip(accs, hlevels[1:])]
+    for z, hz, acc, (left, q) in zip(levels, hlevels, accs, lefts):
+        right = at(acc, hz)
+        if right * q != left:
+            raise CertificateFailed(f"volume profile discontinuous at level {z}: "
+                                    f"{F(left, base * q)} -> {F(right, base)}")
+    ends = hlevels + [hlevels[-1] + scale_h]
+    integral = sum(c * (math.factorial(d) // (k + 1)) * (hb ** (k + 1) - ha ** (k + 1))
+                   * hpow[d - 1 - k]
+                   for acc, ha, hb in zip(accs, ends, ends[1:]) for k, c in enumerate(acc))
+    if integral * scale ** d != total * scale_h ** d * common:
+        raise CertificateFailed(
+            f"volume profile integrates to "
+            f"{F(integral, math.factorial(d) * scale_h ** d * common)} up to level "
+            f"{top}, not to the capped epigraph's volume "
+            f"{F(total, math.factorial(d) * scale ** d)}")
+    polys = [ptrim(F(c, common) for c in acc) for acc in accs]
+    return LevelVolumeProfile(n, t_min, atom, tuple(levels), tuple(polys[:-1]), polys[-1])
 
 
 def oracle_interpolated_profile(u):
@@ -1542,6 +1730,50 @@ def oracle_integral_against(zeta, breaks, polys, start):
         lam, coeffs = zeta.tail
         fl += tail_integral(lam, pmul(coeffs, vp), cuts[-1])
         has_float = True
+    return float(exact) + fl if has_float else exact
+
+
+def oracle_integral_against_by_region(zeta, breaks, polys, start):
+    """``integral_against`` on a sorted set of cuts, with one ``region_at``
+    per interval midpoint."""
+    cuts = sorted({c for c in breaks + zeta.breakpoints if c > start})
+    cuts = [start] + cuts
+    num, den = 0, 1
+    fl = 0.0
+    has_float = False
+    i = 0
+    for a, b in zip(cuts, cuts[1:]):
+        while i + 1 < len(breaks) and breaks[i + 1] < b:
+            i += 1
+        fp = polys[i]
+        kind, payload = zeta.region_at((a + b) / 2)
+        if kind in ("left", "piece") and payload and fp:
+            q = math.lcm(*(c.denominator for c in (*payload, *fp)))
+            zs, fs = ([c.numerator * (q // c.denominator) for c in p] for p in (payload, fp))
+            prod = [0] * (len(zs) + len(fs) - 1)
+            for j, zc in enumerate(zs):
+                for k, fc in enumerate(fs):
+                    prod[j + k] += zc * fc
+            m = len(prod)
+            lm = math.lcm(*range(1, m + 1))
+            an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+            x, y, e = bn * ad, an * bd, ad * bd
+            part = sum(lm // k * c * e ** (m - k) * (x ** k - y ** k)
+                       for k, c in enumerate(prod, 1))
+            pden = q * q * lm * e ** m
+            new = math.lcm(den, pden)
+            num, den = num * (new // den) + part * (new // pden), new
+        elif kind == "tail" and fp:
+            lam, coeffs = payload
+            fl += (tail_integral(lam, pmul(coeffs, fp), a)
+                   - tail_integral(lam, pmul(coeffs, fp), b))
+            has_float = True
+    fp = polys[-1]
+    if zeta.tail is not None and fp:
+        lam, coeffs = zeta.tail
+        fl += tail_integral(lam, pmul(coeffs, fp), cuts[-1])
+        has_float = True
+    exact = F(num, den)
     return float(exact) + fl if has_float else exact
 
 

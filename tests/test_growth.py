@@ -17,7 +17,7 @@ from convval.polyhedra import Polyhedron
 from convval.valuation import (combined_valuation, integral_valuation,
                                level_volume_profile, tail_mass)
 from oracles import (box01, oracle_combined_valuation, oracle_integral_against,
-                     oracle_integral_valuation, oracle_moment, oracle_nonneg_on, oracle_psi,
+                     oracle_integral_against_by_region, oracle_integral_valuation, oracle_moment, oracle_nonneg_on, oracle_psi,
                      oracle_psi_from_the_right, oracle_tail_integral_by_factorials, pint,
                      profiles, weights)
 
@@ -388,3 +388,32 @@ class TestIntegralAgainstFractionSums:
                 assert_same(integral_against(zeta, prof.breakpoints, prof._derivatives, start),
                             oracle_integral_against(zeta, prof.breakpoints,
                                                     prof._derivatives, start))
+
+
+class TestIntegralAgainstRegionRoute:
+    """``integral_against`` walking both breakpoint lists against its parent
+    route, which sorted a set of cuts and called ``region_at`` on each
+    interval's midpoint: ``==``, floats included, so a tail's float sum is
+    taken in the same order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights(), piecewise_polys(), st.fractions(0, 1, max_denominator=5))
+    def test_piecewise_polynomials(self, zeta, f, frac):
+        breaks, polys = f
+        cuts = sorted({*breaks, *zeta.breakpoints})
+        lo, hi = cuts[0], cuts[-1]
+        # before every breakpoint, at and between them, and past the last
+        for start in (lo - 1 - frac, lo, lo + frac * (hi - lo), *cuts, hi + frac, hi + 1):
+            got = integral_against(zeta, breaks, polys, start)
+            want = oracle_integral_against_by_region(zeta, breaks, polys, start)
+            assert type(got) is type(want) and got == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(weights())
+    def test_profiles(self, zeta):
+        for prof in profiles():
+            for start in (prof.t_min - 1, prof.t_min, prof.breakpoints[-1] + F(1, 2)):
+                got = integral_against(zeta, prof.breakpoints, prof._derivatives, start)
+                want = oracle_integral_against_by_region(zeta, prof.breakpoints,
+                                                         prof._derivatives, start)
+                assert type(got) is type(want) and got == want

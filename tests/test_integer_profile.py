@@ -4,20 +4,25 @@ routes they replaced, and the profile against fresh sublevel volumes.
 The oracles (``oracles.py``) are the ``level_volume_profile`` and
 ``volume`` of the ``Fraction`` route (``oracle_profile``), the profile with
 its integer weights summed as one ``Fraction`` per term
-(``oracle_fraction_sums``), the triangulation that found the facets of a
-face by a rank test per candidate (``oracle_simplices``), and V
+(``oracle_fraction_sums``), the profile whose atom ran a double description
+of the sublevel set (``oracle_profile_by_sublevel_dd``), the triangulation
+that found the facets of a face by a rank test per candidate
+(``oracle_simplices``), the one that took an elimination per polygon plane
+and per polygon visit (``oracle_integer_simplices_by_lattice_det``), and V
 interpolated from fresh sublevel volumes, which shares no code with the
 expansion (``oracle_interpolated_profile``).  Every comparison is an exact
 ``==``, in order; ``_taylor_weights`` is checked against the Fraction
 series (``oracle_local_series``) and the convolution at every height
-(``oracle_taylor_weights``).  The count guards make a determinant, a fresh
-double description for the cap or the atom, a per-simplex expansion, a
-per-simplex lattice determinant or a polygon fan rebuilt on each visit fail
-a test, not only a benchmark run.
+(``oracle_taylor_weights``), and the exterior-product determinant against
+the ``Fraction`` one.  The count guards make a determinant, a fresh double
+description for the cap or the atom, a per-simplex expansion, a
+determinant per simplex, a polygon fan rebuilt on each visit or an
+elimination in the triangulation fail a test, not only a benchmark run.
 """
 
 from fractions import Fraction as F
 from itertools import product
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -28,11 +33,14 @@ from convval.errors import CertificateFailed
 from convval.functions import cone_function, indicator_function, make
 from convval.laws import generate_pair_with_convex_min, random_body
 from convval.polyhedra import Polyhedron, volume
+from convval.growth import peval
 from convval.valuation import level_volume_profile
 from counting import counted
-from oracles import (capped_epigraph, oracle_fraction_sums, oracle_interpolated_profile,
-                     oracle_local_series, oracle_profile, oracle_simplices, oracle_taylor_weights,
-                     oracle_volume, rationals)
+from oracles import (capped_epigraph, oracle_determinant, oracle_fraction_sums,
+                     oracle_integer_simplices_by_lattice_det, oracle_interpolated_profile,
+                     oracle_lattice_det, oracle_local_series, oracle_profile,
+                     oracle_profile_by_sublevel_dd, oracle_simplices, oracle_taylor_weights,
+                     oracle_volume, profiled_functions, rationals)
 
 
 def same_profile(u):
@@ -146,6 +154,85 @@ class TestProfileAgainstFractionRoute:
         segment = Polyhedron.from_generators(2, [(0, 0), (F(3, 2), F(1, 3))])
         prof = same_profile(indicator_function(segment, 2))
         assert prof.atom == 0 and prof.final_poly == ()
+
+
+class TestProfileAgainstSublevelRoute:
+    """``_profile`` against its parent route (``oracle_profile_by_sublevel_dd``),
+    whose atom ran a double description of the sublevel set at t_min and
+    whose simplices came from eliminations: ``==`` at n = 1-4."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(1, 4).flatmap(pair_functions))
+    def test_lattice_pairs(self, functions):
+        for u in functions:
+            assert valuation._profile(u) == oracle_profile_by_sublevel_dd(u)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.one_of(
+        l1_norms(n), box_indicators(n), cone_functions(n))))
+    def test_norms_boxes_and_cones(self, u):
+        assert valuation._profile(u) == oracle_profile_by_sublevel_dd(u)
+
+
+def full_dimensional_argmins():
+    """Functions whose argmin is full-dimensional, with their atoms: a
+    zero-slope piece at the minimum at n = 1 and n = 2, and a box indicator."""
+    return [(make([((1,), -1), ((0,), 0), ((-1,), -1)], n=1), 2),
+            (make([((1, 0), -1), ((0, 0), 0), ((-1, 0), -1), ((0, 1), -1), ((0, -1), -2)],
+                  n=2), 6),
+            (indicator_function(Polyhedron.box([(0, 1), (F(-1, 3), 2), (0, F(1, 2))]),
+                                F(-2, 7)), F(7, 6))]
+
+
+class TestAtomFromTheLowestFace:
+    """The atom's set is the epigraph's lowest face, read off its double
+    description (``valuation._argmin_set``): it is the sublevel set at t_min,
+    its masks are the incidences of its generators with its rows, and its
+    volume is that of a fresh double description."""
+
+    def test_full_dimensional_argmins(self):
+        for u, atom in full_dimensional_argmins():
+            u.epigraph.vrep
+            with counted(polyhedra, "hrep_to_vrep") as calls:
+                prof = level_volume_profile(u)
+            assert calls == []
+            assert prof.atom == atom == volume(u.sublevel(prof.t_min))
+            assert prof == oracle_profile_by_sublevel_dd(u)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.one_of(
+        norms_boxes_cones_and_mixed_denominators(n),
+        pair_functions(n).map(lambda fns: fns[2]))))
+    def test_same_set_as_the_sublevel_set(self, u):
+        t_min = u.min_value()[0]
+        face, sub = valuation._argmin_set(u, t_min), u.sublevel(t_min)
+        cone = face._integer()
+        assert cone.masks == [sum(1 << i for i, row in enumerate(cone.rows)
+                                  if sum(map(mul, row, g)) == 0) for g in cone.gens]
+        assert face == sub and set(face.vrep.vertices) == set(sub.vrep.vertices)
+        assert face.is_full_dimensional == sub.is_full_dimensional
+        assert volume(face) == volume(sub) == oracle_volume(sub)
+
+
+class TestPolyAt:
+    def test_below_the_minimum(self):
+        prof = level_volume_profile(generate_pair_with_convex_min(0, 2).u)
+        t = prof.t_min - 1
+        assert prof.poly_at(t) == ()
+        assert peval(prof.poly_at(t), t) == prof.value(t) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_poly_at_is_the_sublevel_volume(self, data):
+        """Below, at and between the breakpoints and past the last one, the
+        polynomial at t takes the value of a fresh sublevel volume at t."""
+        u = data.draw(st.sampled_from(profiled_functions()))
+        prof = level_volume_profile(u)
+        ends = (prof.t_min - 2, *prof.breakpoints, prof.breakpoints[-1] + 2)
+        i = data.draw(st.integers(0, len(ends) - 2))
+        frac = data.draw(st.fractions(0, 1, max_denominator=7))
+        t = ends[i] + frac * (ends[i + 1] - ends[i])
+        assert peval(prof.poly_at(t), t) == prof.value(t) == volume(u.sublevel(t))
 
 
 def same_as_fraction_sums(u):
@@ -278,11 +365,46 @@ class TestVolumeAgainstFractionRoute:
         p = random_body(seed, n)
         assert volume(p) == oracle_volume(p)
 
-    def test_lattice_det_multiplies_the_gcds_back(self):
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices of size 1-6; about half are made singular by
+    a zero row, a repeated row or a row that combines two others."""
+    d = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    kind = draw(st.sampled_from(["any", "zero", "repeat", "combination"]))
+    i, j, k = (draw(st.integers(0, d - 1)) for _ in range(3))
+    if kind == "zero":
+        rows[i] = [0] * d
+    elif kind == "repeat" and i != j:
+        rows[i] = list(rows[j])
+    elif kind == "combination" and len({i, j, k}) == 3:
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+def edge_det(pts, simplex):
+    base = pts[simplex[0]]
+    return abs(polyhedra._exterior_det([[x - y for x, y in zip(pts[i], base)]
+                                        for i in simplex[1:]]))
+
+
+class TestExteriorDeterminant:
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices())
+    def test_against_the_fraction_determinant(self, rows):
+        assert polyhedra._exterior_det(rows) == oracle_determinant(rows)
+
+    def test_exterior_det_of_edges(self):
+        """The cases of the elimination route, which divided each edge by its
+        gcd: a box corner, a flat simplex and a repeated point."""
         pts = [(0, 0, 0), (6, 0, 0), (0, 10, 0), (0, 0, 15)]
-        assert polyhedra._lattice_det(pts, (0, 1, 2, 3)) == 900
-        assert polyhedra._lattice_det(pts + [(3, 5, 0)], (0, 1, 2, 4)) == 0
-        assert polyhedra._lattice_det(pts, (0, 1, 2, 0)) == 0
+        assert edge_det(pts, (0, 1, 2, 3)) == 900
+        assert edge_det(pts + [(3, 5, 0)], (0, 1, 2, 4)) == 0
+        assert edge_det(pts, (0, 1, 2, 0)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +414,9 @@ class TestVolumeAgainstFractionRoute:
 
 @st.composite
 def generated_polytopes(draw):
-    d = draw(st.integers(2, 5))
+    d = draw(st.integers(2, 6))
     pts = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
-                        min_size=d + 1, max_size=d + 5))
+                        min_size=d + 1, max_size=d + (5 if d < 6 else 2)))
     return Polyhedron.from_generators(d, pts)
 
 
@@ -310,23 +432,32 @@ polytopes = st.one_of(generated_polytopes(), capped_epigraphs()).filter(
 
 
 class TestTriangulationAgainstRankRoute:
+    """The simplices against the route that found each face's facets by a
+    rank test, and ``(pts, scale, simplices)``, determinants included,
+    against the one that took an elimination per polygon plane and per
+    polygon visit (``oracle_integer_simplices_by_lattice_det``)."""
+
     @settings(max_examples=80, deadline=None)
     @given(polytopes)
     def test_same_simplices(self, p):
-        assert [s for s, _ in polyhedra._integer_simplices(p)[2]] == oracle_simplices(p)
+        got = polyhedra._integer_simplices(p)
+        assert [s for s, _ in got[2]] == oracle_simplices(p)
+        assert got == oracle_integer_simplices_by_lattice_det(p)
 
     def test_same_simplices_of_pair_epigraphs(self):
-        for n, seed in ((2, 0), (3, 1), (4, 0)):
+        for n, seed in ((1, 0), (2, 0), (3, 1), (4, 0), (4, 1)):
             pair = generate_pair_with_convex_min(seed, n)
             for u in (pair.u, pair.v, *pair.lattice()):
                 p = capped_epigraph(u)
-                assert [s for s, _ in polyhedra._integer_simplices(p)[2]] == oracle_simplices(p)
+                got = polyhedra._integer_simplices(p)
+                assert [s for s, _ in got[2]] == oracle_simplices(p)
+                assert got == oracle_integer_simplices_by_lattice_det(p)
 
     @settings(max_examples=80, deadline=None)
     @given(polytopes)
     def test_dets_are_lattice_dets(self, p):
         pts, _, simplices = polyhedra._integer_simplices(p)
-        assert all(det == polyhedra._lattice_det(pts, s) > 0 for s, det in simplices)
+        assert all(det == oracle_lattice_det(pts, s) > 0 for s, det in simplices)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +488,7 @@ class TestProfileCounts:
         for u in fresh_functions():
             with counted(polyhedra, "hrep_to_vrep") as calls:
                 level_volume_profile(u)
-            assert len(calls) <= 1  # the atom's sublevel set only
+            assert calls == []  # the atom is read off the epigraph's lowest face
 
     def test_one_expansion_per_height_tuple_and_level(self):
         simplex_counts = []
@@ -385,12 +516,12 @@ class TestProfileCounts:
 
     def test_one_fan_per_polygon_one_det_per_visit(self):
         """A polygon that several faces cone over is visited once per chain:
-        each visit takes one ``_lattice_det``, but its fan is built once."""
+        each visit takes one ``_pairing``, but its fan is built once."""
         counts = []
         for u in fresh_functions() + [generate_pair_with_convex_min(0, 4).u]:
             capped = capped_epigraph(u)
             capped.vrep
-            with counted(polyhedra, "_lattice_det") as dets, \
+            with counted(polyhedra, "_pairing") as dets, \
                     counted(polyhedra, "_polygon_fan") as fans, \
                     counted(polyhedra, "_face_simplices") as faces:
                 simplices = polyhedra._integer_simplices(capped)[2]
@@ -403,3 +534,15 @@ class TestProfileCounts:
         pairs = counts[:4] + counts[-1:]  # the n = 3 and n = 4 pair epigraphs
         assert any(by_fan < by_visit for by_fan, by_visit, _ in pairs)
         assert any(by_visit < by_simplex for _, by_visit, by_simplex in counts)
+
+    def test_no_elimination_in_the_triangulation(self):
+        """Plane bases, visit determinants and lone simplices all come from
+        exterior products: ``echelon`` does not run."""
+        bodies = [capped_epigraph(u) for u in fresh_functions()]
+        bodies += [random_body(seed, n) for n, seed in ((2, 0), (3, 1), (4, 2))]
+        bodies.append(Polyhedron.from_generators(3, [(0, 0, 0), (1, 0, 0), (0, 2, 0), (0, 0, 3)]))
+        for p in bodies:
+            p.vrep
+            with counted(linalg, "echelon") as calls:
+                simplices = polyhedra._integer_simplices(p)[2]
+            assert simplices and calls == []

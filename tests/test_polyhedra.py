@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from convval import polyhedra
 from convval.errors import CertificateFailed, DimensionMismatch, UnboundedPolyhedron
-from convval.linalg import determinant, dot
+from convval.linalg import determinant, dot, rank
 from convval.polyhedra import (HRep, Polyhedron, VRep, apply_linear,
                                hausdorff_distance, intersect, minkowski_sum,
                                random_unimodular, translate, triangulate, volume)
@@ -221,6 +221,16 @@ class TestRandomUnimodular:
         assert random_unimodular(0, 1, 6) == ((F(1),),)
 
 
+# Point sets that are no polygon: on a line (one point, two, or several,
+# repeated ones included), and the plane of a triangle with a point off it,
+# first, inside or last.
+COLLINEAR = [[(0, 0, 0)], [(1, 2), (3, 4)], [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)],
+             [(1, 0, 2, 0), (1, 0, 2, 0), (3, 0, 6, 0)], [(0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 1, 0)]]
+OFF_PLANE = [[(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+             [(0, 0, 1), (0, 0, 0), (1, 0, 0), (0, 1, 0)],
+             [(0, 0, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 0, 1), (0, 2, 0, 0)]]
+
+
 class TestCertificates:
     """Broken invariants raise CertificateFailed, also under ``python -O``."""
 
@@ -240,15 +250,38 @@ class TestCertificates:
         with pytest.raises(CertificateFailed):
             polyhedra.hrep_to_vrep(HRep.make(1, [((1,), 1)]))
 
-    def test_polygon_plane(self, monkeypatch):
-        # A square is triangulated by the polygon fan alone; its rank check
-        # reads the pivots of ``echelon``, here cut down to a line.
-        square = box((0, 1), (0, 1))
-        square.vrep
-        real = polyhedra.echelon
-        monkeypatch.setattr(polyhedra, "echelon", lambda rows: real(rows[:1]))
-        with pytest.raises(CertificateFailed, match="polygon face spans 1 dimensions"):
-            volume(square)
+    def test_polygon_plane(self):
+        # The plane is read off the 2x2 minors of two edges, and every point
+        # is checked against it.
+        for points in COLLINEAR:
+            with pytest.raises(CertificateFailed, match="spans a line or less"):
+                polyhedra._polygon_fan(points)
+        for points in OFF_PLANE:
+            with pytest.raises(CertificateFailed, match="off its plane"):
+                polyhedra._polygon_fan(points)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_polygon_plane_on_drawn_points(self, data):
+        """Points on a line, and a plane's points with one off the plane put
+        anywhere among them, raise CertificateFailed and nothing else (no
+        StopIteration, IndexError or ZeroDivisionError)."""
+        d = data.draw(st.integers(2, 6))
+        vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+        p0, v, w, r = (data.draw(vec) for _ in range(4))
+        ks = data.draw(st.lists(st.integers(-4, 4), min_size=1, max_size=5, unique=True))
+        line = [tuple(a + k * b for a, b in zip(p0, v)) for k in ks]
+        if not any(v):
+            line = line[:1]
+        with pytest.raises(CertificateFailed, match="spans a line or less"):
+            polyhedra._polygon_fan(line)
+        off = [tuple(a - b for a, b in zip(r, p0))]
+        if rank([v, w]) == 2 and rank([v, w] + off) == 3:
+            plane = [tuple(p0), tuple(a + b for a, b in zip(p0, v)),
+                     tuple(a + b for a, b in zip(p0, w))]
+            plane.insert(data.draw(st.integers(0, 3)), tuple(r))
+            with pytest.raises(CertificateFailed, match="off its plane"):
+                polyhedra._polygon_fan(plane)
 
     def test_edge_vertex_count(self):
         with pytest.raises(CertificateFailed):
@@ -269,13 +302,10 @@ class TestCertificates:
             "import convval.polyhedra as polyhedra\n"
             "from convval.errors import CertificateFailed\n"
             "assert False, 'asserts are live'\n"
-            "square = polyhedra.Polyhedron.box([(0, 1)] * 2)\n"
-            "square.vrep\n"
-            "real = polyhedra.echelon\n"
-            "polyhedra.echelon = lambda rows: real(rows[:1])\n"
-            "try:\n"
-            "    polyhedra.volume(square)\n"
-            "except CertificateFailed:\n"
-            "    print('raised')\n"
+            f"for points in {COLLINEAR + OFF_PLANE!r}:\n"
+            "    try:\n"
+            "        polyhedra._polygon_fan(points)\n"
+            "    except CertificateFailed:\n"
+            "        print('raised')\n"
         )
-        assert python_stdout(code, "-O").strip() == "raised"
+        assert python_stdout(code, "-O").split() == ["raised"] * len(COLLINEAR + OFF_PLANE)
