@@ -173,6 +173,10 @@ def load_json(path: str) -> dict:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    except RecursionError:
+        raise DocumentError(f"{path}: JSON nested too deeply") from None
 
 
 def load_function(path: str) -> PWAConvex:

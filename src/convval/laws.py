@@ -236,6 +236,8 @@ def staircase_limit_check(zeta, k: int, t, h_values: Sequence) -> LawReport:
     the exact symbolic limit ((-1)^k/k!) psi^{(k)}(t) = zeta(t) with zero
     tolerance.
     """
+    if not h_values:
+        raise ValueError("need at least one step h")
     t = Fraction(t)
     psi = psi_from_zeta(zeta, k)
 

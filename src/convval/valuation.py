@@ -346,6 +346,8 @@ def mc_oracle(zeta: GrowthFunction, u: PWAConvex, samples: int = 10 ** 6,
         region = u.sublevel(truncation)
     else:
         raise UnboundedPolyhedron("unbounded domain: supply a truncation level")
+    if region.is_empty:  # truncation below min u
+        return 0.0, 0.0
     verts = region.vrep.vertices
     n = u.n
     lo = [float(min(v[i] for v in verts)) for i in range(n)]

@@ -2,14 +2,20 @@
 that more than one test file draws.
 
 Every fast route in ``convval`` is tested, by an exact ``==``, against the
-route it replaced.  That route is copied here once, as an ``oracle_*``
-function (or a helper of one), and a new fast route copies its parent route
-in here too.  Where a test compares an order (``_dd_step``,
-``vrep_to_hrep``, ``nearest_point``), the oracle is the parent route itself,
-since no brute-force route reproduces an order.  Routes that share a name
-but not a method carry the method in the name (``oracle_build_pruned_by_*``,
-``oracle_face_simplices_over_*``, ``oracle_cone_bound_by_*``).  ``tests/test_oracles.py`` keeps every
-``oracle_*`` defined here, and only here, once.
+reference routes kept here as ``oracle_*`` functions (or helpers of one).
+Per quantity there are at most two: one independent reference, a
+``Fraction``, sympy or brute-force route that shares no code with the route
+it checks, and the route that the latest change on that quantity replaced.
+The next change on the quantity copies its own parent route in and retires
+the one it displaces, unless that one is the independent reference; a test
+whose reference retires moves to a kept one on the same inputs.  Where a
+test compares an order (``_dd_step``, ``vrep_to_hrep``, ``nearest_point``,
+the fields of an affine image's integer cone), the reference must give that
+order, and where only an older route does, that route stays.  Routes that
+share a name but not a method carry the method in the name
+(``oracle_build_pruned_by_*``, ``oracle_integral_against_by_region``).
+``tests/test_oracles.py`` keeps every ``oracle_*`` defined here, and only
+here, once, and every definition here reachable from a test file.
 """
 
 import functools
@@ -40,8 +46,7 @@ from convval.growth import (GrowthFunction, make_growth, padd, pantider, peval, 
                             ptrim, tail_integral)
 from convval.laws import _random_coercive_base, generate_pair_with_convex_min, random_body
 from convval.linalg import dot, invert, rank, scale_to_int, solve, vec_add, vec_scale, vec_sub
-from convval.polyhedra import (HRep, Polyhedron, VRep, _fracvec, cut_by, intersect, triangulate,
-                               volume)
+from convval.polyhedra import HRep, Polyhedron, VRep, _fracvec, cut_by, intersect
 from convval.valuation import LevelVolumeProfile, level_volume_profile, min_valuation
 
 # ---------------------------------------------------------------------------
@@ -450,44 +455,6 @@ def oracle_cone_generators(rows, dim):
     return rays, lines
 
 
-def oracle_two_echelon_cone_generators(rows, dim):
-    """``cone_generators`` as it was: ``null_space`` decides pointedness, and
-    the pointed route takes its own ``echelon`` of the transpose for the DD
-    basis (run here through ``polyhedra._dd_step``, the one DD loop)."""
-
-    def pointed_cone_rays(rows, d):
-        if d == 0:
-            return []
-        _, base_idx, _ = linalg.echelon(list(zip(*rows)))
-        if len(base_idx) < d:
-            raise ValueError("cone rows are rank deficient")
-        aug = [list(rows[i]) + [int(i == j) for j in base_idx] for i in base_idx]
-        red, pivots, det = linalg.echelon(aug)
-        assert pivots == list(range(d))
-        s = -1 if det > 0 else 1
-        rays = [scale_to_int(tuple(s * red[j][d + i] for j in range(d))) for i in range(d)]
-        processed = sum(1 << i for i in base_idx)
-        raylist = [(r, oracle_incidence(rows, processed, r)) for r in rays]
-        for idx in range(len(rows)):
-            if not processed >> idx & 1:
-                raylist = polyhedra._dd_step(rows, idx, raylist, processed, d)
-                processed |= 1 << idx
-        return raylist
-
-    int_rows = [scale_to_int(r) for r in rows]
-    lines = linalg.null_space(int_rows, dim)
-    if not lines:
-        return pointed_cone_rays(int_rows, dim), []
-    w_basis = linalg.echelon(int_rows)[0]
-    r = len(w_basis)
-    proj = [tuple(dot(row, w) for w in w_basis) for row in int_rows]
-    rays = []
-    for z, mask in pointed_cone_rays([scale_to_int(p) for p in proj], r):
-        y = tuple(sum(z[j] * w_basis[j][i] for j in range(r)) for i in range(dim))
-        rays.append((scale_to_int(y), mask))
-    return rays, lines
-
-
 def oracle_dehomogenize(rays, lines, d):
     vertices, rec_rays = [], []
     for r in rays:
@@ -846,61 +813,6 @@ def oracle_triangulate(p):
     return oracle_face_simplices_over_halfspaces(verts, p.d, p.hrep.halfspaces)
 
 
-def oracle_face_simplices_over_masks(face, fdim, tight_masks, pts):
-    """The facets of a face of integer points given as a bitmask, by one
-    ``echelon`` rank test per candidate."""
-    idx = [i for i in range(len(pts)) if face >> i & 1]
-    if fdim == 2:
-        return [tuple(idx[k] for k in t)
-                for t, _ in polyhedra._polygon_fan([pts[i] for i in idx])[2]]
-    v0 = face & -face
-    seen = set()
-    simplices = []
-    for mask in tight_masks:
-        tight = face & mask
-        if not tight or tight & v0 or tight in seen:
-            continue
-        seen.add(tight)
-        sub = [p for i, p in enumerate(pts) if tight >> i & 1]
-        if len(linalg.echelon([vec_sub(p, sub[0]) for p in sub[1:]])[1]) != fdim - 1:
-            continue
-        for s in oracle_face_simplices_over_masks(tight, fdim - 1, tight_masks, pts):
-            simplices.append((idx[0],) + s)
-    return simplices
-
-
-def oracle_simplices(p):
-    """The simplex list of ``p`` by the rank-test route, from the same points
-    and tight masks as ``_integer_simplices``."""
-    d = p.d
-    cone = p._integer()
-    gens, masks = cone.gens[:cone.nverts], cone.masks[:cone.nverts]
-    if len(gens) == d + 1:
-        return [tuple(range(d + 1))]
-    scale = math.lcm(*(g[d] for g in gens))
-    pts = [tuple(x * (scale // g[d]) for x in g[:d]) for g in gens]
-    tight_masks = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1)
-                   for i in range(len(cone.rows))]
-    return oracle_face_simplices_over_masks((1 << len(pts)) - 1, d, tight_masks, pts)
-
-
-def oracle_integer_simplices(p):
-    """The points, scale and simplex indices of ``_integer_simplices``, the
-    points and tight masks taken from the Fraction representations."""
-    d = p.d
-    verts = p.vrep.vertices
-    scale = math.lcm(*(x.denominator for v in verts for x in v))
-    pts = [tuple(x.numerator * (scale // x.denominator) for x in v) for v in verts]
-    if len(verts) == d + 1:
-        return pts, scale, [tuple(range(d + 1))]
-    rows = [scale_to_int(tuple(a) + (b,)) for a, b in p.hrep.halfspaces]
-    tight_masks = [sum(1 << i for i, q in enumerate(pts)
-                       if sum(map(mul, row[:d], q)) == row[d] * scale)
-                   for row in rows]
-    return pts, scale, [s for s, _ in polyhedra._face_simplices((1 << len(verts)) - 1, d,
-                                                                tight_masks, pts, {})]
-
-
 def oracle_volume(p):
     if p.is_empty:
         return F(0)
@@ -911,8 +823,8 @@ def oracle_volume(p):
         xs = [v[0] for v in p.vrep.vertices]
         return max(xs) - min(xs)
     total = F(0)
-    for simplex in triangulate(p):
-        total += abs(linalg.determinant([vec_sub(q, simplex[0]) for q in simplex[1:]]))
+    for simplex in oracle_triangulate(p):
+        total += abs(oracle_determinant([vec_sub(q, simplex[0]) for q in simplex[1:]]))
     return total / math.factorial(d)
 
 
@@ -1070,8 +982,9 @@ def _power_basis_profile(u, levels, atom, shifted):
 
 def oracle_profile(u):
     """The profile by the Fraction route: the epigraph capped by a fresh
-    ``intersect``, one Fraction determinant and one Fraction expansion per
-    simplex; reads no cache and writes none."""
+    ``intersect`` and triangulated by ``oracle_triangulate``, one Fraction
+    determinant and one Fraction expansion per simplex; reads no cache and
+    writes none."""
     n = u.n
     d = n + 1
     levels = sorted({v[n] for v in u.epigraph.vrep.vertices})
@@ -1082,9 +995,9 @@ def oracle_profile(u):
     shifted = {z: [F(0)] * (d + 1) for z in levels}
     if capped.dim == capped.d:  # by rank, not by the masks
         sign = F((-1) ** d, math.factorial(d))
-        for simplex in triangulate(capped):
+        for simplex in oracle_triangulate(capped):
             base = simplex[0]
-            weight = sign * abs(linalg.determinant([vec_sub(q, base) for q in simplex[1:]]))
+            weight = sign * abs(oracle_determinant([vec_sub(q, base) for q in simplex[1:]]))
             mult = Counter(q[n] for q in simplex)
             for z, mu in mult.items():
                 if z == top:
@@ -1093,43 +1006,6 @@ def oracle_profile(u):
                 for m in range(mu):
                     shifted[z][d - m] += weight * series[mu - 1 - m] * math.comb(d, m) * (-1) ** m
     return _power_basis_profile(u, levels, atom, [shifted[z] for z in levels])
-
-
-def oracle_fraction_sums(u):
-    """The profile with the integer weights summed as one Fraction per term,
-    the power basis and the certificate in Fractions, and the atom from a
-    fresh sublevel set; reads no cache and writes none."""
-    n = u.n
-    d = n + 1
-    levels = sorted({v[n] for v in u.epigraph.vrep.vertices})
-    atom = volume(u.sublevel(levels[0]))
-    top = levels[-1] + 1
-    scale_h = math.lcm(*(z.denominator for z in levels))
-    hlevels = [z.numerator * (scale_h // z.denominator) for z in levels]
-    up = tuple(F(0) for _ in range(n)) + (F(1),)
-    capped, _ = next(cut_by(u.epigraph, [[(up, top)]]))
-    shifted = {z: [F(0)] * (d + 1) for z in hlevels}
-    if capped.dim == capped.d:  # by rank, not by the masks
-        pts, scale, simplices = polyhedra._integer_simplices(capped)
-        heights = [pt[n] * scale_h // scale for pt in pts]
-        weights = Counter()
-        for simplex, det in simplices:
-            weights[tuple(sorted(heights[i] for i in simplex))] += det
-        cap = hlevels[-1] + scale_h
-        for key, weight in weights.items():
-            mult = Counter(key)
-            for z, mu in mult.items():
-                if z == cap:
-                    continue
-                series, q, p = oracle_taylor_weights(z, mult)
-                for m in range(mu):
-                    l = mu - 1 - m
-                    shifted[z][d - m] += F(
-                        (-1) ** m * math.comb(d, m) * weight * series[l]
-                        * scale_h ** (d + 1 - mu + l), q * p ** l)
-        sign = F((-1) ** d, math.factorial(d) * scale ** d)
-        shifted = {z: [sign * c for c in cs] for z, cs in shifted.items()}
-    return _power_basis_profile(u, levels, atom, [shifted[hz] for hz in hlevels])
 
 
 def oracle_profile_by_sublevel_dd(u):
@@ -1214,30 +1090,6 @@ def oracle_profile_by_sublevel_dd(u):
             f"{F(total, math.factorial(d) * scale ** d)}")
     polys = [ptrim(F(c, common) for c in acc) for acc in accs]
     return LevelVolumeProfile(n, t_min, atom, tuple(levels), tuple(polys[:-1]), polys[-1])
-
-
-def oracle_interpolated_profile(u):
-    """V from fresh sublevel volumes alone: on each [s_i, s_{i+1}] and on
-    [s_p, s_p + 1], V is a polynomial of degree <= n, so the n + 1 values
-    ``volume(u.sublevel(t))`` at interior points t pin it.  Each value is its
-    own double description and triangulation; nothing is shared with the
-    expansion of the capped epigraph."""
-    n = u.n
-    levels = sorted({v[n] for v in u.epigraph.vrep.vertices})
-    ends = levels + [levels[-1] + 1]
-    polys = []
-    for a, b in zip(ends, ends[1:]):
-        ts = [a + (b - a) * F(k, n + 2) for k in range(1, n + 2)]
-        poly = ()
-        for t, value in zip(ts, (volume(u.sublevel(t)) for t in ts)):  # Lagrange
-            basis = (value,)
-            for s in ts:
-                if s != t:
-                    basis = pscale(1 / (t - s), pmul(basis, (-s, F(1))))
-            poly = padd(poly, basis)
-        polys.append(poly)
-    return LevelVolumeProfile(n, levels[0], volume(u.sublevel(levels[0])), tuple(levels),
-                              tuple(polys[:-1]), polys[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -1464,32 +1316,6 @@ def oracle_cone_bound_by_conjugate(u):
     return bound
 
 
-def oracle_cone_bound_by_fractions(u):
-    """The slope and offset from the ``Fraction`` V-rep of the epigraph."""
-    if not u.coercive:
-        raise NotCoercive("cone_bound requires a coercive function")
-    n = u.n
-    epi = u._epigraph_set()
-    radius_sq = None
-    for ray in epi.vrep.rays:
-        r, s = ray[:n], ray[n]
-        rr = dot(r, r)
-        if rr == 0:
-            continue
-        cand = s * s / (4 * rr)
-        if radius_sq is None or cand < radius_sq:
-            radius_sq = cand
-    a = F(1) if radius_sq is None else _rational_sqrt_lower(radius_sq)
-    if a <= 0:
-        raise NotCoercive("failed to certify a positive cone slope")
-    verts = epi.vrep.vertices
-    m = max(2 * a * sum(abs(f) for f in v[:n]) - v[n] for v in verts)
-    bound = ConeBound(a, -m - 1)
-    if not bound.holds_for(u):
-        raise CertificateFailed(f"cone bound {bound} fails its exact re-check")
-    return bound
-
-
 # ---------------------------------------------------------------------------
 # Projections: every subset of every cell
 # ---------------------------------------------------------------------------
@@ -1580,27 +1406,6 @@ def oracle_nearest_point(p, x, budget=10 ** 6):
     raise AssertionError("no face projection of the point lies in the polyhedron")
 
 
-def oracle_moreau_eval_by_fractions(u, t, x, budget=10 ** 6):
-    """``moreau_eval`` as it was: one ``nearest_point`` per cell of its own
-    double description, and the values in ``Fraction``s."""
-    t = F(t)
-    if t <= 0:
-        raise ValueError("moreau_eval requires t > 0")
-    x = _fracvec(x)
-    if len(x) != u.n:
-        raise DimensionMismatch("point dimension mismatch")
-    best = None
-    for (a, b), cell in oracle_active_cells(u.n, u.pieces, u.domain):
-        y = oracle_nearest_point(cell, vec_sub(x, tuple(t * ai for ai in a)), budget)
-        diff = vec_sub(x, y)
-        val = dot(a, y) + b + dot(diff, diff) / (2 * t)
-        if best is None or val < best:
-            best = val
-    if best is None:
-        raise NotCoercive("moreau_eval found no feasible cell (improper function)")
-    return best
-
-
 def oracle_hausdorff_distance(k, l):
     """The largest squared distance from a ``Fraction`` vertex of one body
     to its nearest point in the other, in ``Fraction``s."""
@@ -1636,15 +1441,6 @@ def _kernel_partial(p, d, n):
     return out
 
 
-def _kernel_full(p, c, d, n):
-    out = ()
-    for a in range(n):
-        coef = F(math.comb(n - 1, a) * (-1) ** (n - 1 - a))
-        val = pint(pmul((F(0),) * a + (F(1),), p), c, d)
-        out = padd(out, (F(0),) * (n - 1 - a) + (coef * val,))
-    return out
-
-
 def oracle_moment(zeta, k):
     """``moment`` walking zeta's regions itself."""
     tk = (F(0),) * k + (F(1),)
@@ -1660,21 +1456,6 @@ def oracle_moment(zeta, k):
         return total
     lam, coeffs = zeta.tail
     return float(total) + tail_integral(lam, pmul(tk, coeffs), max(b[-1], F(0)))
-
-
-def oracle_psi(zeta, n):
-    """psi_n summing the fixed-limit integrals piece by piece."""
-    b, m = zeta.breakpoints, len(zeta.pieces)
-    pieces = []
-    for j in range(m):
-        acc = _kernel_partial(zeta.pieces[j], b[j + 1], n)
-        for i in range(j + 1, m):
-            acc = padd(acc, _kernel_full(zeta.pieces[i], b[i], b[i + 1], n))
-        pieces.append(pscale(n, acc))
-    left = _kernel_partial(zeta.left, b[0], n)
-    for i in range(m):
-        left = padd(left, _kernel_full(zeta.pieces[i], b[i], b[i + 1], n))
-    return GrowthFunction(b, tuple(pieces), pscale(n, left), None, False)
 
 
 def oracle_psi_from_the_right(zeta, n):

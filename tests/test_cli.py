@@ -445,10 +445,13 @@ def test_laws_help_lists_the_suites_in_order(capsys):
 # The CLI's contract on inputs that reach its failure paths: each row, in a
 # fresh process and in this one, exits 0, 1 or 2 and prints no traceback.
 # x and -x on R are both proper, but their infimal convolution is -inf.
+# Files that are not JSON text are written as raw bytes.
 CONTRACT_DOCUMENTS = {
     "x": function_to_doc(make([((1,), 0)], coercive=False)),
     "minus_x": function_to_doc(make([((-1,), 0)], coercive=False)),
     "negative": _edited(BOX, pieces=[["-1"]], nonnegative=True),
+    "not_utf8": b"\xff\xfe\x00{",
+    "nested": b"[" * 200000 + b"]" * 200000,
 }
 CLI_CONTRACT = {  # name: (argv, exit status, on standard error)
     "infconv-minus-infinity": (["infconv", "{x}", "{minus_x}"], 2,
@@ -459,6 +462,10 @@ CLI_CONTRACT = {  # name: (argv, exit status, on standard error)
     "growth-failed-certificate": (["growth", "{negative}"], 2,
                                   "document error: invalid growth document: "
                                   "nonnegativity certificate failed"),
+    "eval-not-utf8": (["eval", "{not_utf8}", "--point", "0"], 2,
+                      "not_utf8.json: not UTF-8 text at byte 0"),
+    "eval-nested-too-deeply": (["eval", "{nested}", "--point", "0"], 2,
+                               "nested.json: JSON nested too deeply"),
 }
 
 
@@ -467,7 +474,8 @@ def test_cli_contract(zeta_docs, tail_doc, tmp_path, capsys, argv, status, messa
     paths = {"z0": zeta_docs[0], "zn": zeta_docs[1], "tail": tail_doc}
     for name, doc in CONTRACT_DOCUMENTS.items():
         paths[name] = str(tmp_path / f"{name}.json")
-        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        data = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+        (tmp_path / f"{name}.json").write_bytes(data)
     argv = [a.format(**paths) for a in argv]
     src = os.path.dirname(os.path.dirname(convval.__file__))
     fresh = subprocess.run([sys.executable, "-m", "convval.cli", *argv],

@@ -17,9 +17,9 @@ from convval.polyhedra import Polyhedron
 from convval.valuation import (combined_valuation, integral_valuation,
                                level_volume_profile, tail_mass)
 from oracles import (box01, oracle_combined_valuation, oracle_integral_against,
-                     oracle_integral_against_by_region, oracle_integral_valuation, oracle_moment, oracle_nonneg_on, oracle_psi,
-                     oracle_psi_from_the_right, oracle_tail_integral_by_factorials, pint,
-                     profiles, weights)
+                     oracle_integral_against_by_region, oracle_integral_valuation, oracle_moment,
+                     oracle_nonneg_on, oracle_psi_from_the_right,
+                     oracle_tail_integral_by_factorials, pint, profiles, weights)
 
 
 def hat():
@@ -305,9 +305,10 @@ class TestEvalArrayEdges:
 # One weighted integral against the per-site routes it replaced
 # ---------------------------------------------------------------------------
 # The oracles (``oracles.py``) are the earlier routes: ``moment`` walking
-# zeta's regions itself, psi_n summing the fixed-limit integrals piece by
-# piece, the valuations adding exact and float parts by their own isinstance
-# branches, and ``integral_against`` summing one Fraction per interval.
+# zeta's regions itself, psi_n summing the kernel's fixed-limit integrals
+# from the right, the valuations adding exact and float parts by their own
+# isinstance branches, and ``integral_against`` summing one Fraction per
+# interval.
 
 def assert_same(got, want):
     """Equal Fractions, or floats with the same repr."""
@@ -333,7 +334,7 @@ class TestOneWeightedIntegral:
             assert_same(moment(zeta, k), oracle_moment(zeta, k))
         if zeta.tail is None:
             for n in range(1, 5):
-                assert psi_from_zeta(zeta, n) == oracle_psi(zeta, n)
+                assert psi_from_zeta(zeta, n) == oracle_psi_from_the_right(zeta, n)
 
     @settings(max_examples=60, deadline=None)
     @given(weights(), weights())

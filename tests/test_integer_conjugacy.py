@@ -1,14 +1,13 @@
-"""The conjugacy layer's integer routes against the ``Fraction`` routes they
-replaced: ``PWAConvex.eval``, ``HRep.satisfies``, ``ConeBound.holds_for``,
-``cone_bound`` and ``moreau_eval``; and ``cone_bound`` reading its slope off
-the epigraph's rays against the route through the conjugate.
+"""The conjugacy layer's integer routes against ``Fraction`` routes:
+``PWAConvex.eval``, ``HRep.satisfies``, ``ConeBound.holds_for``,
+``cone_bound`` and ``moreau_eval``.
 
-The oracles (``oracles.py``) are the routes before the change, which took
-``Fraction`` dot products over the domain rows, the pieces and the V-rep of
-the epigraph, built ``conjugate(u)`` and the facets of its epigraph for
-the cone bound, and ran one double description per Moreau cell with the
-values in ``Fraction``s.  Every comparison is an exact ``==``.  The count
-guard makes a cone bound that builds a ``Fraction`` V-rep fail a test.
+The oracles (``oracles.py``) took ``Fraction`` dot products over the domain
+rows, the pieces and the V-rep of the epigraph, read the cone bound's slope
+off the facets of the conjugate's epigraph where ``cone_bound`` reads the
+epigraph's rays, and take the Moreau envelope as the least value over every
+subset of every cell's rows.  Every comparison is an exact ``==``.  The
+count guard makes a cone bound that builds a ``Fraction`` V-rep fail a test.
 """
 
 from fractions import Fraction as F
@@ -26,8 +25,8 @@ from convval.linalg import dot
 from convval.polyhedra import HRep, Polyhedron
 from counting import counted
 from oracles import (conjugacy_corpus, function_cases, hull_point, oracle_cone_bound_by_conjugate,
-                     oracle_cone_bound_by_fractions, oracle_eval, oracle_holds_for,
-                     oracle_moreau_eval_by_fractions, oracle_satisfies, outcome, rationals)
+                     oracle_eval, oracle_holds_for, oracle_moreau, oracle_satisfies, outcome,
+                     rationals)
 
 coords = rationals(4, 4, 6)
 PRIME = 10 ** 9 + 7
@@ -215,7 +214,7 @@ class TestConeBound:
     @settings(max_examples=100, deadline=None)
     @given(coercive_functions())
     def test_matches_the_conjugate_route(self, u):
-        assert cone_bound(u) == oracle_cone_bound_by_conjugate(u)
+        assert outcome(cone_bound, u) == outcome(oracle_cone_bound_by_conjugate, u)
 
     def test_builds_no_conjugate(self):
         for n in (1, 2, 3):
@@ -228,18 +227,13 @@ class TestConeBound:
                     cone_bound(u)
                 assert polars == [] and conjugates == []
 
-    @settings(max_examples=100, deadline=None)
-    @given(coercive_functions())
-    def test_matches_the_fraction_route(self, u):
-        assert outcome(cone_bound, u) == outcome(oracle_cone_bound_by_fractions, u)
-
     def test_corpus_smoothing_elements(self):
         steep = Polyhedron.box([(-1, 1), (-1, 1)])
         for pu, pv, _ in conjugacy_corpus():
             for pieces in (pu, pv):
                 for k in (1, 2, 4, 8):
                     w = smoothing_sequence(make(pieces, n=2), steep, k)
-                    assert cone_bound(w) == oracle_cone_bound_by_fractions(w)
+                    assert cone_bound(w) == oracle_cone_bound_by_conjugate(w)
 
     def test_scaled_cone_functions_keep_no_vrep(self):
         """The carried epigraph of ``scale_values`` is read on its integer
@@ -250,7 +244,7 @@ class TestConeBound:
                     w = scale_values(cone_function(body), k)
                     bound = cone_bound(w)
                     assert w.epigraph._vrep is None
-                    assert bound == oracle_cone_bound_by_fractions(w)
+                    assert bound == oracle_cone_bound_by_conjugate(w)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +256,9 @@ T_VALUES = [F(1, 4), F(1, 2), F(1), F(2), F(4)]
 
 
 class TestMoreauAgainstTheFractionRoute:
+    """``moreau_eval`` against the least value over every independent subset
+    of every cell's rows (``oracle_moreau``), in ``Fraction``s."""
+
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_function_cases(self, data):
@@ -272,11 +269,11 @@ class TestMoreauAgainstTheFractionRoute:
             data.draw(st.lists(coords, min_size=n, max_size=n)))
         got = moreau_eval(u, t, x)
         assert type(got) is F
-        assert got == oracle_moreau_eval_by_fractions(u, t, x)
+        assert got == oracle_moreau(u, t, x)
 
     def test_corpus(self):
         for pu, pv, x in conjugacy_corpus():
             for pieces in (pu, pv):
                 u = make(pieces, n=2)
                 for t in T_VALUES:
-                    assert moreau_eval(u, t, x) == oracle_moreau_eval_by_fractions(u, t, x)
+                    assert moreau_eval(u, t, x) == oracle_moreau(u, t, x)

@@ -3,10 +3,9 @@
 The oracles (``oracles.py``) are the Fraction-based elimination, double
 description and mask-free face triangulation (with its Fraction polygon fan
 and affine rank) that ``linalg`` and ``polyhedra`` used before they moved
-to ``linalg.echelon``, int-bitmask incidence sets and integer points, and
-the ``cone_generators`` that took one ``echelon`` for its pointedness test
-and another for its DD basis.  Every comparison is an exact ``==`` on the
-returned values and their order.
+to ``linalg.echelon``, int-bitmask incidence sets and integer points; the
+incidence masks of ``cone_generators`` are recomputed by dot products.
+Every comparison is an exact ``==`` on the returned values and their order.
 """
 
 from fractions import Fraction as F
@@ -20,9 +19,9 @@ from convval.polyhedra import (HRep, Polyhedron, VRep, _fracvec, _int_rows, appl
                                scale, translate, triangulate, volume, vrep_to_hrep)
 from counting import counted
 from oracles import (oracle_cone_generators, oracle_determinant, oracle_hrep_to_vrep,
-                     oracle_invert, oracle_is_bounded, oracle_null_space, oracle_rank, oracle_rref,
-                     oracle_scale_to_int, oracle_solve, oracle_triangulate,
-                     oracle_two_echelon_cone_generators, oracle_vrep_to_hrep, rationals)
+                     oracle_incidence, oracle_invert, oracle_is_bounded, oracle_null_space,
+                     oracle_rank, oracle_rref, oracle_scale_to_int, oracle_solve,
+                     oracle_triangulate, oracle_vrep_to_hrep, rationals)
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -291,19 +290,20 @@ class TestBoundedOnTheCone:
 class TestConeGeneratorsOneElimination:
     """One ``echelon`` of the transpose next to an identity picks the DD
     basis, decides pointedness and inverts the basis; only a cone with lines
-    takes a ``null_space``."""
+    takes a ``null_space``.  The rays and lines, in order, are those of the
+    Fraction route, and each ray's mask is its incidence with every row."""
 
     @staticmethod
     def assert_same_generators(rows, dim):
-        got = cone_generators(rows, dim)
-        assert got == oracle_two_echelon_cone_generators(rows, dim)
-        rays, lines = oracle_cone_generators(rows, dim)
-        assert [_fracvec(r) for r, _ in got[0]] == rays
-        assert [_fracvec(l) for l in got[1]] == lines
+        raylist, lines = cone_generators(rows, dim)
+        assert ([_fracvec(r) for r, _ in raylist], [_fracvec(l) for l in lines]) == \
+            oracle_cone_generators(rows, dim)
+        every = (1 << len(rows)) - 1
+        assert [m for _, m in raylist] == [oracle_incidence(rows, every, r) for r, _ in raylist]
 
     @settings(max_examples=300, deadline=None)
     @given(cone_row_lists())
-    def test_against_the_two_echelon_route(self, case):
+    def test_against_the_fraction_route(self, case):
         self.assert_same_generators(*case)
 
     def test_fixed_cases(self):

@@ -1,17 +1,15 @@
-"""Integer profile sums and integer simplex volumes against the Fraction
-routes they replaced, and the profile against fresh sublevel volumes.
+"""Integer profile sums and integer simplex volumes against one independent
+``Fraction`` route each and the route the latest change replaced.
 
 The oracles (``oracles.py``) are the ``level_volume_profile`` and
-``volume`` of the ``Fraction`` route (``oracle_profile``), the profile with
-its integer weights summed as one ``Fraction`` per term
-(``oracle_fraction_sums``), the profile whose atom ran a double description
-of the sublevel set (``oracle_profile_by_sublevel_dd``), the triangulation
-that found the facets of a face by a rank test per candidate
-(``oracle_simplices``), the one that took an elimination per polygon plane
-and per polygon visit (``oracle_integer_simplices_by_lattice_det``), and V
-interpolated from fresh sublevel volumes, which shares no code with the
-expansion (``oracle_interpolated_profile``).  Every comparison is an exact
-``==``, in order; ``_taylor_weights`` is checked against the Fraction
+``volume`` of the ``Fraction`` route (``oracle_profile``, ``oracle_volume``),
+which triangulate by ``oracle_triangulate`` and share no code with the
+integer expansion, the profile whose atom ran a double description of the
+sublevel set (``oracle_profile_by_sublevel_dd``), the triangulation that
+found the facets of a face by a rank test (``oracle_triangulate``), and the
+one that took an elimination per polygon plane and per polygon visit
+(``oracle_integer_simplices_by_lattice_det``).  Every comparison is an
+exact ``==``, in order; ``_taylor_weights`` is checked against the Fraction
 series (``oracle_local_series``) and the convolution at every height
 (``oracle_taylor_weights``), and the exterior-product determinant against
 the ``Fraction`` one.  The count guards make a determinant, a fresh double
@@ -32,20 +30,19 @@ from convval import linalg, polyhedra, valuation
 from convval.errors import CertificateFailed
 from convval.functions import cone_function, indicator_function, make
 from convval.laws import generate_pair_with_convex_min, random_body
-from convval.polyhedra import Polyhedron, volume
+from convval.polyhedra import Polyhedron, triangulate, volume
 from convval.growth import peval
 from convval.valuation import level_volume_profile
 from counting import counted
-from oracles import (capped_epigraph, oracle_determinant, oracle_fraction_sums,
-                     oracle_integer_simplices_by_lattice_det, oracle_interpolated_profile,
+from oracles import (capped_epigraph, oracle_determinant, oracle_integer_simplices_by_lattice_det,
                      oracle_lattice_det, oracle_local_series, oracle_profile,
-                     oracle_profile_by_sublevel_dd, oracle_simplices, oracle_taylor_weights,
+                     oracle_profile_by_sublevel_dd, oracle_taylor_weights, oracle_triangulate,
                      oracle_volume, profiled_functions, rationals)
 
 
-def same_profile(u):
-    got = level_volume_profile(u)
-    assert got == oracle_profile(u)
+def same_profile(u, route=level_volume_profile, oracle=oracle_profile):
+    got, want = route(u), oracle(u)
+    assert got == want and repr(got) == repr(want)  # repr: the same types too
     return got
 
 
@@ -120,22 +117,32 @@ def mixed_denominator_points(d):
     return st.lists(point(), min_size=d + 1, max_size=d + 4)
 
 
+def l1_on_square():
+    """|x|_1 on [-1, 1]^2: two of its height tuples have three heights at
+    level 1, whose jump terms cancel in V."""
+    return make([(s, 0) for s in product((1, -1), repeat=2)], Polyhedron.box([(-1, 1)] * 2))
+
+
 # ---------------------------------------------------------------------------
 # Profiles and volumes against the oracles
 # ---------------------------------------------------------------------------
 
 
 class TestProfileAgainstFractionRoute:
+    """``level_volume_profile`` against the independent ``Fraction`` route
+    (``oracle_profile``) at n = 1-3 and on one n = 4 pair."""
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 3).flatmap(pair_functions))
     def test_lattice_pairs(self, functions):
         for u in functions:
             same_profile(u)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 3).flatmap(lambda n: st.one_of(
-        l1_norms(n), box_indicators(n), cone_functions(n))))
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(norms_boxes_cones_and_mixed_denominators))
     def test_norms_boxes_and_cones(self, u):
+        """Mixed-denominator norms too, whose levels have large, mixed
+        denominators."""
         same_profile(u)
 
     def test_n4_pair(self):
@@ -155,23 +162,27 @@ class TestProfileAgainstFractionRoute:
         prof = same_profile(indicator_function(segment, 2))
         assert prof.atom == 0 and prof.final_poly == ()
 
+    def test_flat_levels(self):
+        same_profile(l1_on_square())
+
 
 class TestProfileAgainstSublevelRoute:
     """``_profile`` against its parent route (``oracle_profile_by_sublevel_dd``),
     whose atom ran a double description of the sublevel set at t_min and
-    whose simplices came from eliminations: ``==`` at n = 1-4."""
+    whose simplices came from eliminations: ``==``, with the same ``repr``,
+    at n = 1-4."""
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(1, 4).flatmap(pair_functions))
     def test_lattice_pairs(self, functions):
         for u in functions:
-            assert valuation._profile(u) == oracle_profile_by_sublevel_dd(u)
+            same_profile(u, valuation._profile, oracle_profile_by_sublevel_dd)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda n: st.one_of(
         l1_norms(n), box_indicators(n), cone_functions(n))))
     def test_norms_boxes_and_cones(self, u):
-        assert valuation._profile(u) == oracle_profile_by_sublevel_dd(u)
+        same_profile(u, valuation._profile, oracle_profile_by_sublevel_dd)
 
 
 def full_dimensional_argmins():
@@ -235,37 +246,34 @@ class TestPolyAt:
         assert peval(prof.poly_at(t), t) == prof.value(t) == volume(u.sublevel(t))
 
 
-def same_as_fraction_sums(u):
-    got, want = level_volume_profile(u), oracle_fraction_sums(u)
-    assert got == want and repr(got) == repr(want)  # repr: the same types too
+@st.composite
+def height_multiplicities(draw):
+    """Distinct integer heights with multiplicities summing to d + 1, and one
+    of them as z: mult[z] runs from 1 to d + 1."""
+    d = draw(st.integers(1, 5))
+    order = draw(st.integers(1, d + 1))
+    others, rest = [], d + 1 - order
+    while rest:
+        others.append(draw(st.integers(1, rest)))
+        rest -= others[-1]
+    heights = draw(st.lists(st.integers(-50, 50), min_size=len(others) + 1,
+                            max_size=len(others) + 1, unique=True))
+    return heights[0], dict(zip(heights, [order] + others))
 
 
-def l1_on_square():
-    """|x|_1 on [-1, 1]^2: two of its height tuples have three heights at
-    level 1, whose jump terms cancel in V."""
-    return make([(s, 0) for s in product((1, -1), repeat=2)], Polyhedron.box([(-1, 1)] * 2))
-
-
-class TestProfileAgainstFractionSums:
-    @settings(max_examples=8, deadline=None)
-    @given(st.integers(1, 4).flatmap(pair_functions))
-    def test_lattice_pairs(self, functions):
-        for u in functions:
-            same_as_fraction_sums(u)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 3).flatmap(norms_boxes_cones_and_mixed_denominators))
-    def test_norms_boxes_cones_and_mixed_denominators(self, u):
-        same_as_fraction_sums(u)
-
-    def test_segment_indicator_and_flat_levels(self):
-        segment = Polyhedron.from_generators(2, [(0, 0), (F(3, 2), F(1, 3))])
-        for u in (indicator_function(segment, 2), l1_on_square()):
-            same_as_fraction_sums(u)
+class TestTaylorWeights:
+    @settings(max_examples=200, deadline=None)
+    @given(height_multiplicities())
+    def test_against_the_local_series(self, case):
+        z, mult = case
+        a, q, p = valuation._taylor_weights(z, mult)
+        want = oracle_local_series(F(z), {F(w): mu for w, mu in mult.items()})
+        assert [F(c, q * p ** l) for l, c in enumerate(a)] == want
+        assert (a, q, p) == oracle_taylor_weights(z, mult)
 
     @pytest.mark.parametrize("u, level", [
         (indicator_function(Polyhedron.box([(0, 1), (F(-1, 3), 2)]), F(-2, 7)), F(-2, 7)),
-        (l1_on_square(), 1)])
+        (l1_on_square(), 1)], ids=["box", "l1"])
     def test_a_perturbed_jump_term_fails_the_certificate(self, u, level):
         """Double the (t - z)^1 term of W, V's jump at z, of the first
         expansion at a height of multiplicity n + 1: V(s_0) = atom fails for
@@ -303,53 +311,6 @@ class TestProfileAgainstFractionSums:
                 pytest.raises(CertificateFailed, match="integrates to"):
             valuation._profile(u)
         assert len(perturbed) == 1
-
-
-@st.composite
-def height_multiplicities(draw):
-    """Distinct integer heights with multiplicities summing to d + 1, and one
-    of them as z: mult[z] runs from 1 to d + 1."""
-    d = draw(st.integers(1, 5))
-    order = draw(st.integers(1, d + 1))
-    others, rest = [], d + 1 - order
-    while rest:
-        others.append(draw(st.integers(1, rest)))
-        rest -= others[-1]
-    heights = draw(st.lists(st.integers(-50, 50), min_size=len(others) + 1,
-                            max_size=len(others) + 1, unique=True))
-    return heights[0], dict(zip(heights, [order] + others))
-
-
-class TestTaylorWeights:
-    @settings(max_examples=200, deadline=None)
-    @given(height_multiplicities())
-    def test_against_the_local_series(self, case):
-        z, mult = case
-        a, q, p = valuation._taylor_weights(z, mult)
-        want = oracle_local_series(F(z), {F(w): mu for w, mu in mult.items()})
-        assert [F(c, q * p ** l) for l, c in enumerate(a)] == want
-        assert (a, q, p) == oracle_taylor_weights(z, mult)
-
-
-class TestProfileAgainstFreshVolumes:
-    """``oracle_interpolated_profile`` on the inputs of the class above, at
-    n = 1-3."""
-
-    @settings(max_examples=6, deadline=None)
-    @given(st.integers(1, 3).flatmap(pair_functions))
-    def test_lattice_pairs(self, functions):
-        for u in functions:
-            assert level_volume_profile(u) == oracle_interpolated_profile(u)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(1, 3).flatmap(norms_boxes_cones_and_mixed_denominators))
-    def test_norms_boxes_cones_and_mixed_denominators(self, u):
-        assert level_volume_profile(u) == oracle_interpolated_profile(u)
-
-    def test_segment_indicator_and_flat_levels(self):
-        segment = Polyhedron.from_generators(2, [(0, 0), (F(3, 2), F(1, 3))])
-        for u in (indicator_function(segment, 2), l1_on_square()):
-            assert level_volume_profile(u) == oracle_interpolated_profile(u)
 
 
 class TestVolumeAgainstFractionRoute:
@@ -432,26 +393,27 @@ polytopes = st.one_of(generated_polytopes(), capped_epigraphs()).filter(
 
 
 class TestTriangulationAgainstRankRoute:
-    """The simplices against the route that found each face's facets by a
-    rank test, and ``(pts, scale, simplices)``, determinants included,
-    against the one that took an elimination per polygon plane and per
-    polygon visit (``oracle_integer_simplices_by_lattice_det``)."""
+    """The simplices, in order, against the ``Fraction`` route that finds
+    each face's facets by a rank test (``oracle_triangulate``), and
+    ``(pts, scale, simplices)``, determinants included, against the one that
+    took an elimination per polygon plane and per polygon visit
+    (``oracle_integer_simplices_by_lattice_det``).  The n = 4 pair
+    epigraphs, of 542 and 954 simplices, are left to the second."""
 
     @settings(max_examples=80, deadline=None)
     @given(polytopes)
     def test_same_simplices(self, p):
-        got = polyhedra._integer_simplices(p)
-        assert [s for s, _ in got[2]] == oracle_simplices(p)
-        assert got == oracle_integer_simplices_by_lattice_det(p)
+        assert triangulate(p) == oracle_triangulate(p)
+        assert polyhedra._integer_simplices(p) == oracle_integer_simplices_by_lattice_det(p)
 
     def test_same_simplices_of_pair_epigraphs(self):
         for n, seed in ((1, 0), (2, 0), (3, 1), (4, 0), (4, 1)):
             pair = generate_pair_with_convex_min(seed, n)
             for u in (pair.u, pair.v, *pair.lattice()):
                 p = capped_epigraph(u)
-                got = polyhedra._integer_simplices(p)
-                assert [s for s, _ in got[2]] == oracle_simplices(p)
-                assert got == oracle_integer_simplices_by_lattice_det(p)
+                if n < 4:
+                    assert triangulate(p) == oracle_triangulate(p)
+                assert polyhedra._integer_simplices(p) == oracle_integer_simplices_by_lattice_det(p)
 
     @settings(max_examples=80, deadline=None)
     @given(polytopes)

@@ -2,11 +2,11 @@
 ``Fraction`` routes it replaced (``oracles.py``): masks recomputed by dot
 products, eager ``Fraction`` V-reps of restrictions and images,
 ``contains_polyhedron``, ``dim``, full dimension read off the masks
-against ``dim``, ``relative_interior_contains`` and the
-triangulation's points read off the ``Fraction`` representations, pruning
-by ``Fraction`` dots, and the layer cake summed by one ``Fraction`` per
-interval; affine images on integer matrices against the ``Fraction`` maps
-they replaced.  Every comparison is an exact ``==``, in order where the
+against ``dim``, ``relative_interior_contains``, the triangulation of
+carried cones against the ``Fraction`` rank-test route and the elimination
+route, pruning by ``Fraction`` dots, and the layer cake summed by one
+``Fraction`` per interval; affine images on integer matrices against the
+``Fraction`` maps they replaced.  Every comparison is an exact ``==``, in order where the
 result is ordered.  The count guards make a return to those routes fail a
 test.
 """
@@ -25,19 +25,24 @@ from convval.growth import integral_against, make_growth
 from convval.laws import generate_pair_with_convex_min, random_body
 from convval.linalg import invert, vec_add, vec_scale, vec_sub
 from convval.polyhedra import (HRep, Polyhedron, apply_linear, cut_by, intersect,
-                               relative_interior_contains, translate, volume, vrep_to_hrep)
+                               relative_interior_contains, translate, triangulate, volume,
+                               vrep_to_hrep)
 from counting import counted
 from oracles import (SLOPES_12, building_by, capped_epigraph, coords, functions_in,
                      images_by_fractions, oracle_apply_linear, oracle_build_pruned_by_dots,
                      oracle_contains, oracle_cut_by, oracle_dd_step, oracle_dim, oracle_image,
-                     oracle_incidence, oracle_integer_simplices, oracle_integral_against,
-                     oracle_relative_interior_contains, oracle_restrictions, oracle_scale,
-                     oracle_translate, outcome, profiles, scale_values_by_fractions, weights)
+                     oracle_incidence, oracle_integer_simplices_by_lattice_det,
+                     oracle_integral_against, oracle_relative_interior_contains,
+                     oracle_restrictions, oracle_scale, oracle_translate, oracle_triangulate,
+                     outcome, profiles, scale_values_by_fractions, weights)
 
 
-def simplex_indices(pts, scale, simplices):
-    """``_integer_simplices`` without the determinants."""
-    return pts, scale, [s for s, _ in simplices]
+def same_triangulation(p):
+    """The simplices against the ``Fraction`` rank-test route, read off the
+    ``Fraction`` representations, and the points, scale, simplices and
+    determinants against the elimination route."""
+    assert triangulate(p) == oracle_triangulate(p)
+    assert polyhedra._integer_simplices(p) == oracle_integer_simplices_by_lattice_det(p)
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +215,15 @@ class TestAgainstFractionRoutes:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 3).flatmap(polyhedra_in))
     def test_integer_simplices(self, p):
-        """The points, scale and simplices, in order, of every full-dimensional
-        polytope, of its translate and of the polyhedron capped by ``cut_by``."""
+        """``same_triangulation`` of every full-dimensional polytope, of its
+        translate and of the polyhedron capped by ``cut_by``."""
         d = p.d
         top = (0,) * (d - 1) + (1,)
         capped = [q for q, _ in cut_by(p, [[(top, 3), (tuple(-x for x in top), 3)]])]
         for body in [p, translate(p, (F(1, 2),) * d)] + capped:
             if body.is_empty or not body.is_bounded or body.dim < d:
                 continue
-            assert (simplex_indices(*polyhedra._integer_simplices(body))
-                    == oracle_integer_simplices(body))
+            same_triangulation(body)
 
     def test_integer_simplices_of_capped_epigraphs(self):
         for seed in range(3):
@@ -227,8 +231,7 @@ class TestAgainstFractionRoutes:
             for u in (pair.u, pair.v, *pair.lattice(), cone_function(random_body(seed, 3))):
                 capped = capped_epigraph(u)
                 assert capped.is_full_dimensional
-                assert (simplex_indices(*polyhedra._integer_simplices(capped))
-                        == oracle_integer_simplices(capped))
+                same_triangulation(capped)
 
 
 @st.composite

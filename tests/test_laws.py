@@ -210,6 +210,10 @@ class TestStaircase:
         assert rep2.passed
         assert rep2.details["order"] is None or rep2.details["order"] >= 0.9
 
+    def test_limit_check_needs_a_step(self):
+        with pytest.raises(ValueError, match="need at least one step h"):
+            staircase_limit_check(ZN, 1, F(1, 2), [])
+
 
 class TestSmoothing:
     def test_sequence_below_and_converging(self):

@@ -188,6 +188,11 @@ class TestMonteCarlo:
         with pytest.raises(UnboundedPolyhedron):
             mc_oracle(hat_pos(), absn(2), samples=10)
 
+    def test_truncation_below_the_minimum_is_empty(self):
+        """{u <= t} is empty below min u = 1: no mass, no error."""
+        u = absn(2).translate_graph(1)
+        assert mc_oracle(hat_pos(), u, samples=10, truncation=F(1, 2)) == (0.0, 0.0)
+
 
 def assert_profile_matches_fresh_volumes(u):
     """The profile equals a fresh sublevel volume at every breakpoint, every
