@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -414,25 +413,28 @@ def sup(u: PWAConvex, v: PWAConvex) -> PWAConvex:
 def inf_if_convex(u: PWAConvex, v: PWAConvex) -> PWAConvex:
     """Pointwise minimum, provided it is convex.
 
-    The minimum is convex exactly when conv(epi u  U  epi v) equals the union
-    of the epigraphs.  The hull is the polar double description of both
-    epigraphs' integer generators (``_generators``), as in ``minkowski_sum``.
-    The check is exact: for every facet pair (g of epi u,
-    h of epi v), the hull restricted to the outside of both facets must be
-    empty up to faces: empty, or tight on g or on h throughout.  These
-    restrictions come from ``cut_by``, which continues the hull's double
-    description by one step per extra row when the hull is pointed and flags
-    the rows that are tight throughout from the incidence masks of those
-    steps.
+    The minimum is convex exactly when the hull H = conv(epi u  U  epi v)
+    equals the union of the epigraphs.  H is the polar double description
+    of both epigraphs' integer generators (``_generators``), as in
+    ``minkowski_sum``.  The check is exact and works on any H-reps of the
+    two epigraphs, here the integer rows each already carries: if the
+    minimum is convex, no point of H lies strictly beyond a row g of epi u
+    and a row h of epi v; if it is not, a point of H outside both epigraphs
+    does, for some such pair.
 
-    Only pairs of *open* facets are checked: g is open when the hull has a
-    point strictly beyond it, i.e. when its one-row restriction is not tight
-    on g.  The restriction of a pair lies inside that of each of its facets,
-    so a pair with a closed facet passes, and the open rows of epi v are not
-    needed when epi u has none.  The pairs are checked in the order of the
-    full product, so the first failing pair is the same.  On failure raises
-    :class:`NotConvexMin` with a witness point x where min(u, v)(x) exceeds
-    the hull function.
+    Only *open* rows of epi u matter: g is open when H has a point strictly
+    beyond it, i.e. some generator y of H's cone has g.y > 0, or some line
+    g.y != 0.  Each open g costs one ``cut_by`` step, q_g = H n {g >= 0},
+    and a pair costs none: (g, h) fails iff q_g has a point strictly beyond
+    h, read off its generators the same way.  Such a point p has g(p) >= 0,
+    and moving it a little towards a point of H strictly beyond g gives one
+    beyond both; a row h that H never crosses is beyond no point of q_g.
+
+    On failure the same test runs on the canonical H-reps of both
+    epigraphs, in the order of the full product, and the first failing pair
+    is cut from H (two ``cut_by`` steps): :class:`NotConvexMin` carries a
+    relative interior point x of that restriction, where min(u, v)(x)
+    exceeds the hull function.
     """
     if u.n != v.n:
         raise DimensionMismatch("dimension mismatch in inf")
@@ -442,16 +444,23 @@ def inf_if_convex(u: PWAConvex, v: PWAConvex) -> PWAConvex:
     hull = Polyhedron(vrep_to_hrep(_Generators(n + 1, gu.verts + gv.verts, gu.rays + gv.rays,
                                                gu.lines + gv.lines)))
 
-    def open_outsides(epi: Polyhedron) -> list:
-        outsides = [(tuple(-x for x in g), -cg) for g, cg in epi.canonical_hrep.halfspaces]
-        flags = cut_by(hull, ([row] for row in outsides))
-        return [row for row, (_, (tight,)) in zip(outsides, flags) if not tight]
+    def beyond(q: Polyhedron, r) -> bool:
+        c = q._integer()
+        return c.nverts > 0 and (any(sum(map(mul, r, y)) > 0 for y in c.gens)
+                                 or any(sum(map(mul, r, l)) for l in c.lines))
 
-    open_g = open_outsides(eu)
-    open_h = open_outsides(ev) if open_g else []
-    for q, (tight_g, tight_h) in cut_by(hull, product(open_g, open_h)):
-        if not (tight_g or tight_h):  # an empty q is tight on both rows
-            raise NotConvexMin(q.relint_point()[:n])
+    def outside(r):  # r.y >= 0, as a halfspace
+        return tuple(-x for x in r[:-1]), r[-1]
+
+    def first_failing(rows_u, rows_v):
+        open_u = [g for g in rows_u if beyond(hull, g)]
+        cuts = (q for q, _ in cut_by(hull, ([outside(g)] for g in open_u)))
+        return next(((g, h) for g, q in zip(open_u, cuts) for h in rows_v if beyond(q, h)), None)
+
+    if first_failing(eu._integer().rows[:-1], ev._integer().rows[:-1]):
+        g, h = first_failing(eu.canonical_hrep.int_rows, ev.canonical_hrep.int_rows)
+        q, _ = next(cut_by(hull, [[outside(g), outside(h)]]))
+        raise NotConvexMin(q.relint_point()[:n])
     return from_epigraph(hull, coercive=u.coercive and v.coercive)
 
 

@@ -13,7 +13,7 @@ test compares an order (``_dd_step``, ``vrep_to_hrep``, ``nearest_point``,
 the fields of an affine image's integer cone), the reference must give that
 order, and where only an older route does, that route stays.  Routes that
 share a name but not a method carry the method in the name
-(``oracle_build_pruned_by_*``, ``oracle_integral_against_by_region``).
+(``oracle_build_pruned_by_*``).
 ``tests/test_oracles.py`` keeps every ``oracle_*`` defined here, and only
 here, once, and every definition here reachable from a test file.
 """
@@ -1488,32 +1488,6 @@ def oracle_tail_integral_by_factorials(lam, coeffs, a):
     return total
 
 
-def oracle_integral_against(zeta, breaks, polys, start):
-    """``integral_against`` summing one Fraction per interval."""
-    cuts = sorted({c for c in breaks + zeta.breakpoints if c > start})
-    cuts = [start] + cuts
-    exact, fl, has_float = F(0), 0.0, False
-    i = 0
-    for a, b in zip(cuts, cuts[1:]):
-        while i + 1 < len(breaks) and breaks[i + 1] < b:
-            i += 1
-        vp = polys[i]
-        kind, payload = zeta.region_at((a + b) / 2)
-        if kind in ("left", "piece") and payload and vp:
-            exact += pint(pmul(payload, vp), a, b)
-        elif kind == "tail" and vp:
-            lam, coeffs = payload
-            fl += (tail_integral(lam, pmul(coeffs, vp), a)
-                   - tail_integral(lam, pmul(coeffs, vp), b))
-            has_float = True
-    vp = polys[-1]
-    if zeta.tail is not None and vp:
-        lam, coeffs = zeta.tail
-        fl += tail_integral(lam, pmul(coeffs, vp), cuts[-1])
-        has_float = True
-    return float(exact) + fl if has_float else exact
-
-
 def oracle_integral_against_by_region(zeta, breaks, polys, start):
     """``integral_against`` on a sorted set of cuts, with one ``region_at``
     per interval midpoint."""
@@ -1562,7 +1536,8 @@ def oracle_integral_valuation(zeta, u):
     """The valuation adding exact and float parts by its own branches."""
     prof = level_volume_profile(u)
     atom_term = zeta.eval(prof.t_min) * prof.atom
-    rest = oracle_integral_against(zeta, prof.breakpoints, prof._derivatives, prof.t_min)
+    rest = oracle_integral_against_by_region(zeta, prof.breakpoints, prof._derivatives,
+                                             prof.t_min)
     if isinstance(atom_term, F) and isinstance(rest, F):
         return atom_term + rest
     return float(atom_term) + float(rest)

@@ -6,8 +6,10 @@ description per facet pair, and the cone function built afresh on every
 call.  Every comparison is an exact ``==`` on pieces, domains and both
 representations of the epigraph (in order), or on the ``NotConvexMin``
 witness.  The count guards make a per-piece, per-cell or per-pair double
-description, a check of a facet pair that cannot fail, or a cone function
-built again for the same body, fail a test, not only a benchmark run.  ``from_epigraph`` checks the
+description, a cut by a row the hull does not cross, a double description
+step per pair, a canonical H-rep of a certified pair's epigraphs, or a cone
+function built again for the same body, fail a test, not only a benchmark
+run.  ``from_epigraph`` checks the
 polyhedron on its own double description and builds on first read; it is
 compared with the route that checked the canonical H-rep and built right
 away, and its count guards make a smoothing element built for a cone
@@ -44,11 +46,12 @@ from oracles import (SLOPES_12, building_by, conjugacy_corpus, coords, epigraph_
                      outcome)
 
 
-def open_facets(u, v):
-    """The facet rows of epi u that a generator of epi v violates strictly:
-    those the hull of both epigraphs has points strictly beyond."""
+def open_rows(hrep, v):
+    """The integer rows of ``hrep``, an H-rep of epi u, that a generator of
+    epi v violates strictly: those the hull of both epigraphs has points
+    strictly beyond."""
     gv = v.epigraph.vrep
-    return [(g, c) for g, c in u.epigraph.canonical_hrep.halfspaces
+    return [row for row, (g, c) in zip(hrep.int_rows, hrep.halfspaces)
             if any(dot(g, x) > c for x in gv.vertices) or any(dot(g, r) > 0 for r in gv.rays)
             or any(dot(g, l) != 0 for l in gv.lines)]
 
@@ -159,7 +162,7 @@ class TestCellsFromTheEpigraph:
 
 
 # ---------------------------------------------------------------------------
-# cut_by and inf_if_convex: two DD steps from the hull
+# cut_by and inf_if_convex: DD steps from the hull
 # ---------------------------------------------------------------------------
 
 
@@ -219,6 +222,11 @@ def pairs(draw):
     return u, v
 
 
+# x <= 1 twice, 2x <= 4 and x + y <= 5 are implied by the rest of the box
+REDUNDANT_DOMAIN = HRep.make(2, [((1, 0), 1), ((1, 0), 1), ((2, 0), 4), ((-1, 0), 1),
+                                 ((0, 1), 1), ((0, -1), 1), ((1, 1), 5)])
+
+
 class TestInfIfConvexAgainstPerPairRoute:
     @settings(max_examples=150, deadline=None)
     @given(pairs())
@@ -250,7 +258,7 @@ class TestInfIfConvexAgainstPerPairRoute:
                    for q, flags in cut_by(hull_of(u, v), product(*outsides))]
         # facets 1 and 2 of epi u are open; of the 3 x 2 pairs, (g1, h1) and
         # (g2, h1) fail, with different witnesses
-        assert len(open_facets(u, v)) == 2 and len(outsides[1]) == 2
+        assert len(open_rows(u.epigraph.canonical_hrep, v)) == 2 and len(outsides[1]) == 2
         assert [i for i, w in enumerate(failing) if w] == [3, 5] and failing[3] != failing[5]
         got = outcome(inf_if_convex, u, v)
         assert got == ("NotConvexMin", failing[3])
@@ -261,6 +269,46 @@ class TestInfIfConvexAgainstPerPairRoute:
         w = u.translate_graph(1)
         assert outcome(inf_if_convex, u, w) == outcome(oracle_inf_if_convex, u, w)
         assert pwa_equal(inf_if_convex(u, w), u)
+
+    def test_segments_in_the_plane(self):
+        def segment(a, b):
+            return indicator_function(Polyhedron.box([(a, b), (0, 0)]))
+
+        overlapping, disjoint = (segment(0, 2), segment(1, 3)), (segment(0, 1), segment(2, 3))
+        assert outcome(inf_if_convex, *overlapping) == outcome(oracle_inf_if_convex, *overlapping)
+        assert pwa_equal(inf_if_convex(*overlapping), segment(0, 3))
+        got = outcome(inf_if_convex, *disjoint)
+        assert got == ("NotConvexMin", (F(3, 2), F(0))) == outcome(oracle_inf_if_convex, *disjoint)
+
+    @pytest.mark.parametrize("other, convex", [
+        ([((1,), 1), ((-1,), 1)], True),                       # |x| + 1
+        ([((2,), 0), ((-2,), 0)], True),                       # 2|x|
+        ([((1,), -1), ((-1,), 1)], False),                     # |x - 1|
+        ([((1,), -2), ((-1,), 2), ((0,), 0)], False),          # |x - 2|, its 0 kept too
+    ], ids=["shifted", "steeper", "crossing", "crossing-with-zero"])
+    def test_a_piece_tight_at_one_vertex(self, other, convex):
+        """max(x, -x, 0) keeps its 0 piece, tight at x = 0 only: a row of
+        epi u that is not a facet, on either side of the pair."""
+        u, v = make([((1,), 0), ((-1,), 0), ((0,), 0)]), make(other)
+        assert len(u.epigraph.hrep.halfspaces) > len(u.epigraph.canonical_hrep.halfspaces)
+        for a, b in ((u, v), (v, u)):
+            got = outcome(inf_if_convex, a, b)
+            assert (got[0] != "NotConvexMin") == convex
+            assert got == outcome(oracle_inf_if_convex, a, b)
+
+    @pytest.mark.parametrize("other, convex", [
+        (make([((1, 0), F(1, 2)), ((-1, 0), F(1, 2)), ((0, 1), F(1, 2))],
+              REDUNDANT_DOMAIN, n=2), True),                     # u + 1/2
+        (make([((0, 0), 0)], Polyhedron.box([(0, 3), (-1, 1)]), n=2), False),
+        (make([((0, 0), 0)], Polyhedron.box([(2, 3), (-1, 1)]), n=2), False),
+    ], ids=["shifted", "overlapping-box", "far-box"])
+    def test_a_domain_with_repeated_and_redundant_rows(self, other, convex):
+        u = make([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0)], REDUNDANT_DOMAIN, n=2)
+        assert len(u.epigraph.hrep.halfspaces) > len(u.epigraph.canonical_hrep.halfspaces)
+        for a, b in ((u, other), (other, u)):
+            got = outcome(inf_if_convex, a, b)
+            assert (got[0] != "NotConvexMin") == convex
+            assert got == outcome(oracle_inf_if_convex, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -335,23 +383,33 @@ class TestDoubleDescriptionCounts:
 
     def test_inf_if_convex_cuts_only_open_facet_pairs(self):
         u = make([(a, 0) for a in SLOPES_12])
-        v = u.translate_graph(1)  # the hull is epi u: no facet of epi u is open
+        v = u.translate_graph(1)  # the hull is epi u: no row of epi u is open
         facets_u = len(u.epigraph.canonical_hrep.halfspaces)
         assert facets_u * len(v.epigraph.canonical_hrep.halfspaces) == 144
+        assert open_rows(u.epigraph.hrep, v) == []
         with cut_by_steps() as steps:
             assert pwa_equal(inf_if_convex(u, v), u)
-        assert len(steps) == facets_u  # not two steps for each of 144 pairs
+        assert steps == []  # no cut for a row of epi v, nor two for each of 144 pairs
 
     def test_inf_if_convex_steps_on_a_pair(self):
         pair = generate_pair_with_convex_min(0, 2)  # u = w sup l, v = w sup (2w - l)
         u, v = pair.u, pair.v
-        open_g, open_h = open_facets(u, v), open_facets(v, u)
-        assert open_g and open_h
+        open_g, open_h = open_rows(u.epigraph.hrep, v), open_rows(v.epigraph.hrep, u)
+        assert open_g and len(open_h) > len(open_g)
         with cut_by_steps() as steps:
             assert pwa_equal(inf_if_convex(u, v), pair.wedge)
-        assert len(steps) == (len(u.epigraph.canonical_hrep.halfspaces)
-                              + len(v.epigraph.canonical_hrep.halfspaces)
-                              + 2 * len(open_g) * len(open_h))
+        assert len(steps) == len(open_g)  # one per open row of epi u, none per pair
+
+    def test_inf_if_convex_reads_no_canonical_hrep_on_a_convex_pair(self):
+        """The hull's polar double description is the only one: neither
+        epigraph's canonical H-rep is built."""
+        pair = generate_pair_with_convex_min(0, 2)
+        u, v = make(pair.u.pieces), make(pair.v.pieces)
+        with counted(polyhedra, "vrep_to_hrep") as v2h:
+            w = inf_if_convex(u, v)
+        assert len(v2h) == 1
+        assert u.epigraph._canonical_hrep is None and v.epigraph._canonical_hrep is None
+        assert pwa_equal(w, pair.wedge)
 
     def test_smoothing_builds_the_cone_function_once(self):
         """Four steepnesses run the cone function's double descriptions once,

@@ -16,10 +16,10 @@ from convval.growth import (GrowthFunction, NumericPsi, check_derivative_relatio
 from convval.polyhedra import Polyhedron
 from convval.valuation import (combined_valuation, integral_valuation,
                                level_volume_profile, tail_mass)
-from oracles import (box01, oracle_combined_valuation, oracle_integral_against,
-                     oracle_integral_against_by_region, oracle_integral_valuation, oracle_moment,
-                     oracle_nonneg_on, oracle_psi_from_the_right,
-                     oracle_tail_integral_by_factorials, pint, profiles, weights)
+from oracles import (box01, oracle_combined_valuation, oracle_integral_against_by_region,
+                     oracle_integral_valuation, oracle_moment, oracle_nonneg_on,
+                     oracle_psi_from_the_right, oracle_tail_integral_by_factorials, pint,
+                     profiles, weights)
 
 
 def hat():
@@ -346,8 +346,8 @@ class TestOneWeightedIntegral:
             prof = level_volume_profile(u)
             for start in (*prof.breakpoints, prof.breakpoints[-1] + F(1, 2)):
                 assert_same(tail_mass(zeta, u, start),
-                            oracle_integral_against(zeta, prof.breakpoints, prof._derivatives,
-                                                    start))
+                            oracle_integral_against_by_region(zeta, prof.breakpoints,
+                                                              prof._derivatives, start))
 
     def test_the_weights_reach_every_branch(self):
         tailed = make_growth([-1, 1], [[1, -1]], left_constant=2, tail=(1, [1]))
@@ -372,25 +372,6 @@ def piecewise_polys(draw):
     return breaks, polys
 
 
-class TestIntegralAgainstFractionSums:
-    @settings(max_examples=150, deadline=None)
-    @given(weights(), piecewise_polys(), st.fractions(-4, 5, max_denominator=6))
-    def test_piecewise_polynomials(self, zeta, f, start):
-        breaks, polys = f
-        for s in (start, breaks[0], breaks[-1], breaks[-1] + F(1, 3)):
-            assert_same(integral_against(zeta, breaks, polys, s),
-                        oracle_integral_against(zeta, breaks, polys, s))
-
-    @settings(max_examples=40, deadline=None)
-    @given(weights())
-    def test_profiles(self, zeta):
-        for prof in profiles():
-            for start in (prof.t_min, prof.breakpoints[-1], prof.breakpoints[-1] + F(1, 2)):
-                assert_same(integral_against(zeta, prof.breakpoints, prof._derivatives, start),
-                            oracle_integral_against(zeta, prof.breakpoints,
-                                                    prof._derivatives, start))
-
-
 class TestIntegralAgainstRegionRoute:
     """``integral_against`` walking both breakpoint lists against its parent
     route, which sorted a set of cuts and called ``region_at`` on each
@@ -398,13 +379,15 @@ class TestIntegralAgainstRegionRoute:
     taken in the same order."""
 
     @settings(max_examples=200, deadline=None)
-    @given(weights(), piecewise_polys(), st.fractions(0, 1, max_denominator=5))
-    def test_piecewise_polynomials(self, zeta, f, frac):
+    @given(weights(), piecewise_polys(), st.fractions(0, 1, max_denominator=5),
+           st.fractions(-4, 5, max_denominator=6))
+    def test_piecewise_polynomials(self, zeta, f, frac, drawn):
         breaks, polys = f
         cuts = sorted({*breaks, *zeta.breakpoints})
         lo, hi = cuts[0], cuts[-1]
-        # before every breakpoint, at and between them, and past the last
-        for start in (lo - 1 - frac, lo, lo + frac * (hi - lo), *cuts, hi + frac, hi + 1):
+        # before every breakpoint, at and between them, past the last, and anywhere
+        for start in (lo - 1 - frac, lo, lo + frac * (hi - lo), *cuts, hi + frac, hi + 1,
+                      breaks[-1] + F(1, 3), drawn):
             got = integral_against(zeta, breaks, polys, start)
             want = oracle_integral_against_by_region(zeta, breaks, polys, start)
             assert type(got) is type(want) and got == want
@@ -413,7 +396,8 @@ class TestIntegralAgainstRegionRoute:
     @given(weights())
     def test_profiles(self, zeta):
         for prof in profiles():
-            for start in (prof.t_min - 1, prof.t_min, prof.breakpoints[-1] + F(1, 2)):
+            for start in (prof.t_min - 1, prof.t_min, prof.breakpoints[-1],
+                          prof.breakpoints[-1] + F(1, 2)):
                 got = integral_against(zeta, prof.breakpoints, prof._derivatives, start)
                 want = oracle_integral_against_by_region(zeta, prof.breakpoints,
                                                          prof._derivatives, start)

@@ -4,8 +4,8 @@ products, eager ``Fraction`` V-reps of restrictions and images,
 ``contains_polyhedron``, ``dim``, full dimension read off the masks
 against ``dim``, ``relative_interior_contains``, the triangulation of
 carried cones against the ``Fraction`` rank-test route and the elimination
-route, pruning by ``Fraction`` dots, and the layer cake summed by one
-``Fraction`` per interval; affine images on integer matrices against the
+route, pruning by ``Fraction`` dots, and the layer cake summed on a sorted
+set of cuts; affine images on integer matrices against the
 ``Fraction`` maps they replaced.  Every comparison is an exact ``==``, in order where the
 result is ordered.  The count guards make a return to those routes fail a
 test.
@@ -32,7 +32,7 @@ from oracles import (SLOPES_12, building_by, capped_epigraph, coords, functions_
                      images_by_fractions, oracle_apply_linear, oracle_build_pruned_by_dots,
                      oracle_contains, oracle_cut_by, oracle_dd_step, oracle_dim, oracle_image,
                      oracle_incidence, oracle_integer_simplices_by_lattice_det,
-                     oracle_integral_against, oracle_relative_interior_contains,
+                     oracle_integral_against_by_region, oracle_relative_interior_contains,
                      oracle_restrictions, oracle_scale, oracle_translate, oracle_triangulate,
                      outcome, profiles, scale_values_by_fractions, weights)
 
@@ -448,7 +448,7 @@ class TestLayerCakeAgainstPerIntervalRoute:
                   prof.t_min + data.draw(st.fractions(0, 4, max_denominator=5))]
         for start in starts:
             got = integral_against(zeta, prof.breakpoints, prof._derivatives, start)
-            want = oracle_integral_against(zeta, prof.breakpoints, prof._derivatives, start)
+            want = oracle_integral_against_by_region(zeta, prof.breakpoints, prof._derivatives, start)
             assert type(got) is type(want) and got == want
 
     def test_tailed_weights_give_the_same_floats(self):
@@ -458,7 +458,7 @@ class TestLayerCakeAgainstPerIntervalRoute:
         for prof in profiles():
             for z in (zeta, tailed):
                 got = integral_against(z, prof.breakpoints, prof._derivatives, prof.t_min)
-                want = oracle_integral_against(z, prof.breakpoints, prof._derivatives, prof.t_min)
+                want = oracle_integral_against_by_region(z, prof.breakpoints, prof._derivatives, prof.t_min)
                 assert type(got) is type(want) and got == want
                 floats += isinstance(got, float)
         assert floats >= 2 * (len(profiles()) - 1)  # all but the constant's V' = 0
