@@ -372,6 +372,28 @@ def piecewise_polys(draw):
     return breaks, polys
 
 
+class TestIntegralAgainstFractionSums:
+    """``integral_against`` at drawn starts and at the ends of ``breaks``,
+    against the region route, the one reference kept for it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(weights(), piecewise_polys(), st.fractions(-4, 5, max_denominator=6))
+    def test_piecewise_polynomials(self, zeta, f, start):
+        breaks, polys = f
+        for s in (start, breaks[0], breaks[-1], breaks[-1] + F(1, 3)):
+            assert_same(integral_against(zeta, breaks, polys, s),
+                        oracle_integral_against_by_region(zeta, breaks, polys, s))
+
+    @settings(max_examples=40, deadline=None)
+    @given(weights())
+    def test_profiles(self, zeta):
+        for prof in profiles():
+            for start in (prof.t_min, prof.breakpoints[-1], prof.breakpoints[-1] + F(1, 2)):
+                assert_same(integral_against(zeta, prof.breakpoints, prof._derivatives, start),
+                            oracle_integral_against_by_region(zeta, prof.breakpoints,
+                                                              prof._derivatives, start))
+
+
 class TestIntegralAgainstRegionRoute:
     """``integral_against`` walking both breakpoint lists against its parent
     route, which sorted a set of cuts and called ``region_at`` on each
@@ -379,15 +401,13 @@ class TestIntegralAgainstRegionRoute:
     taken in the same order."""
 
     @settings(max_examples=200, deadline=None)
-    @given(weights(), piecewise_polys(), st.fractions(0, 1, max_denominator=5),
-           st.fractions(-4, 5, max_denominator=6))
-    def test_piecewise_polynomials(self, zeta, f, frac, drawn):
+    @given(weights(), piecewise_polys(), st.fractions(0, 1, max_denominator=5))
+    def test_piecewise_polynomials(self, zeta, f, frac):
         breaks, polys = f
         cuts = sorted({*breaks, *zeta.breakpoints})
         lo, hi = cuts[0], cuts[-1]
-        # before every breakpoint, at and between them, past the last, and anywhere
-        for start in (lo - 1 - frac, lo, lo + frac * (hi - lo), *cuts, hi + frac, hi + 1,
-                      breaks[-1] + F(1, 3), drawn):
+        # before every breakpoint, at and between them, and past the last
+        for start in (lo - 1 - frac, lo, lo + frac * (hi - lo), *cuts, hi + frac, hi + 1):
             got = integral_against(zeta, breaks, polys, start)
             want = oracle_integral_against_by_region(zeta, breaks, polys, start)
             assert type(got) is type(want) and got == want
@@ -396,8 +416,7 @@ class TestIntegralAgainstRegionRoute:
     @given(weights())
     def test_profiles(self, zeta):
         for prof in profiles():
-            for start in (prof.t_min - 1, prof.t_min, prof.breakpoints[-1],
-                          prof.breakpoints[-1] + F(1, 2)):
+            for start in (prof.t_min - 1, prof.t_min, prof.breakpoints[-1] + F(1, 2)):
                 got = integral_against(zeta, prof.breakpoints, prof._derivatives, start)
                 want = oracle_integral_against_by_region(zeta, prof.breakpoints,
                                                          prof._derivatives, start)
