@@ -8,7 +8,6 @@ need not be coercive themselves; they are returned with ``coercive=False``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
@@ -17,6 +16,7 @@ from typing import Sequence
 from .errors import CertificateFailed, DimensionMismatch, NotCoercive
 from .functions import PWAConvex, _build, _check_coercive, from_epigraph
 from .polyhedra import HRep, _int_point, _projection, minkowski_sum
+from .reports import record
 
 
 def conjugate(u: PWAConvex) -> PWAConvex:
@@ -118,7 +118,7 @@ def moreau_eval(u: PWAConvex, t, x: Sequence, *, budget: int = 10 ** 6) -> Fract
 # Cone bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ConeBound:
     """Certified lower bound u(x) > a|x| + b with rational a > 0, b."""
     a: Fraction

@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .reports import LawReport
+from .reports import LawReport, record
 
 Poly = tuple[Fraction, ...]  # ascending coefficients
 
@@ -86,6 +85,18 @@ def pdiff(c: Sequence) -> Poly:
 
 def pantider(c: Sequence) -> Poly:
     return (Fraction(0),) + tuple(Fraction(x, i + 1) for i, x in enumerate(c))
+
+
+def _float_at(c: Poly, p: int, q: int) -> float:
+    """float(peval(c, p / q)), q > 0: integer Horner over one denominator,
+    then one ``int / int``, which rounds correctly as ``Fraction`` does."""
+    if not c:
+        return 0.0
+    d = math.lcm(*(x.denominator for x in c))
+    num = 0
+    for k, x in enumerate(reversed(c)):
+        num = num * p + x.numerator * (d // x.denominator) * q ** k
+    return num / (d * q ** (len(c) - 1))
 
 
 def tail_integral_exact(lam: Fraction, coeffs: Sequence, a: Fraction) -> Fraction:
@@ -172,7 +183,7 @@ def poly_nonneg_on(c: Sequence, a, b) -> bool:
 # GrowthFunction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class GrowthFunction:
     breakpoints: tuple[Fraction, ...]
     pieces: tuple[Poly, ...]        # len(breakpoints) - 1
@@ -214,7 +225,19 @@ class GrowthFunction:
         return peval(payload, t)
 
     def eval_float(self, t) -> float:
-        return float(self.eval(t))
+        """``float(self.eval(t))`` for a float, int or Fraction t, in integers:
+        t = p / q exactly, the region picked by cross-multiplication."""
+        p, q = t.as_integer_ratio()
+        sign = [p * x.denominator - x.numerator * q for x in self.breakpoints]  # of t - x
+        if sign[0] < 0 or (sign[0] == 0 and not self.pieces and self.tail is None):
+            return _float_at(self.left, p, q)
+        for piece, s in zip(self.pieces, sign[1:]):
+            if s <= 0:
+                return _float_at(piece, p, q)
+        if self.tail is None:
+            return 0.0
+        lam, coeffs = self.tail
+        return _float_at(coeffs, p, q) * math.exp(-float(lam) * float(t))
 
     def eval_array(self, ts):
         """Vectorized float evaluation (numpy array in, array out)."""
@@ -408,9 +431,9 @@ class NumericPsi:
     def eval(self, t) -> float:
         import mpmath
         t = float(t)
-        n = self.n
+        n, tm, zeta = self.n, mpmath.mpf(t), self.zeta.eval_float
         cuts = [t] + [float(b) for b in self.zeta.breakpoints if float(b) > t]
-        f = lambda r: (r - t) ** (n - 1) * self.zeta.eval_float(float(r))
+        f = lambda r: (r - tm) ** (n - 1) * zeta(float(r))
         return float(n * mpmath.quad(f, cuts + [mpmath.inf]))
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -24,11 +23,11 @@ from .growth import (GrowthFunction, check_derivative_relation,
                      check_psi_vanishes, make_growth, peval, psi_from_zeta)
 from .linalg import vec_scale
 from .polyhedra import HRep, Polyhedron, hausdorff_distance, random_unimodular
-from .reports import SUITE_NAMES, LawReport
+from .reports import SUITE_NAMES, LawReport, record
 from .valuation import combined_valuation
 
 
-@dataclass(frozen=True)
+@record
 class FixturePair:
     """A certified pair (u, v): ``wedge`` is the base w that u wedge v was
     certified equal to; ``vee`` is u vee v, built on first read and kept."""

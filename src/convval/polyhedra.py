@@ -74,7 +74,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache, reduce
 from operator import and_, mul
@@ -97,6 +96,7 @@ from .linalg import (
     scale_to_int,
     vec_add,
 )
+from .reports import record
 
 Point = tuple[Fraction, ...]
 
@@ -135,7 +135,7 @@ def _within(rows: Iterable[Sequence[int]], y: Sequence[int]) -> bool:
 # Representations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class HRep:
     """Halfspace description {x : <a_i, x> <= b_i for all i}."""
 
@@ -169,7 +169,7 @@ class HRep:
         return _within(self.int_rows, y)
 
 
-@dataclass(frozen=True)
+@record
 class VRep:
     """Generator description conv(vertices) + cone(rays) + span(lines).
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -48,13 +47,14 @@ from .functions import PWAConvex, cone_function, indicator_function
 from .growth import (GrowthFunction, Poly, integral_against, pdiff, peval, poly_nonneg_on,
                      ptrim)
 from .polyhedra import Polyhedron, _Cone, _integer_simplices, cut_by, volume
+from .reports import record
 
 
 # ---------------------------------------------------------------------------
 # Level-volume profile
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class LevelVolumeProfile:
     n: int
     t_min: Fraction

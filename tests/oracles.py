@@ -1474,6 +1474,17 @@ def oracle_psi_from_the_right(zeta, n):
     return GrowthFunction(b, tuple(reversed(pieces)), left, None, False)
 
 
+def oracle_numeric_psi_by_fractions(zeta, n, t):
+    """``NumericPsi.eval`` as it was: the integrand evaluates zeta at each
+    float node as ``float(zeta.eval(r))``, through ``Fraction`` arithmetic,
+    and subtracts the float t."""
+    import mpmath
+    t = float(t)
+    cuts = [t] + [float(b) for b in zeta.breakpoints if float(b) > t]
+    f = lambda r: (r - t) ** (n - 1) * float(zeta.eval(float(r)))
+    return float(n * mpmath.quad(f, cuts + [mpmath.inf]))
+
+
 def oracle_tail_integral_by_factorials(lam, coeffs, a):
     """``tail_integral_exact`` as it was: R = sum_m c_m sum_i m!/i! a^i /
     lam^(m-i+1), skipping zero coefficients."""

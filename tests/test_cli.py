@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import convval
 
@@ -270,6 +270,18 @@ REPORT_DIGESTS = {  # suite: (n = 1, n = 2)
 }
 
 
+# sha256 of the standard output of ``growth {tail} --n N`` (N = 1, 2, 3): the
+# tail quadrature's floats must not change by a bit.
+TAILED_GROWTH_DIGESTS = ("8accd8a2acf56488", "00ad047e5bf54139", "304532a8e116d860")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tailed_growth_prints_as_recorded(tail_doc, capsys, n):
+    assert main(["growth", tail_doc, "--n", str(n)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == TAILED_GROWTH_DIGESTS[n - 1]
+
+
 class TestLaws:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("suite", list(SUITES))
@@ -379,7 +391,7 @@ def test_unwritable_output_exits_2(abs_doc, zeta_docs, tmp_path, capsys, argv):
 CONVVAL_MODULES = {f"convval.{m}" for m in ("cli", "conjugacy", "documents", "errors",
                                               "functions", "growth", "laws", "linalg",
                                               "polyhedra", "reports", "valuation")}
-OTHERS = {"hashlib", "mpmath", "numpy", "sympy"}
+OTHERS = {"dataclasses", "hashlib", "inspect", "mpmath", "numpy", "sympy"}
 
 
 def _unloaded(*names):
@@ -389,8 +401,11 @@ def _unloaded(*names):
 # argv (None: only ``import convval``) and the watched modules it must leave
 # unrun (``import convval`` lists its library modules in sys.modules, unrun).
 # Only a tailed ``growth`` integrates with mpmath, only ``valuation``
-# digests its inputs with hashlib, and no command loads numpy (``laws
-# staircase`` fits its log-log slope with ``statistics``).
+# digests its inputs with hashlib, no command loads numpy (``laws
+# staircase`` fits its log-log slope with ``statistics``), and none loads
+# ``dataclasses`` or ``inspect`` (``reports.record`` makes the value classes).
+# A module that a bare ``python -c pass`` runs, through a site hook, is not
+# counted against a command.
 LEAVES_UNLOADED = [
     (None, CONVVAL_MODULES | OTHERS),
     (["growth", "{poly}", "--n", "3"],
@@ -417,6 +432,10 @@ def test_import_and_growth_leave_sympy_and_mpmath_unloaded(abs_doc, zeta_docs, t
     assert json.loads(poly.read_text())["nonnegative"] is True
     paths = {"u": abs_doc, "z0": zeta_docs[0], "zn": zeta_docs[1], "poly": str(poly),
              "tail": tail_doc, "fx": str(tmp_path / "fx")}
+    watched = sorted(CONVVAL_MODULES | OTHERS)
+    listed = f"print(json.dumps(sorted(set({RUN_MODULES}) & set({watched!r}))))\n"
+    bare = set(json.loads(python_stdout("import json\n" + listed).splitlines()[-1]))
+    assert not bare & CONVVAL_MODULES
     for argv, unloaded in LEAVES_UNLOADED:
         if argv is None:
             run = "import convval\n"
@@ -426,11 +445,8 @@ def test_import_and_growth_leave_sympy_and_mpmath_unloaded(abs_doc, zeta_docs, t
                    "from convval.cli import main\n"
                    "with contextlib.redirect_stdout(io.StringIO()):\n"
                    f"    assert main({argv!r}) == 0\n")
-        watched = sorted(CONVVAL_MODULES | OTHERS)
-        code = (f"import json\n{run}"
-                f"print(json.dumps(sorted(set({RUN_MODULES}) & set({watched!r}))))\n")
-        loaded = set(json.loads(python_stdout(code).splitlines()[-1]))
-        assert not loaded & unloaded, (argv, sorted(loaded & unloaded))
+        loaded = set(json.loads(python_stdout(f"import json\n{run}{listed}").splitlines()[-1]))
+        assert not (loaded - bare) & unloaded, (argv, sorted((loaded - bare) & unloaded))
 
 
 def test_laws_help_lists_the_suites_in_order(capsys):
@@ -536,3 +552,109 @@ def test_fresh_process_matches_in_process_main(abs_doc, zeta_docs, tail_doc, tmp
     code = main(argv)
     assert (fresh.returncode, fresh.stdout.decode()) == (code, capsys.readouterr().out)
     assert fresh_files == _written(out)
+
+
+# Fuzzing the contract in this process: ``main`` on valid documents with one
+# node dropped, retyped or set to an odd rational, and on argv drawn from the
+# subcommands' flags with small values, returns or exits with 0, 1 or 2 and
+# raises nothing but SystemExit.
+ODD_RATIONALS = ["0", "-0", "+3", "7/-2", "-7/3", "2/4", "0/5", "1.5", "1e2", "-1E-1", " 2",
+                 "1_0", "", "1/0", "x", "inf", "nan", "--1", "1/", "/2"]
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                        st.sampled_from(ODD_RATIONALS), st.just([]), st.just({}),
+                        st.lists(st.sampled_from(ODD_RATIONALS), max_size=3))
+FUZZED_DOCUMENTS = {  # name: (document, the commands that read it as "{doc}")
+    "box": (BOX, [["growth", "{doc}", "--n", "2"], ["valuation", "{u}", "{z0}", "{doc}"]]),
+    "tail": (growth_to_doc(make_growth([0], [], tail=(1, [2, 1]))),
+             [["growth", "{doc}", "--n", "1"], ["valuation", "{u}", "{z0}", "{doc}"]]),
+    "abs1": (ABS1, [["eval", "{doc}", "--point", "1/2"], ["conjugate", "{doc}"],
+                    ["infconv", "{doc}", "{u}"], ["valuation", "{doc}", "{z0}", "{zn}"]]),
+}
+
+
+def _nodes(doc, path=()):
+    """The path of every node below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _nodes(value, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A fuzzed document with one node dropped, retyped or set to an odd
+    rational, and a command that reads it."""
+    name = draw(st.sampled_from(sorted(FUZZED_DOCUMENTS)))
+    doc, commands = FUZZED_DOCUMENTS[name]
+    doc = json.loads(json.dumps(doc))
+    *path, key = draw(st.sampled_from(list(_nodes(doc))))
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    action = draw(st.sampled_from(["drop", "retype", "rational"]))
+    if action == "drop":
+        del parent[key]
+    else:
+        parent[key] = draw(JSON_VALUES if action == "retype" else st.sampled_from(ODD_RATIONALS))
+    return doc, draw(st.sampled_from(commands))
+
+
+SMALL = {"--n": ["1", "2", "0", "x"], "--count": ["1", "2", "0", "-1"],
+         "--seed": ["0", "7", "-3", "x"], "--steps": ["1", "3", "0"],
+         "--tmin": ["0", "-1", "1/2", "x"], "--tmax": ["2", "1/3", "-1", "1/0"],
+         "--point": ["0", "1/2", "1,0", "0,0,0", "x", ""],
+         "--out": ["{out}/a.json", "{out}/missing/a.json"],
+         "--profile-csv": ["{out}/p.csv", "{out}/missing/p.csv"]}
+SUBCOMMANDS = [  # (the argv before the flags, the flags)
+    (["eval", "{u}"], ["--point"]),
+    (["conjugate", "{u}"], ["--out"]),
+    (["infconv", "{u}", "{u}"], ["--out"]),
+    (["valuation", "{u}", "{z0}", "{zn}"], ["--out", "--profile-csv"]),
+    (["growth", "{z0}"], ["--n", "--tmin", "--tmax", "--steps", "--out"]),
+    (["growth", "{tail}"], ["--n", "--tmin", "--tmax", "--steps"]),
+    *((["laws", suite], ["--count", "--n", "--seed", "--out"]) for suite in (*SUITES, "nope")),
+    (["fixtures"], ["--count", "--n", "--seed", "--out"]),
+]
+
+
+@st.composite
+def drawn_argv(draw):
+    """A subcommand, perhaps without its last word, and up to four of its
+    flags; one in ten also gets a flag it does not know."""
+    head, flags = draw(st.sampled_from(SUBCOMMANDS))
+    argv = head[:len(head) - draw(st.integers(0, 1))]
+    for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=4)):
+        argv += [flag, draw(st.sampled_from(SMALL[flag]))]
+    return argv + (["--bogus", "1"] if draw(st.integers(0, 9)) == 0 else [])
+
+
+def _run_main(argv):
+    """``main``'s status, returned or exited with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestFuzzedInputs:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated_documents())
+    def test_mutated_documents(self, zeta_docs, tmp_path, capsys, case):
+        doc, command = case
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        u = tmp_path / "abs1.json"
+        u.write_text(json.dumps(ABS1))
+        paths = {"doc": str(path), "u": str(u), "z0": zeta_docs[0], "zn": zeta_docs[1]}
+        assert _run_main([a.format(**paths) for a in command]) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn_argv())
+    def test_drawn_argv(self, abs_doc, zeta_docs, tail_doc, tmp_path, capsys, argv):
+        paths = {"u": abs_doc, "z0": zeta_docs[0], "zn": zeta_docs[1], "tail": tail_doc,
+                 "out": str(tmp_path)}
+        assert _run_main([a.format(**paths) for a in argv]) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err

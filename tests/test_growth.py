@@ -18,8 +18,8 @@ from convval.valuation import (combined_valuation, integral_valuation,
                                level_volume_profile, tail_mass)
 from oracles import (box01, oracle_combined_valuation, oracle_integral_against_by_region,
                      oracle_integral_valuation, oracle_moment, oracle_nonneg_on,
-                     oracle_psi_from_the_right, oracle_tail_integral_by_factorials, pint,
-                     profiles, weights)
+                     oracle_numeric_psi_by_fractions, oracle_psi_from_the_right,
+                     oracle_tail_integral_by_factorials, pint, profiles, weights)
 
 
 def hat():
@@ -421,3 +421,64 @@ class TestIntegralAgainstRegionRoute:
                 want = oracle_integral_against_by_region(zeta, prof.breakpoints,
                                                          prof._derivatives, start)
                 assert type(got) is type(want) and got == want
+
+
+# ---------------------------------------------------------------------------
+# The tail quadrature's integrand in integers: ``eval_float`` against
+# ``float(eval(t))``, and psi_n against the route that evaluated in Fractions
+# ---------------------------------------------------------------------------
+
+
+def _hex_or_overflow(f, t):
+    """``f(t)`` by ``float.hex``, so 0.0 and -0.0 differ, or the overflow."""
+    try:
+        return float(f(t)).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+# The tailed weights of the CLI: (2 + t) e^(-t) of the CLI tests' tail
+# document, perfbench cli_cold's (1 + t) e^(-2t) and (2 + t) e^(-2t), and one
+# with polynomial pieces and a left constant before its tail.
+TAILED_WEIGHTS = {
+    "tail-doc": make_growth([0], [], tail=(1, [2, 1])),
+    "cli-cold-zn": make_growth([0], [], tail=(2, [1, 1])),
+    "cli-cold-zeta": make_growth([0], [], tail=(2, [2, 1])),
+    "pieces-then-tail": make_growth([-1, 0, F(3, 2)], [[1, 1], [1, F(-1, 3)]],
+                                    left_constant=F(1, 2), tail=(F(3, 2), [F(1, 2), 0, 1])),
+}
+
+
+class TestTailRoute:
+    @settings(max_examples=80, deadline=None)
+    @given(weights(), st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                         st.integers(-10 ** 6, 10 ** 6),
+                                         st.fractions(-10, 10, max_denominator=10 ** 6)),
+                               max_size=20))
+    def test_eval_float_is_float_of_eval(self, zeta, drawn):
+        points = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 10 ** 400, -10 ** 400]
+        for b in zeta.breakpoints:
+            points += [b, float(b), math.nextafter(float(b), math.inf),
+                       math.nextafter(float(b), -math.inf)]
+        for t in points + drawn:
+            got = _hex_or_overflow(zeta.eval_float, t)
+            assert got == _hex_or_overflow(zeta.eval, t), (zeta, t)
+            if got != "OverflowError":
+                assert type(zeta.eval_float(t)) is float
+
+    def test_overflow_on_both_routes(self):
+        zeta = TAILED_WEIGHTS["pieces-then-tail"]
+        for route in (zeta.eval, zeta.eval_float):
+            assert _hex_or_overflow(route, 1e300) == "OverflowError"
+            assert _hex_or_overflow(route, -1e300) == float(F(1, 2)).hex()
+
+    @pytest.mark.parametrize("name", TAILED_WEIGHTS)
+    def test_psi_as_the_fraction_route_gives_it(self, name):
+        zeta = TAILED_WEIGHTS[name]
+        grid = [F(j, 10) for j in range(21)]  # the grid of ``convval growth``
+        if zeta.pieces:
+            grid += [F(j, 4) for j in range(-6, 0)] + [F(3, 2), F(5, 2)]
+        for n in (1, 2, 3):
+            psi = psi_from_zeta(zeta, n)
+            for t in grid:
+                assert psi.eval(t) == oracle_numeric_psi_by_fractions(zeta, n, t), (n, t)

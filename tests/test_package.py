@@ -124,3 +124,20 @@ def test_src_has_no_assert():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _imported(node):
+    """The modules an import statement names."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+
+
+def test_src_does_not_import_dataclasses():
+    """``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and ``tokenize``
+    in every cold command; ``reports.record`` makes the value classes."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(convval.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if any(name.split(".")[0] == "dataclasses" for name in _imported(node))]
+    assert found == []
